@@ -66,11 +66,7 @@ from repro.core.events import (
     encode_events,
     fuse_batch,
 )
-from repro.core.tracefile import (
-    PipelineStats,
-    iter_section_batches,
-    pipeline_batches,
-)
+from repro.core.tracefile import iter_section_batches
 from repro.core.tracing import with_switches
 from repro.tools.partition import replay_partitioned
 from repro.workloads.registry import get_workload
@@ -139,13 +135,12 @@ def build_payload(runs, monolithic=False):
 
 
 def serial_replay(payload):
-    """Bytes-to-profile streaming replay — the same ranged decoder,
-    fusion, and pipelined columnar kernel each partition worker runs,
+    """Bytes-to-profile streaming replay — the same section decoder,
+    fusion, and inline columnar kernel each partition worker runs,
     minus the partitioning."""
     profiler = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)
-    sections = (fuse_batch(s) for s in iter_section_batches(payload))
-    for section in pipeline_batches(sections, stats=PipelineStats()):
-        profiler.consume_columnar(section)
+    for section in iter_section_batches(payload):
+        profiler.consume_columnar(fuse_batch(section))
     profiler.begin_trace()
     return profiler
 

@@ -32,11 +32,8 @@ processes.  Both formats round-trip through each other
 
 from __future__ import annotations
 
-import queue
 import struct
 import sys
-import threading
-import time
 import urllib.parse
 import zlib
 from array import array
@@ -85,8 +82,6 @@ __all__ = [
     "load_batch",
     "scan_trace",
     "iter_section_batches",
-    "pipeline_batches",
-    "PipelineStats",
     "TracePartition",
     "PartitionPlan",
     "plan_partitions",
@@ -239,17 +234,16 @@ def scan_trace(stream: IO[bytes]) -> TraceScan:
     return scan_batch_bytes(stream.read())
 
 
-# -- pipelined zero-copy decode ----------------------------------------------
+# -- streaming zero-copy decode ----------------------------------------------
 #
 # ``load_batch`` materialises the whole trace before the first event is
-# profiled, so decode time serialises with the kernel.  The two helpers
-# below remove both costs: ``iter_section_batches`` turns a v2 trace
-# into a stream of per-section batches whose columns are filled with
-# ``array.frombytes`` straight off ``memoryview`` slices of the
-# CRC-checked section payload (no per-event object, no intermediate
-# byte copies beyond the column buffers themselves), and
-# ``pipeline_batches`` runs any batch producer on a reader thread with
-# a bounded hand-off queue so decode-ahead overlaps with profiling.
+# profiled.  ``iter_section_batches`` instead turns a v2/v3 trace into a
+# stream of per-section batches whose columns are decoded straight off
+# ``memoryview`` slices of the CRC-checked section payload (no per-event
+# object, no intermediate byte copies beyond the column buffers
+# themselves).  Replay loops pull one section, fuse it once and feed it
+# to every profiler inline: decode is GIL-bound, so a reader thread
+# could not overlap it with the kernels anyway.
 
 
 def _parse_batch_header(data) -> Tuple[int, List[str], int, int]:
@@ -423,125 +417,6 @@ def iter_section_batches(
         )
     if pos != stop:
         raise TraceFormatError("trailing bytes after final section", pos)
-
-
-@dataclass
-class PipelineStats:
-    """Backpressure accounting for one :func:`pipeline_batches` run.
-
-    ``decode_stall_s`` is consumer-side time spent blocked on the
-    hand-off queue because decode had not produced the next section yet
-    (the pipeline's fill stalls); ``backpressure_s`` is producer-side
-    time blocked because the consumer had ``depth`` sections queued
-    already (the pipeline's drain stalls).  ``queue_depth_hwm`` is the
-    deepest the decode-ahead window ever got.  Partition workers fold
-    these into ``repro.obs`` so a slow decode shows up as stall time
-    instead of silently idling a core.
-    """
-
-    batches: int = 0
-    decode_stall_s: float = 0.0
-    backpressure_s: float = 0.0
-    queue_depth_hwm: int = 0
-
-    def publish(self, metrics, labels: Optional[dict] = None) -> None:
-        """Fold this run into a :class:`repro.obs.MetricsRegistry`."""
-        labels = labels or {}
-        metrics.counter("pipeline.batches", labels).inc(self.batches)
-        metrics.histogram("pipeline.decode_stall_us", labels).observe(
-            int(self.decode_stall_s * 1e6)
-        )
-        metrics.histogram("pipeline.backpressure_us", labels).observe(
-            int(self.backpressure_s * 1e6)
-        )
-        metrics.gauge("pipeline.queue_depth_hwm", labels).set(
-            self.queue_depth_hwm
-        )
-
-
-def pipeline_batches(
-    batches: Iterable[EventBatch],
-    depth: int = 4,
-    stats: Optional[PipelineStats] = None,
-) -> Iterator[EventBatch]:
-    """Re-yield ``batches`` with production moved to a reader thread.
-
-    A bounded queue of ``depth`` batches provides the decode-ahead
-    window: the producer (typically :func:`iter_section_batches`, or a
-    section decoder composed with :func:`~repro.core.events.fuse_batch`)
-    runs up to ``depth`` sections ahead of the consumer, so trace
-    decode and CRC checks overlap with profiling instead of
-    serialising with it.  Producer exceptions re-raise in the consumer
-    at the point of damage; abandoning the iterator early stops the
-    reader thread promptly.
-
-    Pass a :class:`PipelineStats` as ``stats`` to accumulate queue
-    backpressure accounting for the run (mutated in place, complete
-    once the iterator is exhausted or closed).
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    handoff: "queue.Queue" = queue.Queue(maxsize=depth)
-    stop = threading.Event()
-    done = object()
-
-    def offer(item) -> bool:
-        """Put, but give up promptly once the consumer is gone."""
-        blocked = None
-        while not stop.is_set():
-            try:
-                if blocked is None:
-                    # Non-blocking first try so any wait at all is
-                    # timed from its true start, not from the first
-                    # 50ms timeout expiry.
-                    handoff.put_nowait(item)
-                else:
-                    handoff.put(item, timeout=0.05)
-            except queue.Full:
-                if blocked is None:
-                    blocked = time.monotonic()
-                continue
-            if stats is not None:
-                if blocked is not None:
-                    stats.backpressure_s += time.monotonic() - blocked
-                filled = handoff.qsize()
-                if filled > stats.queue_depth_hwm:
-                    stats.queue_depth_hwm = filled
-            return True
-        return False
-
-    def reader() -> None:
-        try:
-            for batch in batches:
-                if not offer(batch):
-                    return
-            offer(done)
-        except BaseException as exc:  # re-raised consumer-side
-            offer(exc)
-
-    thread = threading.Thread(target=reader, name="trace-decode", daemon=True)
-    thread.start()
-    try:
-        while True:
-            if stats is not None:
-                try:
-                    item = handoff.get_nowait()
-                except queue.Empty:
-                    stalled = time.monotonic()
-                    item = handoff.get()
-                    stats.decode_stall_s += time.monotonic() - stalled
-            else:
-                item = handoff.get()
-            if item is done:
-                break
-            if isinstance(item, BaseException):
-                raise item
-            if stats is not None:
-                stats.batches += 1
-            yield item
-    finally:
-        stop.set()
-        thread.join()
 
 
 # -- partitioned replay planning ---------------------------------------------

@@ -9,10 +9,11 @@ parallel job:
    with per-thread carry-in summaries — into byte ranges with balanced
    event counts;
 2. each partition replays its range through the normal engines
-   (columnar by default, with pipelined ranged decode) in a supervised
-   process pool — a worker that times out or dies is retried with
-   backoff and, failing that, that partition alone falls back to an
-   inline replay in the parent;
+   (columnar by default; each section is decoded and fused once, inline,
+   and fed to every profiler kind) in a supervised process pool — a
+   worker that times out or dies is retried with backoff and, failing
+   that, that partition alone falls back to an inline replay in the
+   parent;
 3. the per-partition profiler shards **stream back** and fold through
    the exact associative ``merge()`` as they arrive (buffered to index
    order), so the final merge overlaps the slowest worker instead of
@@ -51,10 +52,8 @@ from repro.core.rms import RmsProfiler
 from repro.core.timestamping import DrmsProfiler
 from repro.core.tracefile import (
     PartitionPlan,
-    PipelineStats,
     TracePartition,
     iter_section_batches,
-    pipeline_batches,
     plan_partitions,
 )
 from repro.obs.distributed import (
@@ -69,6 +68,7 @@ from repro.tools.pool import (
     active_segments,
     attached_view,
     get_pool,
+    in_pool_worker,
     pool_stats,
     shm_available,
 )
@@ -164,15 +164,17 @@ def replay_partition(
     total: int,
     engine: str = "columnar",
     counter_limit: Optional[int] = None,
-    depth: int = 4,
     carry_aware: bool = False,
 ) -> List[PartitionShard]:
     """Replay one partition's byte range under each profiler kind.
 
-    The columnar engine streams ranged sections (fused into run
-    superops) through the pipelined decoder and records its
-    backpressure stats; ``batched``/``scalar`` replay the same range
-    through the other engines for the equivalence suite.
+    One pass over the range serves every kind: each section is decoded
+    once, fused once into run superops (columnar engine) and handed
+    inline to every kind's profiler before the next section is pulled.
+    ``batched``/``scalar`` replay the same sections through the other
+    engines for the equivalence suite.  Each shard reports the pass's
+    wall time as ``elapsed`` and its decode + fuse share as
+    ``decode_stall_s``.
 
     A partition with a nonempty ``carry_in`` starts mid-activation:
     the profilers are seeded with placeholder frames for the carried
@@ -185,30 +187,39 @@ def replay_partition(
     partition's fix-up may look up prefix accesses from it.
     """
     carried = bool(carry_aware or part.carry_in or part.carry_out_ids)
-    shards: List[PartitionShard] = []
+    profs = []
     for kind in kinds:
         prof = _make_profiler(kind, counter_limit)
         if kind == "drms" or part.carry_in:
             prof.cold_reads = []
         if part.carry_in:
             prof.seed_partition(part.carry_in)
-        stats = PipelineStats()
-        start = time.perf_counter()
+        profs.append(prof)
+    now = time.perf_counter
+    decode_s = 0.0
+    start = now()
+    sections = iter_section_batches(payload, part.start, part.end)
+    while True:
+        mark = now()
+        section = next(sections, None)
+        if section is None:
+            break
         if engine == "scalar":
-            for batch in iter_section_batches(payload, part.start, part.end):
-                for event in batch.iter_events():
+            section = list(section.iter_events())
+        elif engine != "batched":
+            section = fuse_batch(section)
+        decode_s += now() - mark
+        for prof in profs:
+            if engine == "scalar":
+                for event in section:
                     prof.consume(event)
-        elif engine == "batched":
-            for batch in iter_section_batches(payload, part.start, part.end):
-                prof.consume_batch(batch)
-        else:
-            sections = (
-                fuse_batch(s)
-                for s in iter_section_batches(payload, part.start, part.end)
-            )
-            for section in pipeline_batches(sections, depth=depth, stats=stats):
+            elif engine == "batched":
+                prof.consume_batch(section)
+            else:
                 prof.consume_columnar(section)
-        elapsed = time.perf_counter() - start
+    elapsed = now() - start
+    shards: List[PartitionShard] = []
+    for kind, prof in zip(kinds, profs):
         space = prof.space_cells()
         if kind == "drms" or carried:
             last_write, last_access = prof.boundary_summary()
@@ -234,9 +245,7 @@ def replay_partition(
                 cold_reads=cold,
                 last_write=last_write,
                 last_access=last_access,
-                decode_stall_s=stats.decode_stall_s,
-                backpressure_s=stats.backpressure_s,
-                queue_depth_hwm=stats.queue_depth_hwm,
+                decode_stall_s=decode_s,
                 carry_in=tuple(part.carry_in),
                 carry_out=carry_out,
                 carried_returns=tuple(rets),
@@ -335,7 +344,9 @@ def _open_partition_trace(
 
 
 def _emit_shard_counters(tracer, shards: List[PartitionShard]) -> None:
-    """Counter-track samples (Perfetto "C" events) from PipelineStats."""
+    """Counter-track samples (Perfetto "C" events) of each shard's
+    inline decode + fuse time (the stall and queue-depth tracks keep
+    their names; with no reader thread they read 0)."""
     if not getattr(tracer, "enabled", False):
         return
     for shard in shards:
@@ -866,13 +877,15 @@ def replay_partitioned(
     # engine degrades to replaying each partition inline — the merged
     # profile is identical either way.  An active crash-injection spec
     # or REPRO_PARTITION_FORCE_POOL keeps the pool path for tests that
-    # exercise worker supervision and shm residency specifically.
+    # exercise worker supervision and shm residency specifically.  A
+    # replay that is itself running in a pool worker (a parallel sweep
+    # cell) replays inline too: pools do not nest.
     single_cpu = (
         (os.cpu_count() or 1) < 2
         and os.environ.get(_KILL_ENV) is None
         and not os.environ.get("REPRO_PARTITION_FORCE_POOL")
     )
-    if len(parts) <= 1 or pool_workers <= 1 or single_cpu:
+    if len(parts) <= 1 or pool_workers <= 1 or single_cpu or in_pool_worker():
         for part in parts:
             inline(part)
     else:

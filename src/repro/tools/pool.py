@@ -31,10 +31,11 @@ Two pieces remove them:
 Worker processes keep an **attach cache** keyed by segment name
 (:func:`attached_view`): the same trace is mapped once per worker, not
 once per task, and the cache is LRU-capped so long-lived workers do
-not accumulate mappings.  Workers are forked from the segment creator
-and share its ``resource_tracker`` process, so their attach-time
-REGISTERs dedupe against the creator's and the creator's unlink
-balances the books — no spurious tracker unlinks or leak warnings.
+not accumulate mappings.  Workers map segments read-only and never
+register them with a ``resource_tracker``: only the creator registers
+and unlinks, so the books balance whatever the fork order — no
+per-worker tracker processes, no spurious tracker unlinks or leak
+warnings at exit.
 
 Everything degrades: platforms without working shared memory fall back
 to the pickled-subrange path (callers probe :func:`shm_available`),
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import mmap
 import os
 import threading
 from collections import OrderedDict
@@ -66,6 +68,7 @@ __all__ = [
     "attached_view",
     "detach_all",
     "get_pool",
+    "in_pool_worker",
     "pool_stats",
     "reap_stale_segments",
     "shm_available",
@@ -230,12 +233,46 @@ def active_segments() -> int:
 
 # -- worker-side attach cache -------------------------------------------------
 
-#: name -> SharedMemory, LRU order; per-process (each pool worker gets
-#: its own after fork)
+#: name -> mapping (``_Mapping`` or ``SharedMemory``), LRU order;
+#: per-process (each pool worker gets its own after fork)
 _ATTACHED: "OrderedDict[str, object]" = OrderedDict()
 _ATTACH_CAP = 4
 _attach_hits = 0
 _attach_misses = 0
+
+
+class _Mapping:
+    """A read-only view of one segment that no resource tracker knows
+    about (``buf``/``close`` like ``SharedMemory``)."""
+
+    def __init__(self, name: str) -> None:
+        fd = os.open(os.path.join(_SHM_DIR, name), os.O_RDONLY)
+        try:
+            self._mmap = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        self.buf.release()
+        self._mmap.close()
+
+
+def _map_segment(name: str):
+    """Map segment ``name`` for reading without registering it.
+
+    ``SharedMemory(name=...)`` registers every attach with a resource
+    tracker (unconditionally before Python 3.13).  A worker forked
+    before the creator's tracker started would start a tracker of its
+    own, and that tracker's exit-time sweep warns about segments the
+    creator has long unlinked.  Where segments are files under
+    ``/dev/shm`` they are mapped directly instead; elsewhere the
+    registering attach is the fallback.
+    """
+    try:
+        return _Mapping(name)
+    except FileNotFoundError:  # pragma: no cover - shm lives elsewhere
+        return shared_memory.SharedMemory(name=name)
 
 
 def attached_view(name: str, size: int) -> memoryview:
@@ -244,7 +281,7 @@ def attached_view(name: str, size: int) -> memoryview:
     The cache keys by segment name, so a worker replaying many
     partitions — or many tasks across sweep cells — of the same trace
     maps it exactly once.  Capped LRU: attaching an evicted segment
-    again is just another ``shm_open``.
+    again is just another open + ``mmap``.
     """
     global _attach_hits, _attach_misses
     if shared_memory is None:
@@ -256,13 +293,7 @@ def attached_view(name: str, size: int) -> memoryview:
             _attach_hits += 1
             return shm.buf[:size]
         _attach_misses += 1
-    # NB: attaching registers with the resource tracker (unconditional
-    # before Python 3.13), but pool workers are forked from the segment
-    # creator and share its tracker process, whose per-name cache is a
-    # set — the duplicate REGISTER dedupes and the creator's unlink
-    # balances it.  Unregistering here instead would strip the
-    # creator's entry and make its unlink traceback in the tracker.
-    shm = shared_memory.SharedMemory(name=name)
+    shm = _map_segment(name)
     with _lock:
         _ATTACHED[name] = shm
         while len(_ATTACHED) > _ATTACH_CAP:
@@ -297,6 +328,24 @@ def detach_all() -> None:
 
 
 # -- persistent warm worker pool ----------------------------------------------
+
+#: set by the executor initializer in every :class:`WorkerPool` worker
+_IN_WORKER = False
+
+
+def _mark_worker() -> None:
+    global _IN_WORKER
+    _IN_WORKER = True
+
+
+def in_pool_worker() -> bool:
+    """True inside a :class:`WorkerPool` worker process.
+
+    Work running in a pool worker (a sweep cell, say) must not build a
+    pool of its own: a nested executor forked from a worker wedges the
+    worker's exit, and with it the parent's.  Callers that would fan
+    out take their inline path instead."""
+    return _IN_WORKER
 
 
 class WorkerPool:
@@ -334,7 +383,9 @@ class WorkerPool:
             if self._broken():
                 self.respawns_broken += 1
             old.shutdown(wait=False, cancel_futures=True)
-        self._executor = ProcessPoolExecutor(max_workers=workers)
+        self._executor = ProcessPoolExecutor(
+            max_workers=workers, initializer=_mark_worker
+        )
         self._workers = workers
         self._used = False
         self.spawns += 1

@@ -21,9 +21,6 @@ Three contracts:
   engines pick up because they re-read them on every call.
 """
 
-import threading
-import time
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,11 +47,7 @@ from repro.core.events import (
     encode_events,
     fuse_batch,
 )
-from repro.core.tracefile import (
-    TraceFormatError,
-    iter_section_batches,
-    pipeline_batches,
-)
+from repro.core.tracefile import TraceFormatError, iter_section_batches
 from repro.tools import DEFAULT_TOOLS, replay_tool, replay_tool_streaming
 from repro.tools.base import AnalysisTool
 
@@ -358,107 +351,30 @@ def test_section_batches_round_trip_multi_section():
     assert decoded == events
 
 
-def test_pipeline_batches_round_trips_sections():
+def test_partition_replay_reraises_decode_corruption():
+    """A flipped byte in a late section surfaces as TraceFormatError
+    from the inline partition replay, at the point of damage."""
+    from repro.core.tracefile import plan_partitions
+    from repro.tools.partition import replay_partition
+
     events = _long_trace()
-    payload = encode_events(events).to_bytes()
-    streamed = [
-        e
-        for s in pipeline_batches(iter_section_batches(payload), depth=2)
-        for e in s.iter_events()
-    ]
-    assert streamed == events
-
-
-def test_pipeline_early_abandon_stops_reader():
-    events = _long_trace()
-    payload = encode_events(events).to_bytes()
-    before = threading.active_count()
-    stream = pipeline_batches(iter_section_batches(payload), depth=1)
-    next(stream)
-    stream.close()  # abandon with sections still undecoded
-    deadline = time.monotonic() + 5.0
-    while threading.active_count() > before and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert threading.active_count() <= before
-
-
-def test_pipeline_reraises_decode_corruption():
-    """A flipped byte in a late section surfaces as TraceFormatError in
-    the consumer; the CRC-clean prefix still streams through first."""
-    events = _long_trace()
-    payload = bytearray(encode_events(events).to_bytes())
+    clean = encode_events(events).to_bytes()
+    plan = plan_partitions(clean, 1)
+    assert len(plan.partitions) == 1
+    payload = bytearray(clean)
     payload[-40] ^= 0xFF  # inside the last section's event columns
-    got = []
     with pytest.raises(TraceFormatError):
-        for section in pipeline_batches(
-            iter_section_batches(bytes(payload)), depth=2
-        ):
-            got.extend(section.iter_events())
-    assert got == events[: len(got)]
-    assert len(got) >= 1024  # at least the first section survived
-
-
-def test_pipeline_stats_count_batches_and_stalls():
-    """Backpressure accounting (PR 6 satellite): the stats object counts
-    every yielded section, tracks the decode-ahead high-water mark, and
-    a deliberately slow consumer shows up as producer backpressure."""
-    from repro.core.tracefile import PipelineStats
-
-    events = _long_trace()
-    payload = encode_events(events).to_bytes()
-    stats = PipelineStats()
-    sections = list(
-        pipeline_batches(iter_section_batches(payload), depth=2, stats=stats)
-    )
-    assert stats.batches == len(sections) > 1
-    assert stats.decode_stall_s >= 0.0
-    assert stats.backpressure_s >= 0.0
-    assert 0 <= stats.queue_depth_hwm <= 2
-
-    slow = PipelineStats()
-    for _section in pipeline_batches(
-        iter_section_batches(payload), depth=1, stats=slow
-    ):
-        time.sleep(0.005)  # consumer slower than decode: queue fills
-    assert slow.batches == len(sections)
-    assert slow.queue_depth_hwm >= 1
-    assert slow.backpressure_s > 0.0
-
-
-def test_pipeline_stats_publish_to_metrics():
-    from repro.core.tracefile import PipelineStats
-    from repro.obs import MetricsRegistry
-
-    events = _long_trace()
-    payload = encode_events(events).to_bytes()
-    stats = PipelineStats()
-    consumed = sum(
-        len(s)
-        for s in pipeline_batches(
-            iter_section_batches(payload), depth=2, stats=stats
+        replay_partition(
+            bytes(payload), plan.partitions[0], ("drms", "rms"), 1
         )
-    )
-    assert consumed == len(events)
-    registry = MetricsRegistry()
-    stats.publish(registry, {"label": "t"})
-    labels = {"label": "t"}
-    assert registry.counter("pipeline.batches", labels).value == stats.batches
-    assert registry.histogram("pipeline.decode_stall_us", labels).count == 1
-    assert registry.histogram("pipeline.backpressure_us", labels).count == 1
-    assert (
-        registry.gauge("pipeline.queue_depth_hwm", labels).value
-        == stats.queue_depth_hwm
-    )
 
 
 def test_streaming_profile_matches_monolithic():
     events = _long_trace()
     payload = encode_events(events).to_bytes()
     streamed = DrmsProfiler(policy=FULL_POLICY)
-    for section in pipeline_batches(
-        (fuse_batch(s) for s in iter_section_batches(payload)), depth=4
-    ):
-        streamed.consume_columnar(section)
+    for section in iter_section_batches(payload):
+        streamed.consume_columnar(fuse_batch(section))
     whole = DrmsProfiler(policy=FULL_POLICY)
     whole.consume_batch(encode_events(events))
     assert streamed.metrics_snapshot() == whole.metrics_snapshot()

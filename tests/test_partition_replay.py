@@ -286,6 +286,46 @@ def test_merge_standalone_matches_replay_partitioned():
     assert merged["rms"].metrics_snapshot() == serial_rms.metrics_snapshot()
 
 
+def test_replay_partition_decodes_and_fuses_each_section_once(monkeypatch):
+    """Every requested kind rides one pass: two kinds, one decode
+    stream, one fusion per section — and the shards still merge to the
+    serial profiles."""
+    import repro.tools.partition as partition
+
+    batch, payload = _three_part_payload()
+    plan = plan_partitions(payload, 1)
+    (part,) = plan.partitions
+    calls = {"decode": 0, "sections": 0, "fuse": 0}
+    real_iter = partition.iter_section_batches
+    real_fuse = partition.fuse_batch
+
+    def counting_iter(*args, **kwargs):
+        calls["decode"] += 1
+        for section in real_iter(*args, **kwargs):
+            calls["sections"] += 1
+            yield section
+
+    def counting_fuse(*args, **kwargs):
+        calls["fuse"] += 1
+        return real_fuse(*args, **kwargs)
+
+    monkeypatch.setattr(partition, "iter_section_batches", counting_iter)
+    monkeypatch.setattr(partition, "fuse_batch", counting_fuse)
+    shards = replay_partition(payload, part, ("drms", "rms"), 1)
+    assert calls["decode"] == 1
+    assert calls["sections"] == part.sections > 1
+    assert calls["fuse"] == calls["sections"]
+    assert [s.kind for s in shards] == ["drms", "rms"]
+    assert shards[0].decode_stall_s == shards[1].decode_stall_s > 0.0
+    assert shards[0].backpressure_s == shards[0].queue_depth_hwm == 0
+    merged = merge_partition_shards([shards])
+    serial_drms, serial_rms = serial_profilers(batch)
+    assert (
+        merged["drms"].metrics_snapshot() == serial_drms.metrics_snapshot()
+    )
+    assert merged["rms"].metrics_snapshot() == serial_rms.metrics_snapshot()
+
+
 def test_resolve_partitions():
     assert resolve_partitions(None) is None
     assert resolve_partitions(3) == 3

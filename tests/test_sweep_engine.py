@@ -1,7 +1,12 @@
 """Sweep engine: cold/warm runs, shard merging, supervision, reporting."""
 
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -309,3 +314,50 @@ class TestReport:
         assert isinstance(shard, DrmsProfiler)
         assert shard.live_activations() == 0
         assert shard.space_cells() == 0  # begin_trace() cleared the shadow
+
+
+def test_parallel_partitioned_sweep_completes_and_matches_plain(tmp_path):
+    """A parallel sweep cell runs in a pool worker; its partitioned
+    replay must not build a nested pool there (that wedged the worker's
+    exit, and so the whole process).  Run in a subprocess so a hang
+    fails on the timeout instead of stalling the suite."""
+    src = textwrap.dedent(
+        """
+        import sys
+        sys.path.insert(0, %r)
+        from repro.sweep import SweepConfig, run_sweep
+
+        def sweep(root, **kw):
+            return run_sweep(SweepConfig(
+                workloads=("mysql_select",), scales=(1,), store_root=root,
+                tools=("aprof-drms",), repeats=1, **kw,
+            ))
+
+        part = sweep(sys.argv[1] + "/a", parallel=2, partitions=2)
+        plain = sweep(sys.argv[1] + "/b")
+        (cell,), (ref,) = part.cells, plain.cells
+        assert cell["partitions"] == 2, cell["partitions"]
+        assert cell["completed_by"] == "pool", cell["completed_by"]
+        for kind in ("drms", "rms"):
+            assert (
+                cell[kind].metrics_snapshot() == ref[kind].metrics_snapshot()
+            ), kind
+        assert part.trends == plain.trends
+        print("sweep ok")
+        """
+    ) % os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", src, str(tmp_path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,  # so a hang's pool workers die with it
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("parallel partitioned sweep hung")
+    assert proc.returncode == 0, err
+    assert "sweep ok" in out

@@ -275,3 +275,51 @@ def test_reaper_collects_segments_of_sigkilled_process():
         if proc.poll() is None:
             proc.kill()
         proc.wait(timeout=30)
+
+
+@pytest.mark.skipif(not shm_available(), reason="no working shared memory")
+def test_pool_warmed_before_first_segment_leaves_tracker_quiet():
+    """Workers forked before the first segment exists share the
+    creator's resource tracker, so exit leaves no tracker warnings
+    about segments the creator already unlinked."""
+    src = textwrap.dedent(
+        """
+        import os, sys
+        sys.path.insert(0, %r)
+        from repro.core.events import Call, Read, Return, SwitchThread
+        from repro.core.events import encode_events
+        from repro.tools.partition import replay_partitioned
+        from repro.tools.pool import get_pool
+
+        events, bounds = [], []
+        for k in range(4):
+            if events:
+                bounds.append(len(events))
+                events.append(SwitchThread())
+            events += [Call(1, "run%%d" %% k)]
+            events += [Read(1, 0x100 * k + i) for i in range(12)]
+            events += [Return(1)]
+        payload = encode_events(events).to_bytes(
+            section_events=4, boundaries=bounds
+        )
+        pool = get_pool().ensure(2)
+        for future in [pool.submit(os.getpid) for _ in range(2)]:
+            future.result()
+        rep = replay_partitioned(
+            payload, partitions=4, kinds=("drms",), workers=2
+        )
+        assert not rep.degradations
+        print("replayed", len(rep.plan.partitions))
+        """
+    ) % os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, REPRO_PARTITION_FORCE_POOL="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", src],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "replayed 4" in proc.stdout
+    assert "resource_tracker" not in proc.stderr
