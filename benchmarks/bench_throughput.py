@@ -1,12 +1,13 @@
-"""Event throughput — batched opcode pipeline vs scalar event dispatch.
+"""Event throughput — columnar kernel on the opcode batch vs scalar dispatch.
 
 The point of the batch layer: on the Figure 16 SPEC OMP sweep (8
-serialised threads, scale 3) the batched ``DrmsProfiler.consume_batch``
-must process at least **3x** the events/second of the scalar
-``consume`` loop over the identical trace.  The scalar path pays one
-dataclass construction plus an isinstance chain per event; the batch
-path dispatches on integer opcodes over flat arrays with the hot shadow
-state bound to locals.
+serialised threads, scale 3) ``DrmsProfiler.consume_columnar`` on the
+plain, *unfused* opcode batch must process at least **3x** the
+events/second of the scalar ``consume`` loop over the identical trace.
+The scalar path pays one dataclass construction plus an isinstance
+chain per event; the kernel dispatches on integer opcodes over flat
+arrays with the hot shadow state bound to locals.  Fusion is left out
+on purpose — ``bench_kernel.py`` measures what it adds on top.
 
 Results are written to ``BENCH_throughput.json`` at the repo root so
 the README performance table and CI can track the ratio.  Also runnable
@@ -57,30 +58,30 @@ def measure_workload_throughput(name, repeats, scale=SCALE):
         for event in trace:
             consume(event)
 
-    def batched_run():
+    def columnar_run():
         profiler = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)
-        profiler.consume_batch(batch)
+        profiler.consume_columnar(batch)
 
     # One untimed warm-up each, then interleaved median-of repeats so
     # CPU frequency drift hits both sides equally instead of biasing
     # the ratio toward whichever ran during the faster window — and a
     # single lucky (or unlucky) repeat can't set the reported number.
     scalar_run()
-    batched_run()
+    columnar_run()
     scalar_times = []
-    batched_times = []
+    columnar_times = []
     for _ in range(repeats):
         scalar_times.append(timed(scalar_run))
-        batched_times.append(timed(batched_run))
+        columnar_times.append(timed(columnar_run))
     scalar_time = statistics.median(scalar_times)
-    batched_time = statistics.median(batched_times)
+    columnar_time = statistics.median(columnar_times)
     return {
         "events": n,
         "scalar_time": scalar_time,
-        "batched_time": batched_time,
+        "columnar_time": columnar_time,
         "scalar_events_per_sec": n / scalar_time,
-        "batched_events_per_sec": n / batched_time,
-        "speedup": scalar_time / batched_time,
+        "columnar_events_per_sec": n / columnar_time,
+        "speedup": scalar_time / columnar_time,
     }
 
 
@@ -102,6 +103,7 @@ def run_suite(quick=False):
         "python": sys.version,
         "platform": platform.platform(),
         "profiler": "drms (FULL_POLICY)",
+        "engines": "columnar kernel on the unfused batch vs scalar consume",
         "workloads": workloads,
         "geomean_speedup": speedup,
         "min_required_speedup": MIN_SPEEDUP,
@@ -113,19 +115,19 @@ def run_suite(quick=False):
 def print_results(results):
     header = (
         f"{'workload':>10} {'events':>9} {'scalar ev/s':>12} "
-        f"{'batched ev/s':>13} {'speedup':>8}"
+        f"{'columnar ev/s':>13} {'speedup':>8}"
     )
     print(header)
     for name, w in results["workloads"].items():
         print(
             f"{name:>10} {w['events']:>9} {w['scalar_events_per_sec']:>12.0f} "
-            f"{w['batched_events_per_sec']:>13.0f} {w['speedup']:>7.2f}x"
+            f"{w['columnar_events_per_sec']:>13.0f} {w['speedup']:>7.2f}x"
         )
     print(f"geomean speedup: {results['geomean_speedup']:.2f}x "
           f"(written to {RESULT_PATH.name})")
 
 
-def test_batched_drms_throughput(benchmark):
+def test_columnar_drms_throughput(benchmark):
     quick = bool(os.environ.get("REPRO_BENCH_QUICK"))
     results = benchmark.pedantic(
         lambda: run_suite(quick=quick), rounds=1, iterations=1
@@ -133,7 +135,8 @@ def test_batched_drms_throughput(benchmark):
     from _support import print_banner
 
     print_banner(
-        "Throughput: batched vs scalar drms profiling (8 threads, SPEC OMP)"
+        "Throughput: columnar (unfused) vs scalar drms profiling "
+        "(8 threads, SPEC OMP)"
     )
     print_results(results)
     for name, w in results["workloads"].items():

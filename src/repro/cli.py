@@ -228,17 +228,14 @@ def cmd_stats(args) -> int:
             superops_fused[0] += count_superops(fused)[0]
             profiler.consume_columnar(fused)
 
-        machine.set_batch_sink(counting(sink))
-    elif args.engine == "scalar":
+    else:
 
         def sink(batch):
             consume = profiler.consume
             for event in batch.iter_events():
                 consume(event)
 
-        machine.set_batch_sink(counting(sink))
-    else:
-        machine.set_batch_sink(counting(profiler.consume_batch))
+    machine.set_batch_sink(counting(sink))
     with tracer.span("run", track="main", workload=name):
         machine.run()
     with tracer.span("publish", track="main"):
@@ -1448,8 +1445,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine",
             choices=ENGINES,
             default=DEFAULT_ENGINE,
-            help="replay kernel: scalar event loop, batched opcode "
-            "dispatch, or the columnar superop kernel (default)",
+            help="replay kernel: the scalar reference event loop, or "
+            "the columnar superop kernel (default)",
         )
 
     def add_partitions_arg(p):

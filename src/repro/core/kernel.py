@@ -1,8 +1,8 @@
 """Columnar consume kernel: superop-aware replay for both profilers.
 
-This is the third-generation hot path (scalar ``consume`` → batched
-``consume_batch`` → columnar).  It consumes the same opcode-encoded
-:class:`~repro.core.events.EventBatch` columns as the batched loop, plus
+This is the one fast replay path beside the paper-faithful scalar
+``consume`` reference.  It consumes opcode-encoded
+:class:`~repro.core.events.EventBatch` columns, plain or carrying
 the two *run superops* (:data:`~repro.core.events.OP_READ_RUN` /
 :data:`~repro.core.events.OP_WRITE_RUN`) produced by
 :func:`~repro.core.events.fuse_batch`: a run of N same-thread stride-1
@@ -85,11 +85,10 @@ __all__ = ["consume_columnar_drms", "consume_columnar_rms"]
 def consume_columnar_drms(prof, batch: EventBatch) -> None:
     """Columnar replay of ``batch`` into a ``DrmsProfiler``.
 
-    State-equivalent to ``consume_batch`` on the same batch — and, via
-    ``iter_events`` expansion of superops, to the scalar ``consume``
-    loop on the unfused trace (property-tested, including metrics
-    snapshots).  State is carried across calls, so a trace may be fed
-    in slices.
+    State-equivalent, via ``iter_events`` expansion of superops, to
+    the scalar ``consume`` loop on the unfused trace (property-tested,
+    including metrics snapshots).  State is carried across calls, so a
+    trace may be fed in slices.
     """
     if not len(batch.ops):
         return
@@ -134,10 +133,17 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
     wts_top_get = wts._top.get
     wsrc_top_get = wsrc._top.get
 
-    # Same per-thread cached state layout as consume_batch: [ts_mem,
-    # stack_entries, ts_tag, ts_chunk, top_entry, top_counters, wts_tag,
-    # wts_chunk, src_chunk]; only existing chunks are cached and
-    # renumbering rewrites leaves in place, so references stay valid.
+    # Per-thread cached state: [ts_mem, stack_entries, ts_tag, ts_chunk,
+    # top_entry, top_counters, wts_tag, wts_chunk, src_chunk].  The
+    # wts/wsrc caches share one tag (their leaves are created in
+    # lockstep) and are kept per thread because threads mostly touch
+    # disjoint regions — a single global tag would thrash on every
+    # thread switch.  Only *existing* chunks are cached: a chunk is a
+    # stable object (renumbering rewrites it in place), so a reference
+    # stays valid across threads, whereas caching "no chunk here" could
+    # go stale the moment another thread allocates that leaf.  The
+    # ``None`` tag sentinel never equals a real tag, so the first access
+    # always resolves.
     states: Dict[int, list] = {}
     cur = None
     cur_state = None

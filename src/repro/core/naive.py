@@ -200,7 +200,7 @@ class NaiveDrmsProfiler:
         """Profile an opcode-encoded batch by decoding it event by event.
 
         The oracle deliberately has **no** fast path: it stays the
-        unambiguous scalar reference that the batched pipelines are
+        unambiguous scalar reference that the columnar pipeline is
         property-tested against.
         """
         for event in batch.iter_events():

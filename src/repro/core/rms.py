@@ -26,12 +26,6 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.core.events import (
     AUXILIARY_EVENTS,
-    OP_CALL,
-    OP_READ,
-    OP_RETURN,
-    OP_SWITCH_THREAD,
-    OP_THREAD_EXIT,
-    OP_WRITE,
     Call,
     Event,
     EventBatch,
@@ -44,7 +38,7 @@ from repro.core.events import (
 )
 from repro.core.profiles import ProfileSet
 from repro.core.shadow import ShadowMemory
-from repro.core.shadow_stack import ShadowStack, StackEntry
+from repro.core.shadow_stack import ShadowStack
 
 __all__ = ["RmsProfiler"]
 
@@ -94,8 +88,8 @@ class RmsProfiler:
 
     def on_call(self, event: Call) -> None:
         self.count += 1
-        # Touch the thread-ts map too: the batch loop materialises both
-        # per thread, and the telemetry snapshot must not depend on
+        # Touch the thread-ts map too: the columnar kernel materialises
+        # both per thread, and the telemetry snapshot must not depend on
         # which consumption path ran.
         self._thread_ts(event.thread)
         stack = self._stack(event.thread)
@@ -147,7 +141,7 @@ class RmsProfiler:
         ts[addr] = self.count
 
     def on_write(self, thread: int, addr: int) -> None:
-        self._stack(thread)  # keep lazy allocation batch-identical
+        self._stack(thread)  # keep lazy allocation kernel-identical
         self._thread_ts(thread)[addr] = self.count
 
     def consume(self, event: Event) -> None:
@@ -175,186 +169,19 @@ class RmsProfiler:
             self.consume(event)
         return self.profiles
 
-    def consume_batch(self, batch: EventBatch) -> None:
-        """Opcode-dispatched fast path; state-equivalent to scalar
-        :meth:`consume` over the decoded events (property-tested).  Same
-        structure as :meth:`DrmsProfiler.consume_batch
-        <repro.core.timestamping.DrmsProfiler.consume_batch>` minus the
-        global write-timestamp shadow memory — the baseline tracks no
-        foreign writes, so kernel fills and syscall reads are invisible.
-        """
-        if not len(batch.ops):
-            return
-        # zip() over the arrays boxes each element exactly once, C-side;
-        # no per-event subscripting in the hot loop.
-        names = batch.names
-        ts_map = self.ts
-        stacks = self.stacks
-        collect = self.profiles.collect
-        cold = self.cold_reads
-        cold_append = cold.append if cold is not None else None
-        carried_map = self.carried_live
-        carried_get = carried_map.get
-        carried_rets_append = self.carried_returns.append
-        count = self.count
-
-        leaf_bits = 0
-        leaf_mask = 0
-        states = {}
-        cur = None
-        cur_state = None
-        ts_tag = None
-        ts_chunk = None
-        stack_entries = []
-        top = None
-        carried = 0
-        # Pending drms increments for the current top entry, flushed
-        # whenever the top changes (call/return/thread switch) and at
-        # batch end; nonzero only while the matching entry is in `top`.
-        top_drms = 0
-        hwm = self.stack_depth_hwm
-
-        for op, tid, arg, cost in zip(
-            batch.ops, batch.threads, batch.args, batch.costs
-        ):
-            if op <= OP_WRITE:  # call/return/read/write need thread state
-                if tid != cur:
-                    state = states.get(tid)
-                    if state is None:
-                        mem = ts_map.get(tid)
-                        if mem is None:
-                            mem = ShadowMemory()
-                            ts_map[tid] = mem
-                        stack = stacks.get(tid)
-                        if stack is None:
-                            stack = ShadowStack()
-                            stacks[tid] = stack
-                        entries = stack.entries
-                        state = [
-                            mem,
-                            entries,
-                            None,
-                            None,
-                            entries[-1] if entries else None,
-                        ]
-                        states[tid] = state
-                    if top_drms:
-                        top.drms += top_drms
-                        top_drms = 0
-                    if cur_state is not None:
-                        cur_state[2] = ts_tag
-                        cur_state[3] = ts_chunk
-                        cur_state[4] = top
-                    cur_state = state
-                    stack_entries = state[1]
-                    ts_tag = state[2]
-                    ts_chunk = state[3]
-                    top = state[4]
-                    leaf_bits = state[0].leaf_bits
-                    leaf_mask = state[0].leaf_mask
-                    carried = carried_get(tid, 0)
-                    cur = tid
-                if op == OP_READ:
-                    tag = arg >> leaf_bits
-                    off = arg & leaf_mask
-                    if tag != ts_tag:
-                        ts_chunk = cur_state[0].leaf_create(arg)
-                        ts_tag = tag
-                    local = ts_chunk[off]
-                    if top is not None and local < top.ts:
-                        top_drms += 1
-                        if local != 0:
-                            # hi excludes the top entry: its ts is > local
-                            # by the branch condition, so it can never be
-                            # the deepest ancestor.
-                            lo, hi, ancestor = 0, len(stack_entries) - 2, -1
-                            while lo <= hi:
-                                mid = (lo + hi) >> 1
-                                if stack_entries[mid].ts <= local:
-                                    ancestor = mid
-                                    lo = mid + 1
-                                else:
-                                    hi = mid - 1
-                            if ancestor >= 0:
-                                stack_entries[ancestor].drms -= 1
-                        elif cold_append is not None:
-                            cold_append(
-                                (
-                                    tid,
-                                    arg,
-                                    1,
-                                    top.rtn,
-                                    carried,
-                                    len(stack_entries),
-                                )
-                            )
-                    ts_chunk[off] = count
-                elif op == OP_WRITE:
-                    tag = arg >> leaf_bits
-                    if tag != ts_tag:
-                        ts_chunk = cur_state[0].leaf_create(arg)
-                        ts_tag = tag
-                    ts_chunk[arg & leaf_mask] = count
-                elif op == OP_CALL:
-                    count += 1
-                    if top_drms:
-                        top.drms += top_drms
-                        top_drms = 0
-                    top = StackEntry(names[arg], count, 0, cost)
-                    stack_entries.append(top)
-                    if len(stack_entries) > hwm:
-                        hwm = len(stack_entries)
-                else:  # OP_RETURN
-                    if top is None:
-                        self.count = count
-                        raise ValueError(
-                            f"return with empty stack on thread {tid}"
-                        )
-                    done = stack_entries.pop()
-                    done_drms = done.drms + top_drms
-                    if len(stack_entries) < carried:
-                        # A carried seed popped (see on_return): record
-                        # the partial, suppress collect and inheritance.
-                        carried = len(stack_entries)
-                        carried_map[tid] = carried
-                        carried_rets_append((tid, done_drms, cost))
-                        top = stack_entries[-1] if stack_entries else None
-                        top_drms = 0
-                    else:
-                        collect(done.rtn, tid, done_drms, cost - done.cost)
-                        if stack_entries:
-                            # The parent inherits the child's drms; carry
-                            # it as the new pending delta (done is
-                            # discarded).
-                            top = stack_entries[-1]
-                            top_drms = done_drms
-                        else:
-                            top = None
-                            top_drms = 0
-            elif op == OP_SWITCH_THREAD:
-                count += 1
-            elif not OP_CALL <= op <= OP_THREAD_EXIT:
-                self.count = count
-                raise TypeError(f"unknown opcode {op}")
-        if top_drms:
-            top.drms += top_drms
-            # userToKernel, kernelToUser, sync and lifecycle events are
-            # invisible to the rms baseline
-        self.count = count
-        self.stack_depth_hwm = hwm
-
-    def run_batch(self, batch: EventBatch) -> ProfileSet:
-        self.consume_batch(batch)
-        return self.profiles
-
     def consume_columnar(self, batch: EventBatch) -> None:
-        """Process a (possibly superop-fused) batch with the columnar
-        kernel — see :mod:`repro.core.kernel`.  State-equivalent to
-        :meth:`consume_batch` on the same events; accepts unfused
-        batches too."""
+        """Process an opcode-encoded batch, fused or unfused, with the
+        columnar kernel — see :mod:`repro.core.kernel`.  State-equivalent
+        to scalar :meth:`consume` over ``batch.iter_events()``
+        (property-tested); kernel fills and syscall reads are invisible,
+        as in :meth:`consume`."""
         from repro.core.kernel import consume_columnar_rms
 
         consume_columnar_rms(self, batch)
+
+    def run_batch(self, batch: EventBatch) -> ProfileSet:
+        self.consume_columnar(batch)
+        return self.profiles
 
     # -- execution boundaries & shard merging ------------------------------------
 
@@ -493,7 +320,7 @@ class RmsProfiler:
     def metrics_snapshot(self) -> Dict[str, object]:
         """Flat plain-dict form of :meth:`publish_metrics` — a pure
         function of profiler state, compared directly by the scalar ≡
-        batched equivalence suite."""
+        columnar equivalence suite."""
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()

@@ -123,7 +123,7 @@ class ShadowMemory:
 
     # -- fast-path API ---------------------------------------------------
     #
-    # Batch consumers (repro.core.timestamping.consume_batch and friends)
+    # The columnar kernel (repro.core.kernel) and the batch-consuming tools
     # keep their own (tag, chunk) pair in locals and only fall back to
     # these calls on a leaf miss, skipping the three-level walk for runs
     # of accesses with spatial locality.

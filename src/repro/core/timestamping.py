@@ -35,16 +35,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.events import (
     AUXILIARY_EVENTS,
-    OP_CALL,
-    OP_KERNEL_TO_USER,
-    OP_LOCK_ACQUIRE,
-    OP_READ,
-    OP_RETURN,
-    OP_SWITCH_THREAD,
-    OP_THREAD_EXIT,
-    OP_THREAD_START,
-    OP_USER_TO_KERNEL,
-    OP_WRITE,
     Call,
     Event,
     EventBatch,
@@ -59,7 +49,7 @@ from repro.core.policy import FULL_POLICY, InputPolicy
 from repro.core.profiles import ProfileSet
 from repro.core.renumber import renumber_state
 from repro.core.shadow import ShadowMemory
-from repro.core.shadow_stack import ShadowStack, StackEntry
+from repro.core.shadow_stack import ShadowStack
 
 __all__ = ["KERNEL_WRITER", "DrmsProfiler"]
 
@@ -112,8 +102,8 @@ class DrmsProfiler:
         # routine activation or thread switch must not stamp cells with 0.
         self.count = 1
         self.wts = ShadowMemory()
-        # Last-writer map, same leaf geometry as wts so the batch fast
-        # path can resolve both chunks with one tag check.  Cells hold
+        # Last-writer map, same leaf geometry as wts so the columnar
+        # kernel can resolve both chunks with one tag check.  Cells hold
         # ``writer_thread + 1``; 0 means kernel-written or never written
         # (the two are deliberately indistinguishable: a never-written
         # cell can only reach the induced-read classification via a
@@ -135,7 +125,7 @@ class DrmsProfiler:
         #: registry was passed, so hot paths never consult it
         self.metrics = metrics if metrics is not None and metrics.enabled else None
         #: deepest shadow stack seen across all threads (both paths
-        #: maintain it, so batch ≡ scalar includes the high-water mark)
+        #: maintain it, so columnar ≡ scalar includes the high-water mark)
         self.stack_depth_hwm = 0
         #: summed pre-/post-renumbering counter values (compaction ratio)
         self.renumber_before_total = 0
@@ -214,7 +204,7 @@ class DrmsProfiler:
     def on_call(self, event: Call) -> None:
         self._bump_count()
         # Touch the thread-ts map too so lazy state allocation matches
-        # the batch loop (which materialises both per thread) and the
+        # the columnar kernel (which materialises both per thread) and the
         # telemetry snapshot is identical across consumption paths.
         self._thread_ts(event.thread)
         stack = self._stack(event.thread)
@@ -286,7 +276,7 @@ class DrmsProfiler:
         ts[addr] = self.count
 
     def on_write(self, thread: int, addr: int) -> None:
-        self._stack(thread)  # keep lazy allocation batch-identical
+        self._stack(thread)  # keep lazy allocation kernel-identical
         self._thread_ts(thread)[addr] = self.count
         if self.policy.thread_input:
             self.wts[addr] = self.count
@@ -335,329 +325,25 @@ class DrmsProfiler:
             self.consume(event)
         return self.profiles
 
-    # -- batched fast path ------------------------------------------------------
-
-    def consume_batch(self, batch: EventBatch) -> None:
-        """Process an opcode-encoded batch (fast path).
-
-        Semantically identical to calling :meth:`consume` on every
-        decoded event — a Hypothesis property test pins the equivalence
-        (profiles, read counters, space cells, pending drms) on random
-        traces.  The speed comes from three things: integer-opcode
-        dispatch instead of an ``isinstance`` chain, all hot state bound
-        to locals, and (tag, chunk) leaf caches that skip the shadow
-        memory's three-level walk for runs of accesses with locality.
-        State is carried across calls, so a trace may be fed in slices.
-        """
-        if not len(batch.ops):
-            return
-        # zip() over the arrays boxes each element exactly once, C-side;
-        # no per-event subscripting in the hot loop.
-        ops = batch.ops
-        names = batch.names
-        thread_input = self.policy.thread_input
-        external_input = self.policy.external_input
-        limit = self.counter_limit
-        # A sentinel far above any real timestamp turns the "renumber
-        # needed?" test into a single integer compare in the hot loop.
-        limit_v = limit if limit is not None else 0x7FFFFFFFFFFFFFFF
-        wts = self.wts
-        wsrc = self.wsrc
-        ts_map = self.ts
-        stacks = self.stacks
-        read_counters = self.read_counters
-        collect = self.profiles.collect
-        rc_get = read_counters.get
-        cold = self.cold_reads
-        cold_append = cold.append if cold is not None else None
-        carried_map = self.carried_live
-        carried_get = carried_map.get
-        carried_rets_append = self.carried_returns.append
-        count = self.count
-
-        if OP_USER_TO_KERNEL in ops:
-            # Figure 9: a kernel read on the thread's behalf is a plain
-            # read when external input counts, invisible otherwise.
-            # Remapping once here keeps the compare out of the hot loop.
-            remap = OP_READ if external_input else OP_THREAD_START
-            ops = [remap if o == OP_USER_TO_KERNEL else o for o in ops]
-
-        leaf_bits = wts.leaf_bits
-        leaf_mask = wts.leaf_mask
-
-        # Per-thread cached state: [ts_mem, stack_entries, ts_tag,
-        # ts_chunk, top_entry, top_counters, wts_tag, wts_chunk,
-        # src_chunk].  The wts/wsrc caches share one tag (their leaves
-        # are created in lockstep) and are kept per thread because
-        # threads mostly touch disjoint regions — a single global tag
-        # would thrash on every thread switch.  Only *existing* chunks
-        # are ever cached: a chunk list is a stable object (renumbering
-        # rewrites it in place), so a reference stays valid across
-        # threads, whereas caching "no chunk here" could go stale the
-        # moment another thread allocates that leaf.  The ``None`` tag
-        # sentinel can never equal a real tag, so the first access
-        # always resolves.
-        states: Dict[int, list] = {}
-        cur = None
-        cur_state = None
-        ts_tag = None
-        ts_chunk = None
-        stack_entries: list = []
-        top = None
-        top_counters = None
-        carried = 0
-        wts_tag = None
-        wts_chunk = None
-        src_chunk = None
-        # Pending increments for the current top entry / counters list,
-        # flushed whenever the top changes (call/return/thread switch) and
-        # at batch end.  An unflushed delta is only ever nonzero while the
-        # matching object is live in `top` / `top_counters`.
-        top_drms = 0
-        c_plain = 0
-        c_thread = 0
-        c_kernel = 0
-        hwm = self.stack_depth_hwm
-
-        for op, tid, arg, cost in zip(
-            ops, batch.threads, batch.args, batch.costs
-        ):
-            if op <= OP_WRITE:  # call/return/read/write need thread state
-                if tid != cur:
-                    state = states.get(tid)
-                    if state is None:
-                        mem = ts_map.get(tid)
-                        if mem is None:
-                            mem = ShadowMemory()
-                            ts_map[tid] = mem
-                        stack = stacks.get(tid)
-                        if stack is None:
-                            stack = ShadowStack()
-                            stacks[tid] = stack
-                        entries = stack.entries
-                        state = [
-                            mem,
-                            entries,
-                            None,
-                            None,
-                            entries[-1] if entries else None,
-                            None,
-                            None,
-                            None,
-                            None,
-                        ]
-                        states[tid] = state
-                    if top_drms:
-                        top.drms += top_drms
-                        top_drms = 0
-                    if c_plain or c_thread or c_kernel:
-                        top_counters[0] += c_plain
-                        top_counters[1] += c_thread
-                        top_counters[2] += c_kernel
-                        c_plain = c_thread = c_kernel = 0
-                    if cur_state is not None:
-                        cur_state[2] = ts_tag
-                        cur_state[3] = ts_chunk
-                        cur_state[4] = top
-                        cur_state[5] = top_counters
-                        cur_state[6] = wts_tag
-                        cur_state[7] = wts_chunk
-                        cur_state[8] = src_chunk
-                    cur_state = state
-                    stack_entries = state[1]
-                    ts_tag = state[2]
-                    ts_chunk = state[3]
-                    top = state[4]
-                    top_counters = state[5]
-                    wts_tag = state[6]
-                    wts_chunk = state[7]
-                    src_chunk = state[8]
-                    carried = carried_get(tid, 0)
-                    cur = tid
-                if op == OP_READ:
-                    tag = arg >> leaf_bits
-                    off = arg & leaf_mask
-                    if tag != ts_tag:
-                        ts_chunk = cur_state[0].leaf_create(arg)
-                        ts_tag = tag
-                    local = ts_chunk[off]
-                    if tag == wts_tag:
-                        written = wts_chunk[off]
-                    else:
-                        chunk = wts.leaf_peek(arg)
-                        if chunk is None:
-                            written = 0
-                        else:
-                            written = chunk[off]
-                            wts_chunk = chunk
-                            src_chunk = wsrc.leaf_peek(arg)
-                            wts_tag = tag
-                    if local < written:
-                        if top is not None:
-                            top_drms += 1
-                            if top_counters is None:
-                                counters = rc_get(top.rtn)
-                                if counters is None:
-                                    counters = [0, 0, 0]
-                                    read_counters[top.rtn] = counters
-                                top_counters = counters
-                            if src_chunk[off]:
-                                c_thread += 1
-                            else:
-                                c_kernel += 1
-                    elif top is not None and local < top.ts:
-                        top_drms += 1
-                        if top_counters is None:
-                            counters = rc_get(top.rtn)
-                            if counters is None:
-                                counters = [0, 0, 0]
-                                read_counters[top.rtn] = counters
-                            top_counters = counters
-                        c_plain += 1
-                        if local != 0:
-                            # hi excludes the top entry: its ts is > local
-                            # by the branch condition, so it can never be
-                            # the deepest ancestor.
-                            lo, hi, ancestor = 0, len(stack_entries) - 2, -1
-                            while lo <= hi:
-                                mid = (lo + hi) >> 1
-                                if stack_entries[mid].ts <= local:
-                                    ancestor = mid
-                                    lo = mid + 1
-                                else:
-                                    hi = mid - 1
-                            if ancestor >= 0:
-                                stack_entries[ancestor].drms -= 1
-                        elif cold_append is not None:
-                            # local == 0 implies written == 0 here (the
-                            # induced branch was not taken): a cold read.
-                            cold_append(
-                                (
-                                    tid,
-                                    arg,
-                                    1,
-                                    top.rtn,
-                                    carried,
-                                    len(stack_entries),
-                                )
-                            )
-                    ts_chunk[off] = count
-                elif op == OP_WRITE:
-                    tag = arg >> leaf_bits
-                    off = arg & leaf_mask
-                    if tag != ts_tag:
-                        ts_chunk = cur_state[0].leaf_create(arg)
-                        ts_tag = tag
-                    ts_chunk[off] = count
-                    if thread_input:
-                        if tag != wts_tag:
-                            wts_chunk = wts.leaf_create(arg)
-                            src_chunk = wsrc.leaf_create(arg)
-                            wts_tag = tag
-                        wts_chunk[off] = count
-                        src_chunk[off] = tid + 1
-                elif op == OP_CALL:
-                    count += 1
-                    if count >= limit_v:
-                        self.count = count
-                        self._renumber()
-                        count = self.count
-                    if top_drms:
-                        top.drms += top_drms
-                        top_drms = 0
-                    if c_plain or c_thread or c_kernel:
-                        top_counters[0] += c_plain
-                        top_counters[1] += c_thread
-                        top_counters[2] += c_kernel
-                        c_plain = c_thread = c_kernel = 0
-                    top = StackEntry(names[arg], count, 0, cost)
-                    top_counters = None
-                    stack_entries.append(top)
-                    if len(stack_entries) > hwm:
-                        hwm = len(stack_entries)
-                else:  # OP_RETURN
-                    if top is None:
-                        self.count = count
-                        raise ValueError(
-                            f"return with empty stack on thread {tid}"
-                        )
-                    if c_plain or c_thread or c_kernel:
-                        top_counters[0] += c_plain
-                        top_counters[1] += c_thread
-                        top_counters[2] += c_kernel
-                        c_plain = c_thread = c_kernel = 0
-                    done = stack_entries.pop()
-                    done_drms = done.drms + top_drms
-                    if len(stack_entries) < carried:
-                        # A carried seed popped (see on_return): record
-                        # the partial for the merge, suppress collect
-                        # and parent inheritance.
-                        carried = len(stack_entries)
-                        carried_map[tid] = carried
-                        carried_rets_append((tid, done_drms, cost))
-                        top = stack_entries[-1] if stack_entries else None
-                        top_drms = 0
-                    else:
-                        collect(done.rtn, tid, done_drms, cost - done.cost)
-                        if stack_entries:
-                            # The parent inherits the child's drms; carry
-                            # it as the new pending delta instead of
-                            # touching the attribute (done.drms itself is
-                            # discarded).
-                            top = stack_entries[-1]
-                            top_drms = done_drms
-                        else:
-                            top = None
-                            top_drms = 0
-                    top_counters = None
-            elif op == OP_SWITCH_THREAD:
-                count += 1
-                if count >= limit_v:
-                    self.count = count
-                    self._renumber()
-                    count = self.count
-            elif op == OP_KERNEL_TO_USER:
-                if external_input:
-                    count += 1
-                    if count >= limit_v:
-                        self.count = count
-                        self._renumber()
-                        count = self.count
-                    tag = arg >> leaf_bits
-                    if tag != wts_tag:
-                        wts_chunk = wts.leaf_create(arg)
-                        src_chunk = wsrc.leaf_create(arg)
-                        wts_tag = tag
-                    wts_chunk[arg & leaf_mask] = count
-                    src_chunk[arg & leaf_mask] = 0
-            elif not OP_LOCK_ACQUIRE <= op <= OP_THREAD_EXIT:
-                # sync/thread-lifecycle events carry no profiled accesses;
-                # anything outside the opcode range is a corrupt batch
-                self.count = count
-                raise TypeError(f"unknown opcode {op}")
-        if top_drms:
-            top.drms += top_drms
-        if c_plain or c_thread or c_kernel:
-            top_counters[0] += c_plain
-            top_counters[1] += c_thread
-            top_counters[2] += c_kernel
-        self.count = count
-        self.stack_depth_hwm = hwm
-
-    def run_batch(self, batch: EventBatch) -> ProfileSet:
-        self.consume_batch(batch)
-        return self.profiles
-
     # -- columnar fast path ------------------------------------------------------
 
     def consume_columnar(self, batch: EventBatch) -> None:
-        """Process a (possibly superop-fused) batch with the columnar
-        kernel — see :mod:`repro.core.kernel`.  State-equivalent to
-        :meth:`consume_batch` on the same events; accepts unfused
-        batches too, so callers can switch engines freely."""
+        """Process an opcode-encoded batch, fused or unfused, with the
+        columnar kernel — see :mod:`repro.core.kernel`.
+
+        Semantically identical to calling :meth:`consume` on every event
+        of ``batch.iter_events()`` — Hypothesis property tests pin the
+        equivalence (profiles, read counters, metrics snapshots) against
+        the scalar loop and the naive oracle.  State is carried across
+        calls, so a trace may be fed in slices.
+        """
         from repro.core.kernel import consume_columnar_drms
 
         consume_columnar_drms(self, batch)
+
+    def run_batch(self, batch: EventBatch) -> ProfileSet:
+        self.consume_columnar(batch)
+        return self.profiles
 
     # -- execution boundaries & shard merging ------------------------------------
 
@@ -904,7 +590,7 @@ class DrmsProfiler:
     def metrics_snapshot(self) -> Dict[str, object]:
         """The aggregate statistics as a flat plain dict (a fresh
         registry is populated and flattened).  A pure function of
-        profiler state, so the scalar and batched paths must agree on it
+        profiler state, so the scalar and columnar paths must agree on it
         — the equivalence suite compares snapshots directly."""
         from repro.obs import MetricsRegistry
 

@@ -8,7 +8,7 @@ Prometheus text exposition.  Design constraints, in order:
 1. **Near-zero overhead when disabled.**  The default everywhere is
    :data:`NULL_REGISTRY`, whose instruments are no-ops and whose
    ``enabled`` flag lets hot paths skip even the no-op call.  Layers
-   with per-event hot loops (``consume_batch``) never call the registry
+   with per-event hot loops (the columnar kernel) never call the registry
    per event at all — they keep plain-int state and *publish* coarse
    aggregates at snapshot time, so the enabled overhead is bounded too.
 2. **No dependencies.**  Pure stdlib; importable from every layer

@@ -42,7 +42,12 @@ from repro.obs.distributed import (
 )
 from repro.service.journal import Journal
 from repro.sweep.engine import CellTask, SweepCell
-from repro.tools.runner import DEFAULT_ENGINE, DEFAULT_TOOLS, Degradation
+from repro.tools.runner import (
+    DEFAULT_ENGINE,
+    DEFAULT_TOOLS,
+    Degradation,
+    check_engine,
+)
 
 __all__ = [
     "CELL_DONE",
@@ -277,6 +282,7 @@ class Coordinator:
         unknown = [t for t in tools if t not in DEFAULT_TOOLS]
         if unknown:
             raise ValueError(f"unknown tools: {', '.join(unknown)}")
+        check_engine(engine)
         for name in workloads:
             get_workload(name)
         with self._lock:

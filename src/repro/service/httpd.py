@@ -36,6 +36,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Tuple
 
 from repro.core.serialize import dumps_strict
+from repro.tools.runner import DEFAULT_ENGINE
 
 __all__ = ["ServiceServer", "serve_http"]
 
@@ -134,7 +135,7 @@ class _Handler(BaseHTTPRequestHandler):
                     threads=data.get("threads", 4),
                     tools=data.get("tools"),
                     repeats=data.get("repeats", 1),
-                    engine=data.get("engine", "columnar"),
+                    engine=data.get("engine", DEFAULT_ENGINE),
                     fault_seed=data.get("fault_seed"),
                     partitions=data.get("partitions"),
                     reuse_measurements=data.get("reuse_measurements", True),

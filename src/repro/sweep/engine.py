@@ -50,8 +50,8 @@ from repro.tools.pool import active_segments, get_pool, pool_stats
 from repro.tools.runner import (
     DEFAULT_ENGINE,
     DEFAULT_TOOLS,
-    ENGINES,
     Degradation,
+    check_engine,
     record_trace,
     replay_tool,
 )
@@ -137,11 +137,7 @@ class SweepConfig:
         unknown = [t for t in self.tools if t not in DEFAULT_TOOLS]
         if unknown:
             raise ValueError(f"unknown tools: {', '.join(unknown)}")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of "
-                f"{', '.join(ENGINES)}"
-            )
+        check_engine(self.engine)
 
     def cells(self) -> List[SweepCell]:
         return [
@@ -362,9 +358,9 @@ def _run_cell(
         if (
             isinstance(entry, dict)
             and entry.get("repeats") == repeats
-            # Metas written before engines existed measured the batched
-            # path; cached numbers are only comparable within one engine.
-            and entry.get("engine", "batched") == engine
+            # Cached numbers are only comparable within one engine; a
+            # meta with no engine (or a retired one) is re-measured.
+            and entry.get("engine") == engine
             and isinstance(entry.get("seconds"), float)
         ):
             replays[name] = {
@@ -476,8 +472,9 @@ def _run_cell(
                 drms.consume_columnar(fused)
                 rms.consume_columnar(fused)
             else:
-                drms.consume_batch(batch)
-                rms.consume_batch(batch)
+                for event in batch.iter_events():
+                    drms.consume(event)
+                    rms.consume(event)
             drms.begin_trace()
             rms.begin_trace()
             store.put_shard(key, "drms", drms)

@@ -37,9 +37,6 @@ class AprofDrmsTool(AnalysisTool):
         self.engine.consume(event)
 
     def consume_batch(self, batch: EventBatch) -> None:
-        self.engine.consume_batch(batch)
-
-    def consume_columnar(self, batch: EventBatch) -> None:
         self.engine.consume_columnar(batch)
 
     def finish(self) -> Dict[str, Any]:

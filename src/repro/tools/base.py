@@ -31,9 +31,9 @@ class AnalysisTool:
     #: tool has no exact shard merge and always replays its trace whole.
     partition_kind: Optional[str] = None
 
-    #: whether :meth:`consume_columnar` understands the run superops of
-    #: :func:`repro.core.events.fuse_batch`.  The replay engines only
-    #: hand *fused* batches to tools that set this; everything else
+    #: whether :meth:`consume_batch` understands the run superops of
+    #: :func:`repro.core.events.fuse_batch`.  The columnar engine only
+    #: hands *fused* batches to tools that set this; everything else
     #: keeps receiving plain opcode batches, so specialised
     #: ``consume_batch`` loops never meet an opcode they don't know.
     supports_superops = False
@@ -49,22 +49,14 @@ class AnalysisTool:
         feeds :meth:`consume`, so any tool is batch-capable; the tools of
         the Table 1 harness override this with integer-opcode dispatch
         loops that never materialise event objects.  Overrides must be
-        state-equivalent to the default (property-tested).
+        state-equivalent to the default (property-tested).  This is the
+        tool's one fast entry point: fused batches reach it only when
+        :attr:`supports_superops` is set (the generic decode loop would
+        cope anyway — ``iter_events`` expands superops).
         """
         consume = self.consume
         for event in batch.iter_events():
             consume(event)
-
-    def consume_columnar(self, batch: EventBatch) -> None:
-        """Columnar-engine entry point.
-
-        The default delegates to :meth:`consume_batch`, which is
-        correct for any unfused batch (and for fused ones too when the
-        tool inherits the generic decode loop above — ``iter_events``
-        expands superops).  Tools with a native superop kernel set
-        :attr:`supports_superops` and override.
-        """
-        self.consume_batch(batch)
 
     def finish(self) -> Dict[str, Any]:
         """End-of-run hook; returns the tool's findings summary."""

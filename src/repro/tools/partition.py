@@ -74,8 +74,10 @@ from repro.tools.pool import (
 )
 from repro.tools.runner import (
     _MAX_BACKOFF,
+    DEFAULT_ENGINE,
     _jitter_rng,
     Degradation,
+    check_engine,
 )
 
 __all__ = [
@@ -162,7 +164,7 @@ def replay_partition(
     part: TracePartition,
     kinds: Sequence[str],
     total: int,
-    engine: str = "columnar",
+    engine: str = DEFAULT_ENGINE,
     counter_limit: Optional[int] = None,
     carry_aware: bool = False,
 ) -> List[PartitionShard]:
@@ -171,9 +173,9 @@ def replay_partition(
     One pass over the range serves every kind: each section is decoded
     once, fused once into run superops (columnar engine) and handed
     inline to every kind's profiler before the next section is pulled.
-    ``batched``/``scalar`` replay the same sections through the other
-    engines for the equivalence suite.  Each shard reports the pass's
-    wall time as ``elapsed`` and its decode + fuse share as
+    ``scalar`` replays the same sections through the reference
+    ``consume`` loop for the equivalence suite.  Each shard reports the
+    pass's wall time as ``elapsed`` and its decode + fuse share as
     ``decode_stall_s``.
 
     A partition with a nonempty ``carry_in`` starts mid-activation:
@@ -186,6 +188,7 @@ def replay_partition(
     boundary summaries must still ship (for both kinds) because a later
     partition's fix-up may look up prefix accesses from it.
     """
+    check_engine(engine)
     carried = bool(carry_aware or part.carry_in or part.carry_out_ids)
     profs = []
     for kind in kinds:
@@ -206,15 +209,13 @@ def replay_partition(
             break
         if engine == "scalar":
             section = list(section.iter_events())
-        elif engine != "batched":
+        else:
             section = fuse_batch(section)
         decode_s += now() - mark
         for prof in profs:
             if engine == "scalar":
                 for event in section:
                     prof.consume(event)
-            elif engine == "batched":
-                prof.consume_batch(section)
             else:
                 prof.consume_columnar(section)
     elapsed = now() - start
@@ -762,7 +763,7 @@ def replay_partitioned(
     partitions: Optional[int] = None,
     plan: Optional[PartitionPlan] = None,
     kinds: Sequence[str] = ("drms",),
-    engine: str = "columnar",
+    engine: str = DEFAULT_ENGINE,
     counter_limit: Optional[int] = None,
     workers: Optional[int] = None,
     timeout: float = 120.0,
@@ -810,6 +811,7 @@ def replay_partitioned(
     counter samples land on per-partition counter tracks — so the
     per-job merged Perfetto view shows one track per worker/partition.
     """
+    check_engine(engine)
     if tracer is None:
         from repro.obs import NULL_TRACER
 

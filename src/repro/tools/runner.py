@@ -69,6 +69,7 @@ __all__ = [
     "DEFAULT_TOOLS",
     "ENGINES",
     "DEFAULT_ENGINE",
+    "check_engine",
     "Degradation",
     "ToolMeasurement",
     "WorkloadMeasurement",
@@ -82,16 +83,24 @@ __all__ = [
 ]
 
 #: selectable replay engines: ``scalar`` decodes dataclass events and
-#: feeds ``consume`` (the reference loop), ``batched`` replays the
-#: opcode batch through ``consume_batch`` (the PR-1 fast path, kept
-#: intact as the measurement baseline), ``columnar`` fuses run superops
-#: once per workload and replays through ``consume_columnar`` with
-#: section-at-a-time inline decode in worker processes.  All three are
+#: feeds ``consume`` (the paper-faithful reference loop); ``columnar``
+#: (the one fast path) fuses run superops once per workload for
+#: superop-capable tools and replays through ``consume_batch`` with
+#: section-at-a-time inline decode in worker processes.  Both are
 #: bit-identical in profiling output (property-tested).
-ENGINES = ("scalar", "batched", "columnar")
+ENGINES = ("scalar", "columnar")
 
 #: the default replay engine
 DEFAULT_ENGINE = "columnar"
+
+
+def check_engine(engine: str) -> None:
+    """Reject an engine name outside :data:`ENGINES` up front."""
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r} (choose from {', '.join(ENGINES)})"
+        )
+
 
 #: ceiling on the inter-retry backoff sleep, seconds
 _MAX_BACKOFF = 5.0
@@ -178,7 +187,7 @@ class WorkloadMeasurement:
     #: a tool that was ``excluded`` has no entry in :attr:`tools`
     degradations: List[Degradation] = field(default_factory=list)
     #: replay engine used for the tool measurements (see :data:`ENGINES`)
-    engine: str = "batched"
+    engine: str = DEFAULT_ENGINE
     #: run superops produced by fusing the recorded trace (0 unless the
     #: columnar engine ran) — the fusion-effectiveness observable
     superops_fused: int = 0
@@ -220,7 +229,7 @@ def replay_tool(
     factory: Callable[[], AnalysisTool],
     batch: EventBatch,
     repeats: int = 3,
-    engine: str = "batched",
+    engine: str = DEFAULT_ENGINE,
     fused: Optional[EventBatch] = None,
 ) -> Tuple[float, int]:
     """Replay ``batch`` under ``repeats`` fresh tools; returns the best
@@ -231,10 +240,9 @@ def replay_tool(
     the batch — pass ``fused`` to reuse one fusion across tools (the
     runner fuses once per workload); otherwise it is computed here,
     outside the timed region.  Tools without superop support replay
-    the plain batch through :meth:`~AnalysisTool.consume_columnar`.
+    the plain batch; either way through :meth:`~AnalysisTool.consume_batch`.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (choose from {ENGINES})")
+    check_engine(engine)
     best_time = math.inf
     space = 0
     events = None
@@ -250,7 +258,7 @@ def replay_tool(
             for event in events:
                 consume(event)
             elapsed = time.perf_counter() - start
-        elif engine == "columnar":
+        else:
             if tool.supports_superops:
                 if fused is None:
                     fused = fuse_batch(batch)
@@ -258,11 +266,7 @@ def replay_tool(
             else:
                 payload = batch
             start = time.perf_counter()
-            tool.consume_columnar(payload)
-            elapsed = time.perf_counter() - start
-        else:
-            start = time.perf_counter()
-            tool.consume_batch(batch)
+            tool.consume_batch(payload)
             elapsed = time.perf_counter() - start
         if elapsed < best_time:
             best_time = elapsed
@@ -287,7 +291,7 @@ def replay_tool_streaming(
     for _ in range(repeats):
         tool = factory()
         fuse = tool.supports_superops
-        consume = tool.consume_columnar
+        consume = tool.consume_batch
         start = time.perf_counter()
         for section in iter_section_batches(payload):
             consume(fuse_batch(section) if fuse else section)
@@ -302,13 +306,12 @@ def _replay_worker(
     factory: Callable[[], AnalysisTool],
     payload: bytes,
     repeats: int,
-    engine: str = "batched",
+    engine: str = DEFAULT_ENGINE,
 ) -> Tuple[float, int]:
     """Process-pool entry point: decode the shipped trace and replay.
 
     The columnar engine streams sections through the inline decoder;
-    the others decode the whole payload up front (the pre-existing
-    behaviour, kept as the measurement baseline).
+    the scalar reference decodes the whole payload up front.
     """
     if engine == "columnar":
         return replay_tool_streaming(factory, payload, repeats)
@@ -320,13 +323,13 @@ def _replay_worker_shm(
     segment: str,
     size: int,
     repeats: int,
-    engine: str = "batched",
+    engine: str = DEFAULT_ENGINE,
 ) -> Tuple[float, int]:
     """Pool entry point for shared-memory residency: the task pickles a
     factory and a segment name; the trace bytes never cross the pipe.
 
     The columnar engine decodes sections zero-copy straight off the
-    attached view; the batch engines materialise the payload locally
+    attached view; the scalar reference materialises the payload locally
     (one in-worker copy, still no pickling) because ``from_bytes``
     wants an immutable buffer to slice.
     """
@@ -363,7 +366,7 @@ def _replay_all_supervised(
     timeout: float,
     max_retries: int,
     backoff_base: float,
-    engine: str = "batched",
+    engine: str = DEFAULT_ENGINE,
 ) -> Tuple[Dict[str, Tuple[float, int]], List[Degradation]]:
     """Replay every tool in worker processes under supervision.
 
@@ -553,8 +556,7 @@ def measure_workload(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r} (choose from {ENGINES})")
+    check_engine(engine)
     if parallel is not None and parallel < 1:
         raise ValueError("parallel must be >= 1")
     if replay_timeout <= 0:

@@ -1,12 +1,14 @@
-"""Property tests for the batched (opcode-encoded) event pipeline.
+"""Property tests for the opcode-encoded event pipeline.
 
 The fast path must be invisible: on arbitrary multi-threaded traces the
-batched profilers (``consume_batch``) must leave exactly the same state
-as the scalar ``consume`` loop and as the naive set-based oracle —
+profilers fed a plain (unfused) opcode batch — ``run_batch`` /
+``consume_columnar``, the columnar kernel — must leave exactly the same
+state as the scalar ``consume`` loop and as the naive set-based oracle —
 profiles, read-attribution counters and shadow-space footprint — and the
 encode/decode layer must round-trip every event unchanged.  Each tool of
 the Table 1 harness is likewise checked batch-vs-scalar, and the
 machine's batch sink must record the same trace its scalar sink sees.
+(Fused batches are covered in ``test_columnar_kernel.py``.)
 """
 
 import random
@@ -154,69 +156,78 @@ def test_encoder_flushing_preserves_order_and_interning(events, flush):
 @settings(max_examples=200, deadline=None)
 def test_drms_batch_equals_scalar_and_oracle(events, policy):
     batch = encode_events(events)
-    batched = DrmsProfiler(policy=policy)
+    columnar = DrmsProfiler(policy=policy)
     scalar = DrmsProfiler(policy=policy)
     oracle = NaiveDrmsProfiler(policy=policy)
-    batched.run_batch(batch)
+    columnar.run_batch(batch)
     scalar.run(events)
     oracle.run(events)
-    assert activation_sizes(batched.profiles) == activation_sizes(
+    assert activation_sizes(columnar.profiles) == activation_sizes(
         oracle.profiles
     )
-    assert profile_state(batched.profiles) == profile_state(scalar.profiles)
-    batched_counts = {
-        r: tuple(c) for r, c in batched.read_counters.items() if any(c)
+    assert activation_sizes(scalar.profiles) == activation_sizes(
+        oracle.profiles
+    )
+    assert profile_state(columnar.profiles) == profile_state(scalar.profiles)
+    columnar_counts = {
+        r: tuple(c) for r, c in columnar.read_counters.items() if any(c)
     }
     oracle_counts = {
         r: tuple(c) for r, c in oracle.read_counters.items() if any(c)
     }
-    assert batched_counts == oracle_counts
-    assert batched.space_cells() == scalar.space_cells()
+    assert columnar_counts == oracle_counts
+    assert columnar.space_cells() == scalar.space_cells()
 
 
 @given(random_trace())
 @settings(max_examples=150, deadline=None)
 def test_rms_batch_equals_scalar(events):
     batch = encode_events(events)
-    batched = RmsProfiler()
+    columnar = RmsProfiler()
     scalar = RmsProfiler()
-    batched.run_batch(batch)
+    columnar.run_batch(batch)
     scalar.run(events)
-    assert profile_state(batched.profiles) == profile_state(scalar.profiles)
-    assert batched.space_cells() == scalar.space_cells()
+    assert profile_state(columnar.profiles) == profile_state(scalar.profiles)
+    assert columnar.space_cells() == scalar.space_cells()
 
 
 @given(random_trace(), st.integers(1, 17))
 @settings(max_examples=100, deadline=None)
 def test_split_batches_equal_single_batch(events, split):
     """Feeding the trace as many small batches (as the machine's flushing
-    encoder does) is equivalent to one monolithic batch."""
-    whole = DrmsProfiler(policy=FULL_POLICY)
-    whole.run_batch(encode_events(events))
+    encoder does) is equivalent to the scalar loop over the whole trace."""
+    scalar = DrmsProfiler(policy=FULL_POLICY)
+    scalar.run(events)
     chunked = DrmsProfiler(policy=FULL_POLICY)
     encoder = TraceEncoder(
-        consumer=chunked.consume_batch, flush_events=split
+        consumer=chunked.consume_columnar, flush_events=split
     )
     for event in events:
         encoder.append_event(event)
     encoder.flush()
-    assert profile_state(chunked.profiles) == profile_state(whole.profiles)
-    assert chunked.space_cells() == whole.space_cells()
+    assert profile_state(chunked.profiles) == profile_state(scalar.profiles)
+    assert chunked.metrics_snapshot() == scalar.metrics_snapshot()
 
 
 @given(random_trace(), st.integers(4, 40))
 @settings(max_examples=100, deadline=None)
 def test_batch_renumbering_invariance(events, counter_limit):
     """Timestamp renumbering under a tiny counter limit (which rewrites
-    shadow chunks the batch loop holds cached) must not change profiles."""
+    shadow chunks the kernel holds cached) must not change profiles: the
+    limited kernel replay equals the unlimited scalar loop, and the
+    limited scalar loop renumbers exactly as the kernel does."""
     unlimited = DrmsProfiler(policy=FULL_POLICY, counter_limit=None)
     limited = DrmsProfiler(policy=FULL_POLICY, counter_limit=counter_limit)
-    batch = encode_events(events)
-    unlimited.run_batch(batch)
-    limited.run_batch(batch)
+    limited_scalar = DrmsProfiler(
+        policy=FULL_POLICY, counter_limit=counter_limit
+    )
+    unlimited.run(events)
+    limited.run_batch(encode_events(events))
+    limited_scalar.run(events)
     assert profile_state(limited.profiles) == profile_state(
         unlimited.profiles
     )
+    assert limited.metrics_snapshot() == limited_scalar.metrics_snapshot()
 
 
 # -- telemetry equivalence ----------------------------------------------------
@@ -226,26 +237,27 @@ def test_batch_renumbering_invariance(events, counter_limit):
 @settings(max_examples=60, deadline=None)
 def test_drms_metrics_snapshot_batch_equals_scalar(events, counter_limit):
     """The telemetry snapshot is a pure function of profiler state, so
-    the batched and scalar consumption paths must report identical
-    metrics — including the renumbering counters and stack-depth
-    high-water mark, which are maintained separately in each path."""
+    the batch (columnar kernel) and scalar consumption paths must report
+    identical metrics — including the renumbering counters and
+    stack-depth high-water mark, which are maintained separately in
+    each path."""
     batch = encode_events(events)
-    batched = DrmsProfiler(policy=FULL_POLICY, counter_limit=counter_limit)
+    columnar = DrmsProfiler(policy=FULL_POLICY, counter_limit=counter_limit)
     scalar = DrmsProfiler(policy=FULL_POLICY, counter_limit=counter_limit)
-    batched.run_batch(batch)
+    columnar.run_batch(batch)
     scalar.run(events)
-    assert batched.metrics_snapshot() == scalar.metrics_snapshot()
+    assert columnar.metrics_snapshot() == scalar.metrics_snapshot()
 
 
 @given(random_trace())
 @settings(max_examples=60, deadline=None)
 def test_rms_metrics_snapshot_batch_equals_scalar(events):
     batch = encode_events(events)
-    batched = RmsProfiler()
+    columnar = RmsProfiler()
     scalar = RmsProfiler()
-    batched.run_batch(batch)
+    columnar.run_batch(batch)
     scalar.run(events)
-    assert batched.metrics_snapshot() == scalar.metrics_snapshot()
+    assert columnar.metrics_snapshot() == scalar.metrics_snapshot()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(5, 40))
@@ -253,16 +265,22 @@ def test_rms_metrics_snapshot_batch_equals_scalar(events):
 def test_zero_rate_fault_plan_leaves_metrics_unchanged(seed, items):
     """A FaultPlan whose every rate is zero must be telemetry-invisible:
     the machine runs identically and the stats snapshot (VM counters,
-    per-opcode events, profiler state) matches the plan-free run."""
+    per-opcode events, profiler state) matches the plan-free run, under
+    the kernel and the scalar loop alike."""
     from repro.vm.faults import FaultPlan
 
-    def run(faults):
+    def run(faults, scalar=False):
         machine = producer_consumer(items)
         if faults is not None:
             machine.set_fault_plan(faults)
         registry = machine.enable_metrics()
         profiler = DrmsProfiler(keep_activations=False, metrics=registry)
-        machine.set_batch_sink(profiler.consume_batch)
+        if scalar:
+            machine.set_batch_sink(
+                lambda batch: profiler.run(batch.iter_events())
+            )
+        else:
+            machine.set_batch_sink(profiler.consume_columnar)
         machine.run()
         profiler.publish_metrics(registry)
         return machine.stats_snapshot()
@@ -275,7 +293,7 @@ def test_zero_rate_fault_plan_leaves_metrics_unchanged(seed, items):
         thread_kill_rate=0.0,
         sched_perturb_rate=0.0,
     )
-    assert run(None) == run(zero_plan)
+    assert run(None) == run(zero_plan) == run(zero_plan, scalar=True)
 
 
 # -- tool equivalence ---------------------------------------------------------

@@ -225,7 +225,7 @@ class TestStats:
         import json
 
         payloads = {}
-        for engine in ("scalar", "batched", "columnar"):
+        for engine in ("scalar", "columnar"):
             assert (
                 main(["stats", "md", "--json", "--engine", engine]) == 0
             )
@@ -233,8 +233,11 @@ class TestStats:
         # the superop gauge is engine telemetry, not profiler state
         assert payloads["columnar"].pop("kernel.superops_fused") > 0
         payloads["scalar"].pop("kernel.superops_fused", None)
-        payloads["batched"].pop("kernel.superops_fused", None)
-        assert payloads["scalar"] == payloads["batched"] == payloads["columnar"]
+        assert payloads["scalar"] == payloads["columnar"]
+
+    def test_stats_rejects_retired_batched_engine(self):
+        with pytest.raises(SystemExit):
+            main(["stats", "md", "--engine", "batched"])
 
     def test_stats_json_payload(self, capsys):
         import json

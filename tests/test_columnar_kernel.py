@@ -10,10 +10,10 @@ Three contracts:
 * **The columnar engine is invisible.** On arbitrary traces —
   including tiny counter limits that force renumbering mid-batch, and
   fault-injected VM runs — ``consume_columnar`` over the fused batch
-  leaves exactly the same profiler state as ``consume_batch``, the
-  scalar ``consume`` loop and the naive set-based oracle: profiles,
-  read-attribution splits, pending (partial) drms on the shadow stacks
-  and the full metrics snapshot.
+  (and over the plain, unfused one) leaves exactly the same profiler
+  state as the scalar ``consume`` loop and the naive set-based oracle:
+  profiles, read-attribution splits, pending (partial) drms on the
+  shadow stacks and the full metrics snapshot.
 * **Caches survive compaction.** Renumbering rewrites shadow leaves in
   place, so the ``(tag, chunk)`` pairs the kernels keep in locals stay
   valid — leaf identity is asserted across a forced mid-batch renumber;
@@ -149,15 +149,20 @@ def test_fusion_skips_non_adjacent_and_cross_thread():
 @given(random_trace(), st.sampled_from(ALL_POLICIES))
 @settings(max_examples=150, deadline=None)
 def test_columnar_drms_equals_batched_scalar_and_oracle(events, policy):
+    """Fused and unfused (plain batch) kernel replays both equal the
+    scalar loop and the oracle."""
     batch = encode_events(events)
     fused = fuse_batch(batch)
     columnar = DrmsProfiler(policy=policy)
-    batched = DrmsProfiler(policy=policy)
+    unfused = DrmsProfiler(policy=policy)
+    scalar = DrmsProfiler(policy=policy)
     oracle = NaiveDrmsProfiler(policy=policy)
     columnar.consume_columnar(fused)
-    batched.run_batch(batch)
+    unfused.run_batch(batch)
+    scalar.run(events)
     oracle.run(events)
-    assert profile_state(columnar.profiles) == profile_state(batched.profiles)
+    assert profile_state(columnar.profiles) == profile_state(scalar.profiles)
+    assert profile_state(unfused.profiles) == profile_state(scalar.profiles)
     assert activation_sizes(columnar.profiles) == activation_sizes(
         oracle.profiles
     )
@@ -168,7 +173,8 @@ def test_columnar_drms_equals_batched_scalar_and_oracle(events, policy):
         r: tuple(c) for r, c in oracle.read_counters.items() if any(c)
     }
     assert columnar_counts == oracle_counts
-    assert columnar.space_cells() == batched.space_cells()
+    assert columnar.space_cells() == scalar.space_cells()
+    assert unfused.space_cells() == scalar.space_cells()
 
 
 @given(random_trace(), st.sampled_from([None, 64, 7]))
@@ -182,22 +188,22 @@ def test_columnar_drms_metrics_snapshot_equals_batched(events, counter_limit):
     batch = encode_events(events)
     fused = fuse_batch(batch)
     columnar = DrmsProfiler(policy=FULL_POLICY, counter_limit=counter_limit)
-    batched = DrmsProfiler(policy=FULL_POLICY, counter_limit=counter_limit)
+    unfused = DrmsProfiler(policy=FULL_POLICY, counter_limit=counter_limit)
     scalar = DrmsProfiler(policy=FULL_POLICY, counter_limit=counter_limit)
     columnar.consume_columnar(fused)
-    batched.run_batch(batch)
+    unfused.run_batch(batch)
     scalar.run(events)
-    assert columnar.metrics_snapshot() == batched.metrics_snapshot()
     assert columnar.metrics_snapshot() == scalar.metrics_snapshot()
-    pending = {
-        t: [(e.rtn, e.ts, e.drms) for e in s.entries]
-        for t, s in columnar.stacks.items()
-    }
-    pending_batched = {
-        t: [(e.rtn, e.ts, e.drms) for e in s.entries]
-        for t, s in batched.stacks.items()
-    }
-    assert pending == pending_batched
+    assert unfused.metrics_snapshot() == scalar.metrics_snapshot()
+
+    def pending(prof):
+        return {
+            t: [(e.rtn, e.ts, e.drms) for e in s.entries]
+            for t, s in prof.stacks.items()
+        }
+
+    assert pending(columnar) == pending(scalar)
+    assert pending(unfused) == pending(scalar)
 
 
 @given(random_trace())
@@ -206,23 +212,27 @@ def test_columnar_rms_equals_batched_and_scalar(events):
     batch = encode_events(events)
     fused = fuse_batch(batch)
     columnar = RmsProfiler()
-    batched = RmsProfiler()
+    unfused = RmsProfiler()
     scalar = RmsProfiler()
     columnar.consume_columnar(fused)
-    batched.run_batch(batch)
+    unfused.run_batch(batch)
     scalar.run(events)
-    assert profile_state(columnar.profiles) == profile_state(batched.profiles)
+    assert profile_state(columnar.profiles) == profile_state(scalar.profiles)
+    assert profile_state(unfused.profiles) == profile_state(scalar.profiles)
     assert columnar.metrics_snapshot() == scalar.metrics_snapshot()
-    assert columnar.space_cells() == batched.space_cells()
+    assert unfused.metrics_snapshot() == scalar.metrics_snapshot()
+    assert columnar.space_cells() == scalar.space_cells()
 
 
 @given(random_trace(), st.integers(1, 13))
 @settings(max_examples=50, deadline=None)
 def test_columnar_split_batches_equal_single_batch(events, split):
     """Feeding fused slices (as the streaming decode path does) is
-    equivalent to one monolithic fused batch."""
+    equivalent to one monolithic fused batch and to the scalar loop."""
     whole = DrmsProfiler(policy=FULL_POLICY)
     whole.consume_columnar(fuse_batch(encode_events(events)))
+    scalar = DrmsProfiler(policy=FULL_POLICY)
+    scalar.run(events)
     chunked = DrmsProfiler(policy=FULL_POLICY)
     encoder = TraceEncoder(
         consumer=lambda b: chunked.consume_columnar(fuse_batch(b)),
@@ -233,6 +243,7 @@ def test_columnar_split_batches_equal_single_batch(events, split):
     encoder.flush()
     assert profile_state(chunked.profiles) == profile_state(whole.profiles)
     assert chunked.space_cells() == whole.space_cells()
+    assert chunked.metrics_snapshot() == scalar.metrics_snapshot()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(5, 40))
@@ -250,14 +261,19 @@ def test_columnar_equivalence_under_fault_injection(seed, items):
     batch = encode_events(events)
     fused = fuse_batch(batch)
     columnar = DrmsProfiler(policy=FULL_POLICY)
-    batched = DrmsProfiler(policy=FULL_POLICY)
+    unfused = DrmsProfiler(policy=FULL_POLICY)
     scalar = DrmsProfiler(policy=FULL_POLICY)
+    oracle = NaiveDrmsProfiler(policy=FULL_POLICY)
     columnar.consume_columnar(fused)
-    batched.run_batch(batch)
+    unfused.run_batch(batch)
     scalar.run(events)
-    assert columnar.metrics_snapshot() == batched.metrics_snapshot()
+    oracle.run(events)
     assert columnar.metrics_snapshot() == scalar.metrics_snapshot()
+    assert unfused.metrics_snapshot() == scalar.metrics_snapshot()
     assert profile_state(columnar.profiles) == profile_state(scalar.profiles)
+    assert activation_sizes(columnar.profiles) == activation_sizes(
+        oracle.profiles
+    )
 
 
 # -- cache safety across compaction and execution boundaries ------------------
@@ -303,17 +319,17 @@ def test_begin_trace_swaps_shadows_for_every_engine():
         [Call(1, "f")] + [Read(1, a) for a in range(16)] + [Return(1)]
     )
     results = []
-    for engine in ("batched", "columnar"):
+    for engine in ("scalar", "columnar"):
         prof = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)
         old_wts = prof.wts
-        if engine == "batched":
-            prof.consume_batch(encode_events(first))
+        if engine == "scalar":
+            prof.run(first)
         else:
             prof.consume_columnar(fuse_batch(encode_events(first)))
         prof.begin_trace()
         assert prof.wts is not old_wts
-        if engine == "batched":
-            prof.consume_batch(encode_events(second))
+        if engine == "scalar":
+            prof.run(second)
         else:
             prof.consume_columnar(fuse_batch(encode_events(second)))
         results.append(
@@ -376,7 +392,7 @@ def test_streaming_profile_matches_monolithic():
     for section in iter_section_batches(payload):
         streamed.consume_columnar(fuse_batch(section))
     whole = DrmsProfiler(policy=FULL_POLICY)
-    whole.consume_batch(encode_events(events))
+    whole.run(events)
     assert streamed.metrics_snapshot() == whole.metrics_snapshot()
 
 
@@ -392,11 +408,11 @@ def test_every_tool_agrees_across_engines(events):
         scalar = factory()
         for event in events:
             scalar.consume(event)
-        batched = factory()
-        batched.consume_batch(batch)
+        unfused = factory()
+        unfused.consume_batch(batch)
         columnar = factory()
-        columnar.consume_columnar(fused if columnar.supports_superops else batch)
-        assert tool_state(batched) == tool_state(scalar), name
+        columnar.consume_batch(fused if columnar.supports_superops else batch)
+        assert tool_state(unfused) == tool_state(scalar), name
         assert tool_state(columnar) == tool_state(scalar), name
 
 
@@ -411,9 +427,6 @@ class _PayloadSpy(AnalysisTool):
 
     def consume_batch(self, batch):
         self.saw_runs = OP_READ_RUN in batch.ops or OP_WRITE_RUN in batch.ops
-
-    def consume_columnar(self, batch):
-        self.consume_batch(batch)
 
     def space_cells(self):
         return 0
@@ -439,17 +452,18 @@ def test_replay_tool_gates_superops_on_capability():
 
     replay_tool(make(True), batch, repeats=1, engine="columnar")
     replay_tool(make(False), batch, repeats=1, engine="columnar")
-    replay_tool(make(True), batch, repeats=1, engine="batched")
-    capable, plain, batched = spies
+    capable, plain = spies
     assert capable.saw_runs is True
     assert plain.saw_runs is False
-    assert batched.saw_runs is False
 
 
 def test_replay_tool_rejects_unknown_engine():
     batch = encode_events([Read(1, 0x10)])
-    with pytest.raises(ValueError, match="unknown engine"):
-        replay_tool(DEFAULT_TOOLS["aprof"], batch, repeats=1, engine="turbo")
+    for engine in ("turbo", "batched"):  # batched is retired
+        with pytest.raises(ValueError, match="unknown engine"):
+            replay_tool(
+                DEFAULT_TOOLS["aprof"], batch, repeats=1, engine=engine
+            )
 
 
 def test_replay_tool_streaming_matches_direct_replay():

@@ -75,8 +75,9 @@ def serial_profilers(batch, counter_limit=None):
         keep_activations=False,
     )
     rms = RmsProfiler(keep_activations=False)
-    drms.consume_batch(batch)
-    rms.consume_batch(batch)
+    for event in batch.iter_events():
+        drms.consume(event)
+        rms.consume(event)
     drms.begin_trace()
     rms.begin_trace()
     return drms, rms
@@ -141,13 +142,13 @@ def test_partitioned_counter_limit_profiles_exact(trace, n_parts):
     serial = DrmsProfiler(
         policy=FULL_POLICY, counter_limit=64, keep_activations=False
     )
-    serial.consume_batch(batch)
+    serial.run(batch.iter_events())
     merged = rep.profilers["drms"]
     assert profile_state(merged.profiles) == profile_state(serial.profiles)
     assert read_counts(merged) == read_counts(serial)
 
 
-@pytest.mark.parametrize("engine", ["scalar", "batched", "columnar"])
+@pytest.mark.parametrize("engine", ["scalar", "columnar"])
 def test_cold_read_reclassification_exact_across_engines(engine):
     """The one partition/serial discrepancy: a partition-local *cold*
     first read that a memory prefix makes induced.  Thread- and
@@ -182,6 +183,20 @@ def test_cold_read_reclassification_exact_across_engines(engine):
     # t1 re-reading its own earlier write stays a plain first read
     assert tuple(serial.read_counters["r1"]) == (1, 0, 0)
     assert merged.metrics_snapshot() == serial.metrics_snapshot()
+
+
+def test_partitioned_replay_rejects_unknown_engine():
+    """Every engine name outside ``ENGINES`` — the retired ``batched``
+    included — is refused up front, never silently replayed columnar."""
+    payload = encode_events([Call(1, "f"), Read(1, 5), Return(1)]).to_bytes()
+    plan = plan_partitions(payload, 1)
+    for engine in ("turbo", "batched"):
+        with pytest.raises(ValueError, match="unknown engine"):
+            replay_partitioned(payload, plan=plan, engine=engine, workers=1)
+        with pytest.raises(ValueError, match="unknown engine"):
+            replay_partition(
+                payload, plan.partitions[0], ("drms",), 1, engine=engine
+            )
 
 
 def test_registry_workloads_partitioned_equals_serial():

@@ -127,13 +127,13 @@ def test_thread_cuts_counter_limit_profiles_exact(events, n_parts):
     serial = DrmsProfiler(
         policy=FULL_POLICY, counter_limit=64, keep_activations=False
     )
-    serial.consume_batch(batch)
+    serial.run(batch.iter_events())
     merged = rep.profilers["drms"]
     assert profile_state(merged.profiles) == profile_state(serial.profiles)
     assert read_counts(merged) == read_counts(serial)
 
 
-@pytest.mark.parametrize("engine", ["scalar", "batched", "columnar"])
+@pytest.mark.parametrize("engine", ["scalar", "columnar"])
 def test_thread_cuts_exact_across_engines(engine):
     events = fixed_monolithic()
     batch = encode_events(events)

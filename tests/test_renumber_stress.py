@@ -94,7 +94,7 @@ def test_stats_snapshot_reports_renumbering(name, build):
     profiler = DrmsProfiler(
         counter_limit=64, keep_activations=False, metrics=registry
     )
-    machine.set_batch_sink(profiler.consume_batch)
+    machine.set_batch_sink(profiler.consume_columnar)
     machine.run()
     profiler.publish_metrics(registry)
     snapshot = machine.stats_snapshot()

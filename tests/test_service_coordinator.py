@@ -59,9 +59,46 @@ class TestSubmit:
             coordinator.submit(["producer_consumer"], [1], tools=("nope",))
         with pytest.raises(KeyError):
             coordinator.submit(["not-a-workload"], [1])
+        for engine in ("bogus", "batched"):  # batched is retired
+            with pytest.raises(ValueError, match="unknown engine"):
+                coordinator.submit(["producer_consumer"], [1], engine=engine)
         coordinator.close()
         records, _ = Journal(str(tmp_path / "journal.rpjl")).replay()
         assert records == []
+
+    def test_http_submit_rejects_unknown_engine(self, tmp_path):
+        import json
+        from urllib import error, request
+
+        from repro.service.httpd import serve_http
+        from repro.tools import DEFAULT_ENGINE
+
+        coordinator, _ = make(tmp_path)
+        server, base_url = serve_http(coordinator)
+
+        def post(body):
+            req = request.Request(
+                base_url + "/submit",
+                data=json.dumps(body).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            try:
+                with request.urlopen(req, timeout=30) as resp:
+                    return resp.status, json.loads(resp.read())
+            except error.HTTPError as exc:
+                return exc.code, json.loads(exc.read())
+
+        spec = {"workloads": ["producer_consumer"], "scales": [1]}
+        try:
+            status, body = post(dict(spec, engine="batched"))
+            assert status == 400
+            assert "unknown engine" in body["error"]
+            status, body = post(spec)
+            assert status == 200
+            assert coordinator.jobs[body["job"]].spec["engine"] == DEFAULT_ENGINE
+        finally:
+            server.shutdown()
+            coordinator.close()
 
     def test_submit_materializes_cells_in_canonical_order(self, tmp_path):
         coordinator, _ = make(tmp_path)

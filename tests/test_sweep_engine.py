@@ -66,6 +66,44 @@ class TestColdWarm:
             for row in cell["replays"].values():
                 assert row["source"] == "measured"
 
+    def test_replay_measurements_are_keyed_by_engine(self, tmp_path):
+        """Scalar and columnar timings are not comparable: a warm sweep
+        serves a cached measurement only under the engine that took it.
+        A meta entry stamped with the retired ``batched`` engine, or with
+        no engine at all, is re-measured, never served."""
+        from repro.sweep.store import TraceStore
+
+        cfg = config(tmp_path, workloads=("producer_consumer",), scales=(1,))
+        run_sweep(cfg)
+
+        def sources(result):
+            return {
+                row["source"]
+                for cell in result.cells
+                for row in cell["replays"].values()
+            }
+
+        assert sources(run_sweep(cfg)) == {"cache"}
+        scalar_cfg = config(
+            tmp_path,
+            workloads=("producer_consumer",),
+            scales=(1,),
+            engine="scalar",
+        )
+        assert sources(run_sweep(scalar_cfg)) == {"measured"}
+        assert sources(run_sweep(scalar_cfg)) == {"cache"}
+
+        store = TraceStore(cfg.store_root)
+        key = _cell_key(SweepCell("producer_consumer", 1, 4), None)
+        for stale in ("batched", None):
+            meta = store.get_meta(key)
+            for entry in meta["replays"].values():
+                entry.pop("engine")
+                if stale is not None:
+                    entry["engine"] = stale
+            store.put_meta(key, meta)
+            assert sources(run_sweep(cfg)) == {"measured"}
+
     def test_sweep_does_not_touch_global_rng(self, tmp_path):
         random.seed(20140215)
         state = random.getstate()

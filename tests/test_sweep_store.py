@@ -120,7 +120,7 @@ class TestTraceStore:
 class TestShardCache:
     def make_shard(self):
         profiler = DrmsProfiler(keep_activations=False)
-        profiler.consume_batch(recorded_batch())
+        profiler.run(recorded_batch().iter_events())
         profiler.begin_trace()
         return profiler
 
@@ -162,7 +162,7 @@ class TestSidecarHardening:
 
     def make_shard(self):
         profiler = DrmsProfiler(keep_activations=False)
-        profiler.consume_batch(recorded_batch())
+        profiler.run(recorded_batch().iter_events())
         profiler.begin_trace()
         return profiler
 
@@ -244,7 +244,7 @@ class TestStoreAudit:
 
     def make_shard(self):
         profiler = DrmsProfiler(keep_activations=False)
-        profiler.consume_batch(recorded_batch())
+        profiler.run(recorded_batch().iter_events())
         profiler.begin_trace()
         return profiler
 

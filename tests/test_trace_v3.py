@@ -118,7 +118,7 @@ def test_v3_torn_tail_at_every_byte_offset(trace):
             prof = DrmsProfiler(
                 policy=FULL_POLICY, counter_limit=64, keep_activations=False
             )
-            prof.consume_batch(encode_events(original[:count]))
+            prof.run(original[:count])
             # no begin_trace(): a torn prefix may end mid-activation
             replayed[count] = prof.metrics_snapshot()
         return replayed[count]
@@ -135,7 +135,7 @@ def test_v3_torn_tail_at_every_byte_offset(trace):
         prof = DrmsProfiler(
             policy=FULL_POLICY, counter_limit=64, keep_activations=False
         )
-        prof.consume_batch(scan.batch)
+        prof.consume_columnar(scan.batch)
         assert prof.metrics_snapshot() == snapshot(loaded)
 
 
