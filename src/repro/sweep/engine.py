@@ -11,12 +11,12 @@ as independent *cells* ``(workload, scale)``:
   profiler snapshots taken at an execution boundary
   (:meth:`~repro.core.timestamping.DrmsProfiler.begin_trace`), so they
   are small, picklable and exactly mergeable;
-* cells run process-parallel under the same supervision discipline as
-  the replay runner — per-future timeouts, bounded retries with
-  jittered exponential backoff (private RNG: supervision never touches
-  the global ``random`` stream), serial fallback, and exclusion with a
-  structured :class:`~repro.tools.runner.Degradation` record as the
-  last resort;
+* cells run process-parallel under the one pool supervisor the replay
+  runner and partitioned replay use (:func:`repro.tools.pool.supervise`
+  — one round deadline, bounded retries with jittered exponential
+  backoff, serial fallback), with inline execution as the fallback and
+  exclusion with a structured :class:`~repro.tools.pool.Degradation`
+  record as the last resort;
 * per workload, the per-scale shards are reduced with the associative
   :meth:`~repro.core.timestamping.DrmsProfiler.merge` and the merged
   worst-case cost plots are classified with
@@ -34,10 +34,7 @@ byte streams; pass ``reuse_measurements=False`` to force re-measuring.
 from __future__ import annotations
 
 import os
-import random
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -46,11 +43,15 @@ from repro.core.events import fuse_batch
 from repro.core.rms import RmsProfiler
 from repro.core.timestamping import DrmsProfiler
 from repro.sweep.store import TraceKey, TraceStore
-from repro.tools.pool import active_segments, get_pool, pool_stats
+from repro.tools.pool import (
+    Degradation,
+    active_segments,
+    pool_stats,
+    supervise,
+)
 from repro.tools.runner import (
     DEFAULT_ENGINE,
     DEFAULT_TOOLS,
-    Degradation,
     check_engine,
     record_trace,
     replay_tool,
@@ -66,13 +67,6 @@ __all__ = [
     "run_cell",
     "run_sweep",
 ]
-
-#: ceiling on the inter-retry backoff sleep, seconds
-_MAX_BACKOFF = 5.0
-
-#: jitter pacing only — deliberately not the global ``random`` stream
-_jitter_rng = random.Random()
-
 
 @dataclass(frozen=True)
 class SweepCell:
@@ -498,109 +492,6 @@ def _run_cell(
     }
 
 
-def _run_cells_supervised(
-    cells: List[SweepCell],
-    config: SweepConfig,
-    workers: int,
-) -> Tuple[Dict[SweepCell, Dict[str, Any]], List[Degradation]]:
-    """Run the cells in worker processes under the runner's supervision
-    discipline.  Cells the pool cannot finish fall back to inline
-    execution; a cell failing even inline is excluded with a
-    Degradation.  Never raises, never hangs.  Returns
-    ``(payloads, degradations, attempts)`` — the attempts map feeds the
-    per-cell retry provenance in the report."""
-    payloads: Dict[SweepCell, Dict[str, Any]] = {}
-    degradations: List[Degradation] = []
-    attempts = {cell: 0 for cell in cells}
-    pending = list(cells)
-    round_no = 0
-    while pending and round_no <= config.max_retries:
-        round_no += 1
-        if round_no > 1:
-            delay = config.backoff_base * 2.0 ** (round_no - 2)
-            delay = min(
-                delay + _jitter_rng.uniform(0, config.backoff_base),
-                _MAX_BACKOFF,
-            )
-            time.sleep(delay)
-        try:
-            # One process-wide warm pool serves every retry round, every
-            # cell, and (via the runner) every partition inside a cell —
-            # workers stay resident across the whole sweep.
-            pool = get_pool()
-            pool.ensure(min(workers, len(pending)))
-            futures = {
-                cell: pool.submit(run_cell, config.cell_task(cell))
-                for cell in pending
-            }
-        except Exception as exc:  # no fork/spawn available at all
-            for cell in pending:
-                degradations.append(
-                    Degradation(
-                        "parallel-sweep",
-                        cell.id,
-                        attempts[cell] + 1,
-                        f"pool unavailable: {type(exc).__name__}: {exc}",
-                        "serial-fallback",
-                    )
-                )
-            return payloads, degradations, attempts
-        stuck = False
-        still_pending: List[SweepCell] = []
-        for cell, future in futures.items():
-            try:
-                payload = future.result(timeout=config.replay_timeout)
-                payload["attempts"] = attempts[cell] + 1
-                payload["completed_by"] = "pool"
-                payloads[cell] = payload
-            except FutureTimeoutError:
-                attempts[cell] += 1
-                stuck = True
-                exhausted = attempts[cell] > config.max_retries
-                if not exhausted:
-                    still_pending.append(cell)
-                degradations.append(
-                    Degradation(
-                        "parallel-sweep",
-                        cell.id,
-                        attempts[cell],
-                        f"cell exceeded {config.replay_timeout:g}s timeout",
-                        "serial-fallback" if exhausted else "retried",
-                    )
-                )
-            except BrokenProcessPool as exc:
-                attempts[cell] += 1
-                exhausted = attempts[cell] > config.max_retries
-                if not exhausted:
-                    still_pending.append(cell)
-                degradations.append(
-                    Degradation(
-                        "parallel-sweep",
-                        cell.id,
-                        attempts[cell],
-                        f"worker pool broke: {exc}",
-                        "serial-fallback" if exhausted else "retried",
-                    )
-                )
-            except Exception as exc:
-                # Deterministic failure: a process retry cannot help.
-                degradations.append(
-                    Degradation(
-                        "parallel-sweep",
-                        cell.id,
-                        attempts[cell] + 1,
-                        f"{type(exc).__name__}: {exc}",
-                        "serial-fallback",
-                    )
-                )
-        if stuck:
-            # Wedged worker: kill the processes; the next round's
-            # ensure() respawns.  Otherwise the pool stays warm.
-            pool.terminate()
-        pending = still_pending
-    return payloads, degradations, attempts
-
-
 def run_sweep(config: SweepConfig, metrics=None, tracer=None) -> "SweepResult":
     """Execute the sweep matrix and aggregate the merged cost models.
 
@@ -619,12 +510,12 @@ def run_sweep(config: SweepConfig, metrics=None, tracer=None) -> "SweepResult":
 
     start = time.perf_counter()
     cells = config.cells()
-    payloads: Dict[SweepCell, Dict[str, Any]] = {}
+    payloads: Dict[str, Dict[str, Any]] = {}  # by cell id
     degradations: List[Degradation] = []
     pool_before = pool_stats()
 
     supervised = config.parallel is not None and config.parallel > 1
-    attempts: Dict[SweepCell, int] = {cell: 0 for cell in cells}
+    attempts: Dict[str, int] = {}
     with tracer.span(
         "sweep-cells",
         track="sweep",
@@ -632,11 +523,26 @@ def run_sweep(config: SweepConfig, metrics=None, tracer=None) -> "SweepResult":
         mode="parallel" if supervised else "serial",
     ):
         if supervised:
-            payloads, degradations, attempts = _run_cells_supervised(
-                cells, config, config.parallel
+            # One process-wide warm pool serves every round and every
+            # cell; a cell's own partitioned replay runs inline in its
+            # worker (pools do not nest).
+            _unfinished, attempts, degradations = supervise(
+                {
+                    cell.id: (run_cell, (config.cell_task(cell),))
+                    for cell in cells
+                },
+                stage="parallel-sweep",
+                workers=config.parallel,
+                timeout=config.replay_timeout,
+                max_retries=config.max_retries,
+                backoff_base=config.backoff_base,
+                on_result=payloads.__setitem__,
             )
+            for cell_id, payload in payloads.items():
+                payload["attempts"] = attempts[cell_id] + 1
+                payload["completed_by"] = "pool"
         for cell in cells:
-            if cell in payloads:
+            if cell.id in payloads:
                 continue
             # Serial execution: the primary path without workers, the
             # graceful fallback with them.  A cell failing here is
@@ -645,9 +551,9 @@ def run_sweep(config: SweepConfig, metrics=None, tracer=None) -> "SweepResult":
             try:
                 with tracer.span("cell", track="sweep", cell=cell.id):
                     payload = run_cell(config.cell_task(cell))
-                payload["attempts"] = attempts.get(cell, 0) + 1
+                payload["attempts"] = attempts.get(cell.id, 0) + 1
                 payload["completed_by"] = "inline"
-                payloads[cell] = payload
+                payloads[cell.id] = payload
             except Exception as exc:
                 if not supervised:
                     raise
@@ -655,7 +561,7 @@ def run_sweep(config: SweepConfig, metrics=None, tracer=None) -> "SweepResult":
                     Degradation(
                         "serial-sweep",
                         cell.id,
-                        1,
+                        attempts.get(cell.id, 0) + 1,
                         f"{type(exc).__name__}: {exc}",
                         "excluded",
                     )
@@ -665,7 +571,7 @@ def run_sweep(config: SweepConfig, metrics=None, tracer=None) -> "SweepResult":
         merged_drms: Dict[str, DrmsProfiler] = {}
         merged_rms: Dict[str, RmsProfiler] = {}
         for cell in cells:
-            payload = payloads.get(cell)
+            payload = payloads.get(cell.id)
             if payload is None:
                 continue
             name = cell.workload
@@ -702,7 +608,7 @@ def run_sweep(config: SweepConfig, metrics=None, tracer=None) -> "SweepResult":
     }
     result = SweepResult(
         config=config,
-        cells=[payloads[cell] for cell in cells if cell in payloads],
+        cells=[payloads[cell.id] for cell in cells if cell.id in payloads],
         trends=trends,
         degradations=degradations,
         wall_time=wall_time,

@@ -38,11 +38,11 @@ carried ancestor, or removing a unit the serial replay never counted.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED
-from concurrent.futures import wait as futures_wait
+# unused here since the pool supervisor took over the waiting; kept so
+# perfbench's layer hook on ``partition.futures_wait`` still resolves
+from concurrent.futures import wait as futures_wait  # noqa: F401
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,22 +63,17 @@ from repro.obs.distributed import (
     flight_dump,
     sidecar_path,
 )
+from repro.tools.pool import KILL_ENV as _KILL_ENV
 from repro.tools.pool import (
-    SharedTrace,
+    Degradation,
     active_segments,
     attached_view,
-    get_pool,
     in_pool_worker,
     pool_stats,
-    shm_available,
+    share_trace,
+    supervise,
 )
-from repro.tools.runner import (
-    _MAX_BACKOFF,
-    DEFAULT_ENGINE,
-    _jitter_rng,
-    Degradation,
-    check_engine,
-)
+from repro.tools.runner import DEFAULT_ENGINE, check_engine
 
 __all__ = [
     "PartitionShard",
@@ -88,13 +83,6 @@ __all__ = [
     "merge_partition_shards",
     "resolve_partitions",
 ]
-
-#: test hook: when this environment variable holds a partition index,
-#: the pool worker assigned that partition exits hard (``os._exit``),
-#: simulating an OOM-killed or crashed worker.  Guarded on actually
-#: being inside a pool worker so the parent's inline fallback survives.
-_KILL_ENV = "REPRO_PARTITION_TEST_KILL"
-
 
 def resolve_partitions(partitions: Optional[int]) -> Optional[int]:
     """Normalise a ``--partitions`` value: ``None`` stays off, ``0``
@@ -367,25 +355,6 @@ def _emit_shard_counters(tracer, shards: List[PartitionShard]) -> None:
         )
 
 
-def _check_test_kill(kill: Optional[str], index: int) -> None:
-    """Honour the crash-injection hook inside a pool worker.
-
-    The kill spec is captured parent-side at submit time and shipped as
-    a task argument — a persistent warm pool may have forked *before*
-    the test set the environment variable, so workers cannot rely on
-    inheriting it.  The direct environment read stays as a fallback for
-    code paths that call the worker entry point themselves.
-    """
-    spec = kill if kill is not None else os.environ.get(_KILL_ENV)
-    if spec is not None and multiprocessing.parent_process() is not None:
-        try:
-            target = int(spec)
-        except ValueError:
-            target = -1
-        if target == index:
-            os._exit(13)
-
-
 def _partition_worker(
     payload,
     part: TracePartition,
@@ -395,9 +364,7 @@ def _partition_worker(
     counter_limit: Optional[int],
     trace: Optional[dict] = None,
     carry_aware: bool = False,
-    kill: Optional[str] = None,
 ) -> List[PartitionShard]:
-    _check_test_kill(kill, part.index)
     worker_label = ""
     ctx = TraceContext.from_dict(trace)
     if ctx is not None:
@@ -440,13 +407,11 @@ def _partition_worker_shm(
     counter_limit: Optional[int],
     trace: Optional[dict] = None,
     carry_aware: bool = False,
-    kill: Optional[str] = None,
 ) -> List[PartitionShard]:
     """Pool entry point for shared-memory residency: attach to the
     trace segment (cached per worker across tasks) and decode this
     partition's byte range through a zero-copy memoryview — the task
     pickles only offsets, never payload bytes."""
-    _check_test_kill(kill, part.index)
     view = attached_view(segment, size)
     try:
         return _partition_worker(
@@ -458,7 +423,6 @@ def _partition_worker_shm(
             counter_limit,
             trace,
             carry_aware,
-            kill,
         )
     finally:
         view.release()
@@ -783,10 +747,11 @@ def replay_partitioned(
     Pass either a precomputed ``plan`` (planning is cheap but callers
     timing the replay plan outside the timed region) or a ``partitions``
     request (``None``/``0`` = one per CPU).  Single-partition plans —
-    requested or degraded-to — replay inline, no pool.  Worker failures
-    follow the PR 2 supervision discipline: bounded retries with
-    exponential backoff and jitter, then an inline serial fallback *for
-    that partition only*, every decision recorded as a
+    requested or degraded-to — replay inline, no pool.  The pool round
+    runs under :func:`repro.tools.pool.supervise`, with the parent
+    replaying the last partition itself meanwhile: a dead or wedged
+    worker is retried with jittered backoff, then *that partition only*
+    falls back to an inline replay, every decision recorded as a
     :class:`Degradation` (stage ``partition-replay``).  Never hangs;
     raises only if a partition fails even inline (a genuinely
     unreplayable trace).
@@ -851,7 +816,7 @@ def replay_partitioned(
         if folder is not None:
             folder.add(index, row)
 
-    def inline(part: TracePartition) -> None:
+    def inline(part: TracePartition) -> List[PartitionShard]:
         with tracer.span(
             "partition-replay",
             track="partition",
@@ -859,20 +824,18 @@ def replay_partitioned(
             partition=part.index,
             mode="inline",
         ):
-            record(
-                part.index,
-                replay_partition(
-                    payload,
-                    part,
-                    kinds,
-                    total,
-                    engine=engine,
-                    counter_limit=counter_limit,
-                    carry_aware=carry_aware,
-                ),
+            return replay_partition(
+                payload,
+                part,
+                kinds,
+                total,
+                engine=engine,
+                counter_limit=counter_limit,
+                carry_aware=carry_aware,
             )
 
     pool_workers = min(len(parts), workers or os.cpu_count() or 1)
+    kill_active = os.environ.get(_KILL_ENV) is not None
     # On a box that cannot express parallelism at all, worker processes
     # can only lose to their own scheduling contention (measured ~5-7%
     # at 2 workers on one core even with a warm pool over shm), so the
@@ -884,36 +847,42 @@ def replay_partitioned(
     # cell) replays inline too: pools do not nest.
     single_cpu = (
         (os.cpu_count() or 1) < 2
-        and os.environ.get(_KILL_ENV) is None
+        and not kill_active
         and not os.environ.get("REPRO_PARTITION_FORCE_POOL")
     )
-    if len(parts) <= 1 or pool_workers <= 1 or single_cpu or in_pool_worker():
-        for part in parts:
-            inline(part)
-    else:
-        pending: Dict[int, TracePartition] = {p.index: p for p in parts}
-        attempts: Dict[int, int] = {p.index: 0 for p in parts}
-        by_index: Dict[int, TracePartition] = {p.index: p for p in parts}
-        # Partitions tile the body from its first byte, so the first
-        # planned partition's start is the header/body split.
-        body_start = all_parts[0].start
-        round_no = 0
+    unfinished: Sequence[TracePartition] = parts
+    if not (
+        len(parts) <= 1 or pool_workers <= 1 or single_cpu or in_pool_worker()
+    ):
+        # The parent replays the last partition itself between submit
+        # and collect: one fewer dispatch round-trip and shard pickle,
+        # and on a single-CPU box the 2-way topology collapses to
+        # parent + one worker — the shape that breaks even with serial.
+        # Skipped under an active crash-injection spec, which must land
+        # in a worker process to mean anything.
+        parent = None
+        if not kill_active:
+            last = parts[-1]
+            parent = (last.index, lambda: inline(last))
         # Trace residency: the payload goes into one shared-memory
         # segment for the whole replay (all partitions, all retry
         # rounds); tasks ship only byte offsets and workers decode
         # their ranges through zero-copy attached views.  Platforms
         # without working shm fall back to pickled subrange payloads.
-        shared: Optional[SharedTrace] = None
-        if shm_available():
-            try:
-                shared = SharedTrace(payload)
-            except Exception:
-                shared = None
-        # Crash-injection spec is captured here, parent-side: the warm
-        # pool's workers may have forked before the test set the
-        # variable, so it travels as a task argument.
-        kill_spec = os.environ.get(_KILL_ENV)
-        pool = get_pool()
+        shared = share_trace(payload)
+        # Partitions tile the body from its first byte, so the first
+        # planned partition's start is the header/body split.
+        body_start = all_parts[0].start
+        args = (kinds, total, engine, counter_limit, trace, carry_aware)
+        tasks = {}
+        for part in parts[:-1] if parent is not None else parts:
+            if shared is not None:
+                source = (shared.name, shared.size, part)
+                fn = _partition_worker_shm
+            else:
+                source = _subrange_payload(payload, part, body_start)
+                fn = _partition_worker
+            tasks[part.index] = (fn, (*source, *args))
         try:
             with tracer.span(
                 "partition-pool",
@@ -923,165 +892,25 @@ def replay_partitioned(
                 workers=pool_workers,
                 residency="shm" if shared is not None else "pickle",
             ):
-                while pending and round_no <= max_retries:
-                    round_no += 1
-                    if round_no > 1:
-                        delay = backoff_base * 2.0 ** (round_no - 2)
-                        delay = min(
-                            delay + _jitter_rng.uniform(0, backoff_base),
-                            _MAX_BACKOFF,
-                        )
-                        time.sleep(delay)
-                    # The parent replays the last pending partition
-                    # itself while the pool handles the rest: one fewer
-                    # dispatch round-trip and shard pickle, and on a
-                    # single-CPU box the 2-way topology collapses to
-                    # parent + one worker — the shape that breaks even
-                    # with serial.  Skipped on retry rounds (those are
-                    # re-dispatches of failures) and under an active
-                    # crash-injection spec (the kill hook must land in a
-                    # worker process to mean anything).
-                    inline_index: Optional[int] = None
-                    if round_no == 1 and kill_spec is None and len(pending) > 1:
-                        inline_index = max(pending)
-                    try:
-                        want = len(pending) - (1 if inline_index is not None else 0)
-                        pool.ensure(min(pool_workers, max(1, want)))
-                        futures = {}
-                        for index, part in pending.items():
-                            if index == inline_index:
-                                continue
-                            if shared is not None:
-                                futures[index] = pool.submit(
-                                    _partition_worker_shm,
-                                    shared.name,
-                                    shared.size,
-                                    part,
-                                    kinds,
-                                    total,
-                                    engine,
-                                    counter_limit,
-                                    trace,
-                                    carry_aware,
-                                    kill_spec,
-                                )
-                            else:
-                                sub, rebased = _subrange_payload(
-                                    payload, part, body_start
-                                )
-                                futures[index] = pool.submit(
-                                    _partition_worker,
-                                    sub,
-                                    rebased,
-                                    kinds,
-                                    total,
-                                    engine,
-                                    counter_limit,
-                                    trace,
-                                    carry_aware,
-                                    kill_spec,
-                                )
-                    except Exception as exc:  # no fork/spawn available
-                        for index in pending:
-                            degradations.append(
-                                Degradation(
-                                    "partition-replay",
-                                    f"{label}:p{index}",
-                                    attempts[index] + 1,
-                                    f"pool unavailable: "
-                                    f"{type(exc).__name__}: {exc}",
-                                    "serial-fallback",
-                                )
-                            )
-                        break
-                    if inline_index is not None:
-                        # Workers are already crunching their ranges;
-                        # the parent does its own share before turning
-                        # to collection.
-                        try:
-                            inline(by_index[inline_index])
-                            del pending[inline_index]
-                        except Exception as exc:
-                            attempts[inline_index] += 1
-                            degradations.append(
-                                Degradation(
-                                    "partition-replay",
-                                    f"{label}:p{inline_index}",
-                                    attempts[inline_index],
-                                    f"{type(exc).__name__}: {exc}",
-                                    "retried",
-                                )
-                            )
-                    # Collect in completion order against one shared
-                    # round deadline: finished shards stream into the
-                    # fold immediately instead of queueing behind an
-                    # earlier-submitted straggler.
-                    fut_index = {f: i for i, f in futures.items()}
-                    not_done = set(futures.values())
-                    deadline = time.monotonic() + timeout
-                    while not_done:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        done, not_done = futures_wait(
-                            not_done,
-                            timeout=remaining,
-                            return_when=FIRST_COMPLETED,
-                        )
-                        for future in done:
-                            index = fut_index[future]
-                            try:
-                                record(index, future.result())
-                                del pending[index]
-                            except Exception as exc:
-                                # BrokenProcessPool and deterministic
-                                # failures alike: retry in a healed
-                                # pool, then fall back.
-                                attempts[index] += 1
-                                exhausted = attempts[index] > max_retries
-                                if exhausted:
-                                    del pending[index]
-                                degradations.append(
-                                    Degradation(
-                                        "partition-replay",
-                                        f"{label}:p{index}",
-                                        attempts[index],
-                                        f"{type(exc).__name__}: {exc}",
-                                        "serial-fallback"
-                                        if exhausted
-                                        else "retried",
-                                    )
-                                )
-                    stuck = bool(not_done)
-                    for future in not_done:
-                        index = fut_index[future]
-                        attempts[index] += 1
-                        exhausted = attempts[index] > max_retries
-                        if exhausted:
-                            del pending[index]
-                        degradations.append(
-                            Degradation(
-                                "partition-replay",
-                                f"{label}:p{index}",
-                                attempts[index],
-                                f"partition replay exceeded {timeout:g}s "
-                                f"timeout",
-                                "serial-fallback" if exhausted else "retried",
-                            )
-                        )
-                    if stuck:
-                        # A wedged worker cannot be left warm: kill the
-                        # pool; the next round (or caller) respawns it.
-                        pool.terminate()
-                    # A healthy pool stays warm for the next round,
-                    # tool, cell, or sweep — that is the whole point.
+                left, _attempts, degradations = supervise(
+                    tasks,
+                    stage="partition-replay",
+                    workers=pool_workers,
+                    timeout=timeout,
+                    max_retries=max_retries,
+                    backoff_base=backoff_base,
+                    on_result=record,
+                    unit=lambda index: f"{label}:p{index}",
+                    parent=parent,
+                )
         finally:
             # Unlink on every path out — success, degradation, or an
             # exception — so no /dev/shm segment outlives the replay.
             if shared is not None:
                 shared.unlink()
-        for index in sorted(set(p.index for p in parts) - set(results)):
-            inline(by_index[index])
+        unfinished = [p for p in parts if p.index in left]
+    for part in unfinished:
+        record(part.index, inline(part))
 
     if degradations and getattr(tracer, "enabled", False):
         flight = getattr(tracer, "flight", None)

@@ -28,6 +28,11 @@ Two pieces remove them:
   counts submissions that rode an already-warm pool — the figure the
   sweep report and ``repro stats`` surface.
 
+One supervisor, :func:`supervise`, runs every round on that pool — tool
+replays, trace partitions and sweep cells alike — with one retry,
+fallback and kill-hook policy, recording each decision as a
+:class:`Degradation`.
+
 Worker processes keep an **attach cache** keyed by segment name
 (:func:`attached_view`): the same trace is mapped once per worker, not
 once per task, and the cache is LRU-capped so long-lived workers do
@@ -49,12 +54,26 @@ from __future__ import annotations
 import atexit
 import itertools
 import mmap
+import multiprocessing
 import os
+import random
 import threading
+import time
 from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
+from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 try:  # pragma: no cover - present on every supported platform
     from multiprocessing import shared_memory
@@ -62,7 +81,10 @@ except ImportError:  # pragma: no cover - exotic build without _posixshmem
     shared_memory = None  # type: ignore[assignment]
 
 __all__ = [
+    "KILL_ENV",
+    "Degradation",
     "SharedTrace",
+    "Supervised",
     "WorkerPool",
     "active_segments",
     "attached_view",
@@ -71,8 +93,10 @@ __all__ = [
     "in_pool_worker",
     "pool_stats",
     "reap_stale_segments",
+    "share_trace",
     "shm_available",
     "shutdown_pool",
+    "supervise",
 ]
 
 #: segment name prefix; the embedded creator pid is what makes stale
@@ -221,6 +245,17 @@ class SharedTrace:
 
     def __exit__(self, *exc) -> None:
         self.unlink()
+
+
+def share_trace(payload) -> Optional[SharedTrace]:
+    """``payload`` resident in a new segment, or ``None`` where shared
+    memory does not work (callers then ship pickled bytes)."""
+    if not shm_available():
+        return None
+    try:
+        return SharedTrace(payload)
+    except Exception:
+        return None
 
 
 def active_segments() -> int:
@@ -468,10 +503,10 @@ def get_pool() -> WorkerPool:
     """The process-wide warm pool.
 
     One pool per process is what hoists pool lifetime to measure/sweep/
-    service-job scope with no plumbing: every ``replay_partitioned``,
-    ``_replay_all_supervised`` and sweep-cell round in this process
-    shares it.  A forked child gets a fresh pool (executors do not
-    survive fork), so nested parallelism stays safe.
+    service-job scope with no plumbing: every :func:`supervise` round in
+    this process — tools, partitions, sweep cells — shares it.  A
+    forked child gets a fresh pool (executors do not survive fork), so
+    nested parallelism stays safe.
     """
     global _GLOBAL_POOL
     with _lock:
@@ -505,6 +540,201 @@ def shutdown_pool(terminate: bool = False) -> None:
             pool.terminate()
         else:
             pool.shutdown()
+
+
+# -- the supervisor -----------------------------------------------------------
+
+#: ceiling on the inter-round backoff sleep, seconds
+_MAX_BACKOFF = 5.0
+
+#: private RNG for backoff jitter.  Jitter only paces retries — it must
+#: never draw from (and thereby perturb) the global ``random`` stream,
+#: which seeded workloads and experiment scripts rely on for
+#: reproducibility.  OS-entropy seeded: pacing needs no determinism.
+_jitter_rng = random.Random()
+
+#: fault-injection hook: a comma-separated list of task keys (a tool
+#: name, a partition index, a sweep cell id).  The spec is read
+#: parent-side at submit — a warm pool may have forked before it was
+#: set — and shipped with each task; a pool worker running a named task
+#: exits hard (``os._exit``) before starting it, simulating an
+#: OOM-killed worker.  Never honoured in the parent, so the caller's
+#: inline fallback survives.
+KILL_ENV = "REPRO_POOL_TEST_KILL"
+
+
+@dataclass(frozen=True)
+class Degradation:
+    """One self-healing action a supervised stage had to take.
+
+    ``stage`` is where the problem surfaced (``parallel-replay``,
+    ``partition-replay``, ``parallel-sweep``, ``serial-replay``, ...),
+    ``attempt`` which try failed, and ``action`` what was done about it
+    (``retried``, ``serial-fallback`` or ``excluded``)."""
+
+    stage: str
+    tool: str
+    attempt: int
+    reason: str
+    action: str
+
+    def as_dict(self) -> dict:
+        """The report spelling shared by every JSON surface (overhead,
+        sweep, service job reports).  ``tool`` doubles as the cell id
+        for sweep/service stages — the key is named ``unit`` here so
+        the consumer does not have to guess."""
+        return {
+            "stage": self.stage,
+            "unit": self.tool,
+            "attempt": self.attempt,
+            "reason": self.reason,
+            "action": self.action,
+        }
+
+
+class Supervised(NamedTuple):
+    """What :func:`supervise` could not finish, and why."""
+
+    #: keys the caller must run inline, in task order
+    unfinished: List[Hashable]
+    #: failed tries per key (a finished key's count is final)
+    attempts: Dict[Hashable, int]
+    degradations: List[Degradation]
+
+
+def _kill_keys() -> frozenset:
+    spec = os.environ.get(KILL_ENV) or ""
+    return frozenset(key.strip() for key in spec.split(",") if key.strip())
+
+
+def _run_task(fn: Callable, args: tuple, kill: bool):
+    """Pool-side wrapper of every supervised task."""
+    if kill and multiprocessing.parent_process() is not None:
+        os._exit(13)
+    return fn(*args)
+
+
+def supervise(
+    tasks: Dict[Hashable, Tuple[Callable, tuple]],
+    *,
+    stage: str,
+    workers: int,
+    timeout: float,
+    max_retries: int,
+    backoff_base: float,
+    on_result: Callable[[Hashable, Any], None],
+    unit: Callable[[Hashable], str] = str,
+    parent: Optional[Tuple[Hashable, Callable[[], Any]]] = None,
+) -> Supervised:
+    """Run ``tasks`` (``{key: (fn, args)}``) on the warm pool in rounds.
+
+    Each round submits every pending task and collects results in
+    completion order against one shared deadline — ``timeout`` per wave
+    of ``workers`` tasks — handing each to ``on_result(key, value)`` as
+    it arrives.  The policy, the same for every stage:
+
+    * a task that misses the deadline, or whose worker died
+      (``BrokenProcessPool``), is retried next round after a capped,
+      jittered exponential backoff, and becomes ``serial-fallback`` once
+      it has failed ``max_retries + 1`` times;
+    * any other exception is deterministic — a process retry cannot
+      help — and goes straight to ``serial-fallback``;
+    * a round in which a task timed out ends with
+      :meth:`WorkerPool.terminate` (a wedged worker cannot stay warm);
+    * a pool that cannot start marks every pending key
+      ``serial-fallback``.
+
+    ``parent`` is an optional ``(key, fn)`` the parent runs itself in
+    round 1, between submit and collect, so it works alongside the pool
+    instead of idling; its result goes to ``on_result`` too and a
+    failure is ``serial-fallback``.  Degradations name the key as
+    ``unit(key)`` under ``stage``, with ``attempt`` = tries so far.
+
+    Never raises on worker trouble and never hangs; exceptions from
+    ``on_result`` propagate.  The caller runs the returned
+    ``unfinished`` keys inline.
+    """
+    pending = dict(tasks)
+    order = list(tasks) + ([parent[0]] if parent is not None else [])
+    attempts: Dict[Hashable, int] = {key: 0 for key in order}
+    finished = set()
+    degradations: List[Degradation] = []
+    kill = _kill_keys()
+    pool = get_pool()
+
+    def deliver(key: Hashable, value: Any) -> None:
+        pending.pop(key, None)
+        finished.add(key)
+        on_result(key, value)
+
+    def fail(key: Hashable, reason: str, retry: bool) -> None:
+        attempts[key] += 1
+        exhausted = not retry or attempts[key] > max_retries
+        if exhausted:
+            pending.pop(key, None)
+        degradations.append(
+            Degradation(
+                stage,
+                unit(key),
+                attempts[key],
+                reason,
+                "serial-fallback" if exhausted else "retried",
+            )
+        )
+
+    round_no = 0
+    while pending and round_no <= max_retries:
+        round_no += 1
+        if round_no > 1:
+            delay = backoff_base * 2.0 ** (round_no - 2)
+            time.sleep(
+                min(delay + _jitter_rng.uniform(0, backoff_base), _MAX_BACKOFF)
+            )
+        futures: Dict[Future, Hashable] = {}
+        try:
+            pool.ensure(min(workers, len(pending)))
+            for key, (fn, args) in pending.items():
+                future = pool.submit(_run_task, fn, args, str(key) in kill)
+                futures[future] = key
+        except Exception as exc:  # no fork/spawn available at all
+            futures = {}
+            reason = f"pool unavailable: {type(exc).__name__}: {exc}"
+            for key in list(pending):
+                fail(key, reason, False)
+        if parent is not None and round_no == 1:
+            key, fn = parent
+            try:
+                value = fn()
+            except Exception as exc:
+                fail(key, f"{type(exc).__name__}: {exc}", False)
+            else:
+                deliver(key, value)
+        waves = -(-len(futures) // max(1, workers))
+        deadline = time.monotonic() + timeout * max(1, waves)
+        not_done = set(futures)
+        while not_done:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            done, not_done = futures_wait(
+                not_done, timeout=remaining, return_when=FIRST_COMPLETED
+            )
+            for future in done:
+                key = futures[future]
+                try:
+                    value = future.result()
+                except BrokenProcessPool as exc:
+                    fail(key, f"worker pool broke: {exc}", True)
+                except Exception as exc:
+                    fail(key, f"{type(exc).__name__}: {exc}", False)
+                else:
+                    deliver(key, value)
+        for future in not_done:
+            fail(futures[future], f"exceeded {timeout:g}s timeout", True)
+        if not_done:
+            pool.terminate()
+    unfinished = [key for key in order if key not in finished]
+    return Supervised(unfinished, attempts, degradations)
 
 
 @atexit.register

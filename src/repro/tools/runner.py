@@ -23,14 +23,13 @@ Regenerates the Table 1 / Figure 16 methodology:
 Because the trace is an artifact, replays are embarrassingly parallel:
 ``measure_workload(..., parallel=N)`` ships the serialised batch
 (``EventBatch.to_bytes``) to ``N`` worker processes and replays the
-tools concurrently.  Workers are *supervised*: every replay has a
-timeout, transient failures (a stuck or killed worker, a broken pool)
-are retried a bounded number of times with exponential backoff and
-jitter, and a tool that keeps failing degrades to serial replay — or,
-if it fails even serially, is excluded from the measurement.  Every
-such decision is recorded as a :class:`Degradation` on the returned
-measurement, so a run never hangs and never dies with an opaque
-``BrokenProcessPool``.
+tools concurrently under :func:`repro.tools.pool.supervise`: a stuck
+or killed worker is retried a bounded number of times with jittered
+exponential backoff, and a tool the pool cannot finish degrades to
+serial replay — or, if it fails even serially, is excluded from the
+measurement.  Every such decision is recorded as a :class:`Degradation`
+on the returned measurement, so a run never hangs and never dies with
+an opaque worker error.
 
 Wall-clock timing of small workloads is noisy, so native runs and
 replays take the best of ``repeats`` attempts; every replay builds a
@@ -40,21 +39,17 @@ fresh tool so state never leaks between runs.
 from __future__ import annotations
 
 import math
-import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.events import EventBatch, count_superops, fuse_batch
 from repro.core.tracefile import iter_section_batches
 from repro.tools.pool import (
-    SharedTrace,
+    Degradation,
     attached_view,
-    get_pool,
-    shm_available,
+    share_trace,
+    supervise,
 )
 from repro.tools.aprof import AprofTool
 from repro.tools.aprof_drms import AprofDrmsTool
@@ -102,15 +97,6 @@ def check_engine(engine: str) -> None:
         )
 
 
-#: ceiling on the inter-retry backoff sleep, seconds
-_MAX_BACKOFF = 5.0
-
-#: private RNG for backoff jitter.  Jitter only paces retries — it must
-#: never draw from (and thereby perturb) the global ``random`` stream,
-#: which seeded workloads and experiment scripts rely on for
-#: reproducibility.  OS-entropy seeded: pacing needs no determinism.
-_jitter_rng = random.Random()
-
 #: factories for the six tools of Table 1, in the paper's column order
 DEFAULT_TOOLS: Dict[str, Callable[[], AnalysisTool]] = {
     "nulgrind": Nulgrind,
@@ -135,35 +121,6 @@ class ToolMeasurement:
     #: this tool's own replay time (``wall_time`` minus the shared
     #: record time)
     replay_time: float = 0.0
-
-
-@dataclass(frozen=True)
-class Degradation:
-    """One self-healing action the measurement pipeline had to take.
-
-    ``stage`` is where the problem surfaced (``parallel-replay`` or
-    ``serial-replay``), ``attempt`` which try failed, and ``action``
-    what the supervisor did about it (``retried``, ``serial-fallback``
-    or ``excluded``)."""
-
-    stage: str
-    tool: str
-    attempt: int
-    reason: str
-    action: str
-
-    def as_dict(self) -> dict:
-        """The report spelling shared by every JSON surface (overhead,
-        sweep, service job reports).  ``tool`` doubles as the cell id
-        for sweep/service stages — the key is named ``unit`` here so
-        the consumer does not have to guess."""
-        return {
-            "stage": self.stage,
-            "unit": self.tool,
-            "attempt": self.attempt,
-            "reason": self.reason,
-            "action": self.action,
-        }
 
 
 @dataclass
@@ -344,166 +301,6 @@ def _replay_worker_shm(
         view.release()
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down even when a worker is wedged: cancel what can be
-    cancelled, then terminate the worker processes outright.  Without
-    this a single stuck replay would hang ``shutdown(wait=True)``
-    forever."""
-    processes = list(getattr(pool, "_processes", {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-    for process in processes:
-        process.join(timeout=5)
-
-
-def _replay_all_supervised(
-    tools: Dict[str, Callable[[], AnalysisTool]],
-    payload: bytes,
-    repeats: int,
-    workers: int,
-    timeout: float,
-    max_retries: int,
-    backoff_base: float,
-    engine: str = DEFAULT_ENGINE,
-) -> Tuple[Dict[str, Tuple[float, int]], List[Degradation]]:
-    """Replay every tool in worker processes under supervision.
-
-    The serialised trace lives in one shared-memory segment for the
-    whole call (every tool, every retry round); tasks pickle a factory
-    and a segment name, and the process-wide warm pool
-    (:func:`repro.tools.pool.get_pool`) serves every round instead of
-    forking a fresh executor each time.  Transient failures — a replay
-    exceeding ``timeout``, a worker dying and breaking the pool — are
-    retried up to ``max_retries`` times with exponential backoff plus
-    jitter (the pool heals between rounds).  A tool that exhausts its
-    retries, or fails for a deterministic reason (its factory cannot be
-    pickled, its replay raises), is left out of the returned results
-    for the caller's serial fallback.  Every decision is recorded as a
-    :class:`Degradation`.  Never raises, never hangs, never leaks a
-    segment.
-    """
-    results: Dict[str, Tuple[float, int]] = {}
-    degradations: List[Degradation] = []
-    attempts: Dict[str, int] = {name: 0 for name in tools}
-    pending: Dict[str, Callable[[], AnalysisTool]] = dict(tools)
-    shared = None
-    if shm_available():
-        try:
-            shared = SharedTrace(payload)
-        except Exception:
-            shared = None
-    pool = get_pool()
-    round_no = 0
-    try:
-        while pending and round_no <= max_retries:
-            round_no += 1
-            if round_no > 1:
-                # exponential backoff with jitter before healing the
-                # pool (jitter only shifts pacing, never results)
-                delay = backoff_base * 2.0 ** (round_no - 2)
-                delay = min(
-                    delay + _jitter_rng.uniform(0, backoff_base), _MAX_BACKOFF
-                )
-                time.sleep(delay)
-            try:
-                pool.ensure(min(workers, len(pending)))
-                if shared is not None:
-                    futures = {
-                        name: pool.submit(
-                            _replay_worker_shm,
-                            factory,
-                            shared.name,
-                            shared.size,
-                            repeats,
-                            engine,
-                        )
-                        for name, factory in pending.items()
-                    }
-                else:
-                    futures = {
-                        name: pool.submit(
-                            _replay_worker, factory, payload, repeats, engine
-                        )
-                        for name, factory in pending.items()
-                    }
-            except Exception as exc:  # no fork/spawn available at all
-                for name in pending:
-                    degradations.append(
-                        Degradation(
-                            "parallel-replay",
-                            name,
-                            attempts[name] + 1,
-                            f"pool unavailable: {type(exc).__name__}: {exc}",
-                            "serial-fallback",
-                        )
-                    )
-                return results, degradations
-            stuck = False
-            for name, future in futures.items():
-                try:
-                    results[name] = future.result(timeout=timeout)
-                    del pending[name]
-                except FutureTimeoutError:
-                    attempts[name] += 1
-                    stuck = True
-                    exhausted = attempts[name] > max_retries
-                    if exhausted:
-                        # Retry budget spent: hand the tool to the
-                        # caller's serial fallback *now*.  Leaving it
-                        # in ``pending`` would resubmit it next round,
-                        # contradicting the ``serial-fallback`` record
-                        # below.
-                        del pending[name]
-                    degradations.append(
-                        Degradation(
-                            "parallel-replay",
-                            name,
-                            attempts[name],
-                            f"replay exceeded {timeout:g}s timeout",
-                            "serial-fallback" if exhausted else "retried",
-                        )
-                    )
-                except BrokenProcessPool as exc:
-                    attempts[name] += 1
-                    exhausted = attempts[name] > max_retries
-                    if exhausted:
-                        del pending[name]
-                    degradations.append(
-                        Degradation(
-                            "parallel-replay",
-                            name,
-                            attempts[name],
-                            f"worker pool broke: {exc}",
-                            "serial-fallback" if exhausted else "retried",
-                        )
-                    )
-                except Exception as exc:
-                    # A deterministic failure (unpicklable factory, a
-                    # tool raising on the trace): retrying in a process
-                    # cannot help — go straight to the serial fallback.
-                    attempts[name] = max_retries + 1
-                    del pending[name]
-                    degradations.append(
-                        Degradation(
-                            "parallel-replay",
-                            name,
-                            1,
-                            f"{type(exc).__name__}: {exc}",
-                            "serial-fallback",
-                        )
-                    )
-            if stuck:
-                # A wedged worker cannot be left warm; the next round's
-                # ensure() respawns the pool.
-                pool.terminate()
-    finally:
-        if shared is not None:
-            shared.unlink()
-    return results, degradations
-
-
 def measure_workload(
     name: str,
     build: Callable[[], Machine],
@@ -523,12 +320,13 @@ def measure_workload(
     ``parallel=N`` replays the recorded trace under the tools in ``N``
     supervised worker processes instead of serially; results are
     identical because every replay consumes the same recorded batch.
-    Each parallel replay gets ``replay_timeout`` seconds and up to
-    ``max_retries`` retries (exponential backoff starting at
-    ``backoff_base`` seconds, with jitter) before degrading to serial
-    replay; a tool failing even serially is excluded.  Self-healing
-    actions are reported in ``.degradations`` — the call itself never
-    hangs or raises on worker trouble.
+    Each round of parallel replays has ``replay_timeout`` seconds per
+    wave of ``parallel`` tools, and a tool gets up to ``max_retries``
+    retries (exponential backoff starting at ``backoff_base`` seconds,
+    with jitter) before degrading to serial replay; a tool failing even
+    serially is excluded (see :func:`repro.tools.pool.supervise`).
+    Self-healing actions are reported in ``.degradations`` — the call
+    itself never hangs or raises on worker trouble.
 
     ``partitions`` switches partition-capable tools (those with a
     ``partition_kind`` — aprof and aprof-drms) to *intra-trace*
@@ -631,21 +429,37 @@ def measure_workload(
         workload=name,
         mode="parallel" if supervised else "serial",
     ):
+        attempts: Dict[str, int] = {}
         if supervised:
-            replays, degradations = _replay_all_supervised(
-                {
-                    tool_name: factory
-                    for tool_name, factory in tools.items()
-                    if tool_name not in partition_tools
-                },
-                payload,
-                repeats,
-                parallel,
-                replay_timeout,
-                max_retries,
-                backoff_base,
-                engine,
-            )
+            # The trace lives in one shared-memory segment for every
+            # tool and retry round; tasks pickle a factory and the
+            # segment name (or, without shm, the payload itself).
+            shared = share_trace(payload)
+            tasks = {
+                tool_name: (
+                    (_replay_worker, (factory, payload, repeats, engine))
+                    if shared is None
+                    else (
+                        _replay_worker_shm,
+                        (factory, shared.name, shared.size, repeats, engine),
+                    )
+                )
+                for tool_name, factory in tools.items()
+                if tool_name not in partition_tools
+            }
+            try:
+                _unfinished, attempts, degradations = supervise(
+                    tasks,
+                    stage="parallel-replay",
+                    workers=parallel,
+                    timeout=replay_timeout,
+                    max_retries=max_retries,
+                    backoff_base=backoff_base,
+                    on_result=replays.__setitem__,
+                )
+            finally:
+                if shared is not None:
+                    shared.unlink()
         if partition_tools:
             from repro.tools.partition import replay_partitioned
         for tool_name, kind in partition_tools.items():
@@ -701,7 +515,7 @@ def measure_workload(
                         Degradation(
                             "serial-replay",
                             tool_name,
-                            1,
+                            attempts.get(tool_name, 0) + 1,
                             f"{type(exc).__name__}: {exc}",
                             "excluded",
                         )

@@ -96,6 +96,31 @@ class TestSupervisedReplay:
         ]
         assert timeouts and timeouts[-1].action == "serial-fallback"
 
+    def test_hung_workers_share_one_round_deadline(self):
+        """Regression: each future used to get its own timeout, so two
+        tools wedged in the same round cost two timeouts back to back.
+        One round waits against one shared deadline."""
+        tools = {"hang-a": WorkerHangTool, "hang-b": WorkerHangTool}
+        start = time.monotonic()
+        measurement = measure_workload(
+            "pc",
+            build,
+            tools=tools,
+            parallel=2,
+            repeats=1,
+            replay_timeout=2.0,
+            max_retries=0,
+            backoff_base=0.01,
+        )
+        elapsed = time.monotonic() - start
+        assert elapsed < 3.5, f"two hung tools took {elapsed:.2f}s"
+        assert set(measurement.tools) == set(tools)
+        for name in tools:
+            rows = [d for d in measurement.degradations if d.tool == name]
+            assert [(d.action, "timeout" in d.reason) for d in rows] == [
+                ("serial-fallback", True)
+            ]
+
     def test_deterministic_failure_is_excluded_with_report(self):
         tools = {"nulgrind": Nulgrind, "broken": AlwaysRaisesTool}
         measurement = measure_workload(

@@ -169,6 +169,39 @@ class TestSupervision:
         assert parallel.degradations == []
         assert parallel.trends == serial.trends
 
+    def test_killed_cell_worker_retries_then_runs_inline(
+        self, tmp_path, monkeypatch
+    ):
+        """The pool worker running one named cell dies on every try: the
+        cell is retried, then falls back inline, and the sweep's trends
+        are still those of a serial sweep."""
+        from repro.tools.pool import KILL_ENV, active_segments
+
+        serial = run_sweep(config(tmp_path, store_root=str(tmp_path / "a")))
+        monkeypatch.setenv(KILL_ENV, "producer_consumer@s1")
+        killed = run_sweep(
+            config(
+                tmp_path,
+                store_root=str(tmp_path / "b"),
+                parallel=2,
+                max_retries=1,
+                backoff_base=0.01,
+            )
+        )
+        cells = {cell["cell"].id: cell for cell in killed.cells}
+        assert set(cells) == {cell["cell"].id for cell in serial.cells}
+        victim = cells["producer_consumer@s1"]
+        assert victim["completed_by"] == "inline"
+        assert victim["attempts"] == 3
+        rows = [
+            d
+            for d in killed.degradations
+            if d.tool == "producer_consumer@s1" and d.stage == "parallel-sweep"
+        ]
+        assert [d.action for d in rows] == ["retried", "serial-fallback"]
+        assert killed.trends == serial.trends
+        assert active_segments() == 0
+
     def test_unknown_workload_fails_before_any_work(self, tmp_path):
         with pytest.raises(KeyError):
             run_sweep(config(tmp_path, workloads=("nope",)))
