@@ -8,10 +8,16 @@ geometric mean across the subset, for both profilers (drms and rms).
 
 Unfused, the kernel dispatches one opcode per memory event; fused, it
 replays each stride-1 run superop with one leaf-segment
-classification plus a bulk slice stamp.  Fusion itself
-(:func:`repro.core.events.fuse_batch`) runs once per workload *outside*
-the timed region — exactly where the replay engines put it, since a
-stored columnar trace already carries its superops.
+classification plus a bulk slice stamp.
+
+A separate row replays the Figure 4 ``mysql_select`` trace, where half
+the events are syscall buffer fills (``kernelToUser``) that fuse into
+kernel-fill runs.  It stays out of the SPEC geomean and has its own
+floor: the fused drms kernel must reach **2.0x** its unfused rate.
+
+Fusion itself (:func:`repro.core.events.fuse_batch`) runs once per
+workload *outside* the timed region — exactly where the replay engines
+put it, since a stored columnar trace already carries its superops.
 
 Results are written to ``BENCH_kernel.json`` at the repo root so the
 README performance table and CI can track the ratio.  Also runnable
@@ -34,6 +40,9 @@ from repro.tools import geometric_mean
 from repro.workloads.registry import get_workload
 
 SPEC_SUBSET = ("md", "nab", "swim", "ilbdc")
+#: the kernel-fill row, outside the SPEC geomean
+FILL_WORKLOAD = "mysql_select"
+MIN_FILL_DRMS_SPEEDUP = 2.0
 THREADS = 8
 SCALE = 3
 MIN_SPEEDUP = 1.8
@@ -113,12 +122,11 @@ def run_suite(quick=False):
     scale = 2 if quick else SCALE
     workloads = {
         name: measure_workload_kernel(name, repeats, scale=scale)
-        for name in SPEC_SUBSET
+        for name in SPEC_SUBSET + (FILL_WORKLOAD,)
     }
-    drms_speedup = geometric_mean(
-        [w["drms_speedup"] for w in workloads.values()]
-    )
-    rms_speedup = geometric_mean([w["rms_speedup"] for w in workloads.values()])
+    spec = [workloads[name] for name in SPEC_SUBSET]
+    drms_speedup = geometric_mean([w["drms_speedup"] for w in spec])
+    rms_speedup = geometric_mean([w["rms_speedup"] for w in spec])
     results = {
         "suite": "specomp",
         "threads": THREADS,
@@ -133,6 +141,8 @@ def run_suite(quick=False):
         "geomean_drms_speedup": drms_speedup,
         "geomean_rms_speedup": rms_speedup,
         "min_required_speedup": MIN_SPEEDUP,
+        "fill_workload": FILL_WORKLOAD,
+        "min_required_fill_drms_speedup": MIN_FILL_DRMS_SPEEDUP,
     }
     RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
     return results
@@ -140,19 +150,20 @@ def run_suite(quick=False):
 
 def print_results(results):
     header = (
-        f"{'workload':>10} {'events':>9} {'fused':>6} {'run len':>8} "
+        f"{'workload':>12} {'events':>9} {'fused':>6} {'run len':>8} "
         f"{'drms speedup':>13} {'rms speedup':>12}"
     )
     print(header)
     for name, w in results["workloads"].items():
         print(
-            f"{name:>10} {w['events']:>9} {w['fused_fraction']:>5.0%} "
+            f"{name:>12} {w['events']:>9} {w['fused_fraction']:>5.0%} "
             f"{w['mean_run_length']:>8.1f} {w['drms_speedup']:>12.2f}x "
             f"{w['rms_speedup']:>11.2f}x"
         )
     print(
-        f"geomean speedup: drms {results['geomean_drms_speedup']:.2f}x, "
-        f"rms {results['geomean_rms_speedup']:.2f}x "
+        f"SPEC geomean speedup: drms {results['geomean_drms_speedup']:.2f}x, "
+        f"rms {results['geomean_rms_speedup']:.2f}x; "
+        f"{FILL_WORKLOAD} (kernel fills) is outside the geomean "
         f"(written to {RESULT_PATH.name})"
     )
 
@@ -173,6 +184,8 @@ def test_columnar_kernel_throughput(benchmark):
         assert w["rms_speedup"] > 1.0, name
     assert results["geomean_drms_speedup"] >= MIN_SPEEDUP
     assert results["geomean_rms_speedup"] >= MIN_SPEEDUP
+    fill = results["workloads"][FILL_WORKLOAD]
+    assert fill["drms_speedup"] >= MIN_FILL_DRMS_SPEEDUP
 
 
 if __name__ == "__main__":

@@ -66,7 +66,9 @@ __all__ = [
     "OP_THREAD_EXIT",
     "OP_READ_RUN",
     "OP_WRITE_RUN",
+    "OP_KFILL_RUN",
     "SUPEROP_NAMES",
+    "RUN_OPCODES",
     "OPCODE_BY_KIND",
     "KIND_BY_OPCODE",
     "OPCODE_NAMES",
@@ -321,29 +323,60 @@ OPCODE_NAMES = tuple(
 
 # -- fused superops ---------------------------------------------------------
 #
-# A run superop encodes N consecutive plain reads (or writes) by one
-# thread at stride-1 addresses ``args[i], args[i]+1, ..., args[i]+n-1``
-# with the run length ``n`` stored in ``costs[i]``.  Runs are capped so
-# they never cross a 64-cell leaf boundary (see :func:`fuse_batch`),
-# which lets the columnar kernel service a whole run with one leaf probe
-# and C-level array slices.  Superops are a *replay-side* encoding: they
-# carry no ``EventKind`` (``iter_events`` expands them back into plain
-# ``Read``/``Write`` dataclasses), the VM never emits them, and only
-# plain memory accesses fuse — ``userToKernel``/``kernelToUser`` bump
-# the profiler's global counter per cell, so collapsing those would
-# change renumbering timing and metrics snapshots.
+# A run superop encodes N consecutive plain reads, writes or kernel
+# fills (``kernelToUser``) by one thread at stride-1 addresses
+# ``args[i], args[i]+1, ..., args[i]+n-1`` with the run length ``n``
+# stored in ``costs[i]``.  Runs are capped so they never cross a
+# 64-cell leaf boundary (see :func:`fuse_batch`), which lets the
+# columnar kernel service a whole run with one leaf probe and C-level
+# array slices.  Superops are a *replay-side* encoding: they carry no
+# ``EventKind`` (``iter_events`` expands them back into the plain
+# dataclasses) and the VM never emits them.
+#
+# Reads and writes do not move the profiler's global counter, so every
+# cell of a read or write run executes at one timestamp.  A kernel fill
+# bumps the counter once per cell (Figure 9), so a fill run is an
+# arithmetic-progression stamp ``count+1 ... count+n`` of the global
+# write timestamps — exact unless renumbering falls inside the run, in
+# which case the kernel replays it cell by cell.  ``userToKernel`` never
+# fuses: what it means depends on the profiler policy (a read when
+# external input counts, nothing otherwise), so it stays a plain row.
 
 OP_READ_RUN = 11
 OP_WRITE_RUN = 12
+OP_KFILL_RUN = 13
 
 #: superop opcode -> debug name (kept out of OPCODE_NAMES, which is the
 #: VM-emitted wire vocabulary indexed by EventKind-backed opcodes)
-SUPEROP_NAMES = {OP_READ_RUN: "readRun", OP_WRITE_RUN: "writeRun"}
+SUPEROP_NAMES = {
+    OP_READ_RUN: "readRun",
+    OP_WRITE_RUN: "writeRun",
+    OP_KFILL_RUN: "kernelFillRun",
+}
 
-#: plain opcode -> its run superop, as an offset (``fuse_batch`` shifts
-#: whole opcode columns by it)
-_RUN_OFFSET = OP_READ_RUN - OP_READ
-assert OP_WRITE_RUN - OP_WRITE == _RUN_OFFSET
+#: plain opcode -> the run superop it fuses into; the one statement of
+#: what fuses, from which ``fuse_batch``, ``iter_events``,
+#: ``event_count`` and ``count_superops`` are derived
+RUN_OPCODES = {
+    OP_READ: OP_READ_RUN,
+    OP_WRITE: OP_WRITE_RUN,
+    OP_KERNEL_TO_USER: OP_KFILL_RUN,
+}
+assert set(RUN_OPCODES.values()) == set(SUPEROP_NAMES)
+
+#: run superop -> the dataclass of each event it stands for
+_RUN_EVENT = {
+    run: {OP_READ: Read, OP_WRITE: Write, OP_KERNEL_TO_USER: KernelToUser}[plain]
+    for plain, run in RUN_OPCODES.items()
+}
+
+#: opcode (as an unsigned byte) -> the run class it belongs to: a plain
+#: fusable opcode and its run superop share their run opcode (so a run
+#: superop is an opcode equal to its class), every other opcode is -1
+_RUN_CLASS = _np.full(256, -1, dtype=_np.int8)
+for _plain, _run in RUN_OPCODES.items():
+    _RUN_CLASS[_plain] = _RUN_CLASS[_run] = _run
+del _plain, _run
 
 #: legacy unchecksummed format (still readable)
 _BATCH_MAGIC_V1 = b"RPRB\x01"
@@ -461,11 +494,8 @@ class EventBatch:
     def event_count(self) -> int:
         """Logical event count: run superops weigh their run length, so a
         fused batch counts the same as its unfused original."""
-        n = len(self.ops)
-        for i, op in enumerate(self.ops):
-            if op == OP_READ_RUN or op == OP_WRITE_RUN:
-                n += self.costs[i] - 1
-        return n
+        runs, covered = count_superops(self)
+        return len(self.ops) - runs + covered
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EventBatch({len(self)} events, {len(self.names)} names)"
@@ -474,8 +504,8 @@ class EventBatch:
         """Decode back into dataclass events (the slow, generic path).
 
         Run superops are expanded into their individual ``Read``/
-        ``Write`` events, so generic consumers see fused and unfused
-        batches identically."""
+        ``Write``/``KernelToUser`` events, so generic consumers see
+        fused and unfused batches identically."""
         ops, threads, args, costs = self.ops, self.threads, self.args, self.costs
         names = self.names
         for i in range(len(ops)):
@@ -502,14 +532,10 @@ class EventBatch:
                 yield ThreadStart(threads[i], args[i])
             elif op == OP_THREAD_EXIT:
                 yield ThreadExit(threads[i])
-            elif op == OP_READ_RUN:
-                thread, base = threads[i], args[i]
+            elif op in _RUN_EVENT:
+                event, thread, base = _RUN_EVENT[op], threads[i], args[i]
                 for off in range(costs[i]):
-                    yield Read(thread, base + off)
-            elif op == OP_WRITE_RUN:
-                thread, base = threads[i], args[i]
-                for off in range(costs[i]):
-                    yield Write(thread, base + off)
+                    yield event(thread, base + off)
             else:
                 raise ValueError(f"unknown opcode {op} at index {i}")
 
@@ -691,48 +717,26 @@ class TraceEncoder:
     :meth:`append_event` with a dataclass event.  With a ``consumer``
     the encoder flushes a batch every ``flush_events`` appends and at
     :meth:`flush`; without one it simply records (``.batch`` grows
-    unboundedly — the record-once measurement mode).
-
-    With ``fuse=True`` consecutive plain reads (or writes) by the same
-    thread at stride-1 addresses within one ``1 << fuse_leaf_bits``-cell
-    leaf are collapsed into run superops at append time (see
-    :data:`OP_READ_RUN`); ``events_emitted`` still counts logical
-    events, and ``superops_fused`` counts the runs created.  Recording
-    encoders default to unfused so stored traces, event counts and
-    doctor output are unchanged; fusion is opted into by the columnar
-    replay path.
+    unboundedly — the record-once measurement mode).  Encoders never
+    fuse: run superops are made on the replay side by
+    :func:`fuse_batch`.
     """
 
     def __init__(
         self,
         consumer: Optional[Callable[["EventBatch"], None]] = None,
         flush_events: Optional[int] = 8192,
-        fuse: bool = False,
-        fuse_leaf_bits: int = 6,
     ) -> None:
         self.batch = EventBatch()
         self.consumer = consumer
         self.flush_events = flush_events if consumer is not None else None
         self.events_emitted = 0
-        self.superops_fused = 0
         #: execution-boundary hints recorded by :meth:`mark_boundary`
         #: (record mode): row indices where a section must end, handed
         #: to :meth:`EventBatch.to_bytes` so recorded traces are
         #: partition-friendly by construction
         self.boundaries: list = []
         self._ids = {}
-        self._fuse_leaf_bits = fuse_leaf_bits
-        # Trailing-row fusion state: opcode of the last appended row if
-        # it is extendable (-1 otherwise), plus the thread, the next
-        # expected address and the leaf tag a continuation must match.
-        self._tail_op = -1
-        self._tail_thread = 0
-        self._tail_next = 0
-        self._tail_leaf = -1
-        if fuse:
-            # Shadow the class method per instance so the unfused hot
-            # path pays nothing for the feature.
-            self.append = self._append_fusing  # type: ignore[method-assign]
         self._bind()
 
     def _bind(self) -> None:
@@ -762,40 +766,6 @@ class TraceEncoder:
         limit = self.flush_events
         if limit is not None and len(self.batch.ops) >= limit:
             self.flush()
-
-    def _append_fusing(
-        self, op: int, thread: int = 0, arg: int = 0, cost: int = 0
-    ) -> None:
-        """Fusing variant of :meth:`append` (installed when ``fuse=True``)."""
-        if op == OP_READ or op == OP_WRITE:
-            run_op = OP_READ_RUN if op == OP_READ else OP_WRITE_RUN
-            tail = self._tail_op
-            if (
-                (tail == op or tail == run_op)
-                and thread == self._tail_thread
-                and arg == self._tail_next
-                and (arg >> self._fuse_leaf_bits) == self._tail_leaf
-            ):
-                batch = self.batch
-                if tail == op:
-                    batch.ops[-1] = run_op
-                    batch.costs[-1] = 2
-                    self._tail_op = run_op
-                    self.superops_fused += 1
-                else:
-                    batch.costs[-1] += 1
-                self._tail_next = arg + 1
-                # No new row: the flush threshold is unchanged, and
-                # events_emitted stays the logical count.
-                self.events_emitted += 1
-                return
-            self._tail_op = op
-            self._tail_thread = thread
-            self._tail_next = arg + 1
-            self._tail_leaf = arg >> self._fuse_leaf_bits
-        else:
-            self._tail_op = -1
-        TraceEncoder.append(self, op, thread, arg, cost)
 
     def append_event(self, event: Event) -> None:
         """Encode one dataclass event (generic, non-hot path)."""
@@ -846,8 +816,6 @@ class TraceEncoder:
         # flushes so consumers may cache decoded names.
         self.batch = EventBatch(names=full.names)
         self._bind()
-        # The extendable trailing row (if any) just left with ``full``.
-        self._tail_op = -1
         self.consumer(full)
 
 
@@ -868,13 +836,14 @@ def decode_batch(batch: EventBatch) -> List[Event]:
 
 
 def fuse_batch(batch: EventBatch, leaf_bits: int = 6) -> EventBatch:
-    """Collapse stride-1 same-thread read/write runs into superops.
+    """Collapse stride-1 same-thread runs of one fusable opcode into
+    superops.
 
     Returns a new batch (the input is untouched) in which every maximal
-    run of consecutive plain ``read`` (resp. ``write``) rows by one
-    thread at addresses ``a, a+1, ...`` within a single
-    ``1 << leaf_bits``-cell leaf is replaced by one ``OP_READ_RUN``
-    (resp. ``OP_WRITE_RUN``) row carrying the base address in ``args``
+    run of consecutive plain ``read``, ``write`` or ``kernelToUser``
+    rows of one kind by one thread at addresses ``a, a+1, ...`` within
+    a single ``1 << leaf_bits``-cell leaf is replaced by one run
+    superop (:data:`RUN_OPCODES`) carrying the base address in ``args``
     and the run length in ``costs``.  ``iter_events`` of the fused
     batch yields exactly the events of the original, so fusion is
     invisible to every generic consumer; the leaf cap means the
@@ -897,14 +866,16 @@ def fuse_batch(batch: EventBatch, leaf_bits: int = 6) -> EventBatch:
     threads = _np.frombuffer(batch.threads, dtype=_np.int64)
     args = _np.frombuffer(batch.args, dtype=_np.int64)
     costs = _np.frombuffer(batch.costs, dtype=_np.int64)
-    prev_op, op = ops[:-1], ops[1:]
+    run_class = _RUN_CLASS.take(ops.view(_np.uint8))
+    in_class = run_class >= 0
+    is_run = in_class & (run_class == ops)
     prev_addr, addr = args[:-1], args[1:]
-    prev_run = (prev_op == OP_READ_RUN) | (prev_op == OP_WRITE_RUN)
     with _np.errstate(over="ignore"):
-        expected = prev_addr + _np.where(prev_run, costs[:-1], 1)
+        expected = prev_addr + _np.where(is_run[:-1], costs[:-1], 1)
     joins = (
-        ((op == OP_READ) | (op == OP_WRITE))
-        & ((prev_op == op) | (prev_op == op + _RUN_OFFSET))
+        in_class[1:]
+        & ~is_run[1:]
+        & (run_class[:-1] == run_class[1:])
         & (threads[1:] == threads[:-1])
         & (addr == expected)
         & ((addr >> leaf_bits) == (prev_addr >> leaf_bits))
@@ -916,9 +887,8 @@ def fuse_batch(batch: EventBatch, leaf_bits: int = 6) -> EventBatch:
         )
     heads = _np.flatnonzero(_np.concatenate(([True], ~joins)))
     extra = _np.append(heads[1:], n) - heads - 1  # followers per head
-    head_ops = ops[heads]
-    becomes_run = (extra > 0) & ((head_ops == OP_READ) | (head_ops == OP_WRITE))
-    f_ops = _np.where(becomes_run, head_ops + _RUN_OFFSET, head_ops)
+    becomes_run = (extra > 0) & ~is_run[heads]
+    f_ops = _np.where(becomes_run, run_class[heads], ops[heads])
     # A fresh run counts its rows; an input run grows by its followers.
     f_costs = _np.where(becomes_run, extra + 1, costs[heads] + extra)
     return EventBatch(
@@ -933,15 +903,11 @@ def fuse_batch(batch: EventBatch, leaf_bits: int = 6) -> EventBatch:
 def count_superops(batch: EventBatch) -> Tuple[int, int]:
     """``(runs, events_covered)`` for the run superops in ``batch`` —
     the observability hook behind the ``kernel.superops_fused`` gauge."""
-    runs = 0
-    covered = 0
-    ops, costs = batch.ops, batch.costs
-    for i in range(len(ops)):
-        op = ops[i]
-        if op == OP_READ_RUN or op == OP_WRITE_RUN:
-            runs += 1
-            covered += costs[i]
-    return runs, covered
+    ops = _np.frombuffer(batch.ops, dtype=_np.int8)
+    run_class = _RUN_CLASS.take(ops.view(_np.uint8))
+    runs = (run_class >= 0) & (run_class == ops)
+    covered = _np.frombuffer(batch.costs, dtype=_np.int64)[runs].sum()
+    return int(runs.sum()), int(covered)
 
 
 def scan_batch_bytes(data: bytes) -> TraceScan:

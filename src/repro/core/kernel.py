@@ -3,12 +3,13 @@
 This is the one fast replay path beside the paper-faithful scalar
 ``consume`` reference.  It consumes opcode-encoded
 :class:`~repro.core.events.EventBatch` columns, plain or carrying
-the two *run superops* (:data:`~repro.core.events.OP_READ_RUN` /
-:data:`~repro.core.events.OP_WRITE_RUN`) produced by
+the three *run superops* (:data:`~repro.core.events.OP_READ_RUN`,
+:data:`~repro.core.events.OP_WRITE_RUN` and
+:data:`~repro.core.events.OP_KFILL_RUN`) produced by
 :func:`~repro.core.events.fuse_batch`: a run of N same-thread stride-1
-reads or writes inside one shadow leaf costs one dispatch, one leaf
-probe and a handful of C-level ``array('q')`` slice operations instead
-of N of each.
+reads, writes or kernel fills inside one shadow leaf costs one
+dispatch, one leaf probe and a handful of C-level ``array('q')`` slice
+operations instead of N of each.
 
 Why fusion is safe (the Invariant 2 argument)
 ---------------------------------------------
@@ -27,9 +28,18 @@ pure function of the pre-run shadow state:
   decrements depend only on each cell's old timestamp, so the suffix
   sums of Invariant 2 come out identical to the scalar replay.
 
-``userToKernel``/``kernelToUser`` events are *never* fused: they bump
-the counter per cell (Figure 9), so collapsing them would change
-renumbering timing and every downstream timestamp.
+A **kernel-fill run** (a syscall filling a user buffer, Figure 9) is
+different: each ``kernelToUser`` cell bumps the global counter and then
+stamps ``wts``, so cell ``i`` of a run starting at counter ``count``
+gets ``count+1+i`` and source 0 (kernel).  That is an arithmetic
+progression, stamped per leaf segment with one slice of a cached ramp
+of counter values, after which ``count`` advances by N — exact unless
+renumbering falls inside the run (``count + N`` reaches the counter
+limit), in which case the kernel bumps, renumbers and stamps cell by
+cell so compaction happens at the same cell as in the scalar loop.
+The rms kernel, and drms with external input off, skip a fill run in
+one dispatch, as they skip a single ``kernelToUser``.
+``userToKernel`` events are not fused.
 
 Bulk fast paths
 ---------------
@@ -62,9 +72,12 @@ from __future__ import annotations
 from array import array
 from typing import Dict
 
+import numpy as _np
+
 from repro.core.events import (
     OP_CALL,
     OP_KERNEL_TO_USER,
+    OP_KFILL_RUN,
     OP_LOCK_ACQUIRE,
     OP_READ,
     OP_READ_RUN,
@@ -174,6 +187,14 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
     # Write-source template, keyed by the stored value (writer+1).
     src_val = -1
     src_leaf = None
+    # Kernel fills mark their cells kernel-written (source 0) and stamp
+    # consecutive counter values, sliced out of a ramp of ``ramp_span``
+    # values from ``ramp_base``, rebuilt (vectorised) when a fill leaves
+    # it — built lazily, so fill-free batches never pay for it.
+    zero_leaf = array("q", bytes(8 * leaf_size))
+    ramp_span = max(1024, leaf_size)
+    ramp_base = 0
+    ramp = array("q")
 
     for op, tid, arg, cost in zip(ops, batch.threads, batch.args, batch.costs):
         if op <= OP_WRITE or op == OP_READ_RUN or op == OP_WRITE_RUN:
@@ -613,6 +634,58 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                     wts_tag = tag
                 wts_chunk[arg & leaf_mask] = count
                 src_chunk[arg & leaf_mask] = 0
+        elif op == OP_KFILL_RUN:
+            runs_consumed += 1
+            if not external_input:
+                pass  # fills are invisible without external input
+            elif count + cost < limit_v:
+                # No renumbering inside the run: cell i of the fill gets
+                # count+1+i, exactly as per-cell bumps would stamp it.
+                a = arg
+                end = arg + cost
+                while a < end:
+                    tag = a >> leaf_bits
+                    off = a & leaf_mask
+                    m = leaf_size - off
+                    if m > end - a:
+                        m = end - a
+                    if tag != wts_tag:
+                        wts_chunk = wts.leaf_create(a)
+                        src_chunk = wsrc.leaf_create(a)
+                        wts_tag = tag
+                    lo = count + 1 - ramp_base
+                    if lo < 0 or lo + m > len(ramp):
+                        ramp_base = count + 1
+                        ramp = array(
+                            "q",
+                            _np.arange(
+                                ramp_base, ramp_base + ramp_span, dtype=_np.int64
+                            ).tobytes(),
+                        )
+                        lo = 0
+                    wts_chunk[off : off + m] = ramp[lo : lo + m]
+                    src_chunk[off : off + m] = (
+                        zero_leaf if m == leaf_size else zero_leaf[:m]
+                    )
+                    count += m
+                    a += m
+            else:
+                # Renumbering lands inside the run: bump, renumber and
+                # stamp cell by cell, as for a lone kernelToUser, so
+                # compaction happens at the exact cell.
+                for a in range(arg, arg + cost):
+                    count += 1
+                    if count >= limit_v:
+                        prof.count = count
+                        prof._renumber()
+                        count = prof.count
+                    tag = a >> leaf_bits
+                    if tag != wts_tag:
+                        wts_chunk = wts.leaf_create(a)
+                        src_chunk = wsrc.leaf_create(a)
+                        wts_tag = tag
+                    wts_chunk[a & leaf_mask] = count
+                    src_chunk[a & leaf_mask] = 0
         elif not OP_LOCK_ACQUIRE <= op <= OP_THREAD_EXIT:
             prof.count = count
             raise TypeError(f"unknown opcode {op}")
@@ -903,6 +976,8 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
                         top_drms = 0
         elif op == OP_SWITCH_THREAD:
             count += 1
+        elif op == OP_KFILL_RUN:
+            runs_consumed += 1  # kernel fills are invisible to rms
         elif not OP_CALL <= op <= OP_THREAD_EXIT:
             prof.count = count
             raise TypeError(f"unknown opcode {op}")

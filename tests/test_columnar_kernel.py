@@ -2,24 +2,27 @@
 
 Three contracts:
 
-* **Fusion is invisible.** ``fuse_batch`` (and encode-time fusion via
-  ``TraceEncoder(fuse=True)``) collapses stride-1 same-thread runs into
-  run superops, but ``iter_events`` expands them back to the identical
+* **Fusion is invisible.** ``fuse_batch`` collapses stride-1
+  same-thread runs of reads, writes and kernel fills into run
+  superops, but ``iter_events`` expands them back to the identical
   logical stream, ``event_count`` still counts logical events, and the
   binary serialisation round-trips fused batches unchanged.
 * **The columnar engine is invisible.** On arbitrary traces —
   including tiny counter limits that force renumbering mid-batch, and
-  fault-injected VM runs — ``consume_columnar`` over the fused batch
-  (and over the plain, unfused one) leaves exactly the same profiler
-  state as the scalar ``consume`` loop and the naive set-based oracle:
-  profiles, read-attribution splits, pending (partial) drms on the
-  shadow stacks and the full metrics snapshot.
+  fault-injected VM runs, and syscall-shaped traces whose kernel fills
+  cross leaves and renumbering points — ``consume_columnar`` over the
+  fused batch (and over the plain, unfused one) leaves exactly the same
+  profiler state as the scalar ``consume`` loop and the naive set-based
+  oracle: profiles, read-attribution splits, pending (partial) drms on
+  the shadow stacks and the full metrics snapshot.
 * **Caches survive compaction.** Renumbering rewrites shadow leaves in
   place, so the ``(tag, chunk)`` pairs the kernels keep in locals stay
   valid — leaf identity is asserted across a forced mid-batch renumber;
   ``begin_trace()`` instead swaps whole shadow objects, which the
   engines pick up because they re-read them on every call.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -32,21 +35,27 @@ from repro.core import (
     RmsProfiler,
 )
 from repro.core.events import (
+    OP_KFILL_RUN,
     OP_READ,
     OP_READ_RUN,
-    OP_WRITE,
     OP_WRITE_RUN,
+    SUPEROP_NAMES,
     Call,
     EventBatch,
+    KernelToUser,
     Read,
     Return,
+    ThreadExit,
+    ThreadStart,
     TraceEncoder,
+    UserToKernel,
     Write,
     count_superops,
     decode_batch,
     encode_events,
     fuse_batch,
 )
+from repro.core.tracing import with_switches
 from repro.core.tracefile import TraceFormatError, iter_section_batches
 from repro.tools import DEFAULT_TOOLS, replay_tool, replay_tool_streaming
 from repro.tools.base import AnalysisTool
@@ -72,12 +81,12 @@ def test_fuse_round_trips_and_counts_logical_events(events):
     assert len(fused.ops) <= len(batch.ops)
     runs, covered = count_superops(fused)
     assert runs == sum(
-        1 for op in fused.ops if op in (OP_READ_RUN, OP_WRITE_RUN)
+        1 for op in fused.ops if op in SUPEROP_NAMES
     )
     assert covered == sum(
         c
         for op, c in zip(fused.ops, fused.costs)
-        if op in (OP_READ_RUN, OP_WRITE_RUN)
+        if op in SUPEROP_NAMES
     )
 
 
@@ -90,24 +99,6 @@ def test_fuse_is_idempotent(events):
     assert again.args == fused.args
     assert again.costs == fused.costs
     assert again.threads == fused.threads
-
-
-@given(random_trace())
-@settings(max_examples=100, deadline=None)
-def test_encoder_fusion_matches_post_pass(events):
-    """Encode-time fusion (``TraceEncoder(fuse=True)``) must emit the
-    exact rows the post-pass produces."""
-    encoder = TraceEncoder(fuse=True)
-    for event in events:
-        encoder.append_event(event)
-    inline = encoder.batch
-    post = fuse_batch(encode_events(events))
-    assert inline.ops == post.ops
-    assert inline.args == post.args
-    assert inline.costs == post.costs
-    assert encoder.superops_fused == sum(
-        1 for op in inline.ops if op in (OP_READ_RUN, OP_WRITE_RUN)
-    )
 
 
 @given(random_trace())
@@ -274,6 +265,149 @@ def test_columnar_equivalence_under_fault_injection(seed, items):
     assert activation_sizes(columnar.profiles) == activation_sizes(
         oracle.profiles
     )
+
+
+# -- kernel fills -------------------------------------------------------------
+
+#: fill buffer bases: leaf-aligned, one short of a leaf end, mid-leaf
+_FILL_BASES = [0x40, 0x7F, 0x90, 0x13C, 0x1000]
+
+
+@st.composite
+def syscall_trace(draw, max_threads=3, max_syscalls=5):
+    """Syscall-shaped traces: each syscall fills a user buffer with a
+    ``kernelToUser`` event per cell (1-130 stride-1 cells, so fills
+    cross 64-cell leaves), then its routine reads part of the buffer.
+    Other threads write into the buffer between and in the middle of
+    fills, so fill runs are cut, and induced reads split between thread
+    and kernel sources.  Each thread keeps an outer ``session``
+    activation that may stay open, leaving partial drms pending."""
+    n_threads = draw(st.integers(1, max_threads))
+    n_syscalls = draw(st.integers(1, max_syscalls))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    events = [ThreadStart(t, 0 if t == 1 else 1) for t in range(1, n_threads + 1)]
+    events += [Call(t, "session") for t in range(1, n_threads + 1)]
+    for _ in range(n_syscalls):
+        t = rng.randint(1, n_threads)
+        base = rng.choice(_FILL_BASES)
+        length = rng.randint(1, 130)
+        events.append(Call(t, f"sys{rng.randint(0, 2)}"))
+        if rng.random() < 0.5:  # the buffer was touched before the fill
+            events.extend(Read(t, base + i) for i in range(0, length, 3))
+        cut = rng.randint(0, length)
+        events.extend(KernelToUser(t, base + i) for i in range(cut))
+        for u in range(1, n_threads + 1):
+            if u != t and rng.random() < 0.5:
+                lo = rng.randrange(length)
+                events.extend(
+                    Write(u, base + i)
+                    for i in range(lo, min(length, lo + rng.randint(1, 8)))
+                )
+        events.extend(KernelToUser(t, base + i) for i in range(cut, length))
+        if rng.random() < 0.3:
+            events.append(UserToKernel(t, base + rng.randrange(length)))
+        events.append(Call(t, "parse"))
+        lo = rng.randrange(length)
+        events.extend(
+            Read(t, base + i) for i in range(lo, rng.randint(lo + 1, length))
+        )
+        events.append(Return(t))
+        events.append(Return(t))
+    for t in range(1, n_threads + 1):
+        if rng.random() < 0.5:
+            events.append(Return(t))
+        events.append(ThreadExit(t))
+    return with_switches(events)
+
+
+def _pending(prof):
+    return {
+        t: [(e.rtn, e.ts, e.drms) for e in s.entries]
+        for t, s in prof.stacks.items()
+    }
+
+
+@given(
+    syscall_trace(),
+    st.sampled_from(ALL_POLICIES),
+    st.sampled_from([None, 7, 64]),
+)
+@settings(max_examples=120, deadline=None)
+def test_kernel_fill_runs_equal_unfused_scalar_and_oracle(
+    events, policy, counter_limit
+):
+    """Fill runs replay exactly: fused kernel = unfused kernel = scalar
+    loop = oracle, under every policy and with counter limits small
+    enough that renumbering lands inside a fill run."""
+    batch = encode_events(events)
+    fused = fuse_batch(batch)
+    columnar = DrmsProfiler(policy=policy, counter_limit=counter_limit)
+    unfused = DrmsProfiler(policy=policy, counter_limit=counter_limit)
+    scalar = DrmsProfiler(policy=policy, counter_limit=counter_limit)
+    oracle = NaiveDrmsProfiler(policy=policy)
+    columnar.consume_columnar(fused)
+    unfused.consume_columnar(batch)
+    scalar.run(events)
+    oracle.run(events)
+    assert columnar.metrics_snapshot() == scalar.metrics_snapshot()
+    assert unfused.metrics_snapshot() == scalar.metrics_snapshot()
+    assert _pending(columnar) == _pending(scalar)
+    assert _pending(unfused) == _pending(scalar)
+    assert profile_state(columnar.profiles) == profile_state(scalar.profiles)
+    assert activation_sizes(columnar.profiles) == activation_sizes(
+        oracle.profiles
+    )
+    columnar_counts = {
+        r: tuple(c) for r, c in columnar.read_counters.items() if any(c)
+    }
+    oracle_counts = {
+        r: tuple(c) for r, c in oracle.read_counters.items() if any(c)
+    }
+    assert columnar_counts == oracle_counts
+    assert columnar.space_cells() == scalar.space_cells()
+
+    rms_fused, rms_unfused, rms_scalar = RmsProfiler(), RmsProfiler(), RmsProfiler()
+    rms_fused.consume_columnar(fused)
+    rms_unfused.consume_columnar(batch)
+    rms_scalar.run(events)
+    assert rms_fused.metrics_snapshot() == rms_scalar.metrics_snapshot()
+    assert rms_unfused.metrics_snapshot() == rms_scalar.metrics_snapshot()
+    assert _pending(rms_fused) == _pending(rms_scalar)
+
+
+def test_kernel_fill_renumbers_at_the_exact_cell():
+    """A fill run that crosses the counter limit falls back to per-cell
+    stamping, so renumbering happens at the same cell as the scalar
+    loop (one leaf: a single run superop)."""
+    events = (
+        [Call(1, "f")]
+        + [KernelToUser(1, 0x40 + i) for i in range(64)]
+        + [Read(1, 0x40 + i) for i in range(64)]
+        + [Return(1)]
+    )
+    fused = fuse_batch(encode_events(events))
+    assert list(fused.ops).count(OP_KFILL_RUN) == 1
+    for limit in (None, 10, 30, 64, 66):
+        columnar = DrmsProfiler(policy=FULL_POLICY, counter_limit=limit)
+        scalar = DrmsProfiler(policy=FULL_POLICY, counter_limit=limit)
+        columnar.consume_columnar(fused)
+        scalar.run(events)
+        assert columnar.metrics_snapshot() == scalar.metrics_snapshot(), limit
+        assert columnar.count == scalar.count, limit
+        assert tuple(columnar.read_counters["f"]) == (0, 0, 64)
+
+
+def test_mysql_select_fuses_to_at_most_five_percent_of_rows():
+    """Figure 4's trace is half kernel fills; fused, the kernel loops
+    over at most 5% of its rows."""
+    from repro.workloads.registry import get_workload
+
+    machine = get_workload("mysql_select").build(threads=4, scale=1)
+    machine.run()
+    batch = encode_events(with_switches(machine.trace))
+    fused = fuse_batch(batch)
+    assert len(fused) <= 0.05 * len(batch)
+    assert fused.event_count() == len(batch)
 
 
 # -- cache safety across compaction and execution boundaries ------------------

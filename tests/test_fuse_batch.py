@@ -5,9 +5,10 @@ The loop is kept here as the reference (:func:`reference_fuse`): it is
 the readable statement of the fusion rule, one row and one tail state at
 a time.  The property covers the cases where a pairwise, wrapping int64
 formulation could drift from it: already-fused rows mixed with plain
-ones, runs crossing a leaf, every ``leaf_bits`` from 1 to 8, negative
-addresses, and ``INT64_MAX`` followed by ``INT64_MIN`` (``+1`` wraps in
-numpy, so only the leaf check keeps those apart).
+ones, reads, writes and kernel fills side by side, runs crossing a
+leaf, every ``leaf_bits`` from 1 to 8, negative addresses, and
+``INT64_MAX`` followed by ``INT64_MIN`` (``+1`` wraps in numpy, so only
+the leaf check keeps those apart).
 """
 
 from array import array
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core.events import (
     OP_CALL,
+    OP_KERNEL_TO_USER,
+    OP_KFILL_RUN,
     OP_READ,
     OP_READ_RUN,
     OP_RETURN,
@@ -29,6 +32,13 @@ from repro.core.events import (
 
 INT64_MAX = (1 << 63) - 1
 INT64_MIN = -(1 << 63)
+
+#: plain opcode -> the run superop it fuses into
+RUN_OF = {
+    OP_READ: OP_READ_RUN,
+    OP_WRITE: OP_WRITE_RUN,
+    OP_KERNEL_TO_USER: OP_KFILL_RUN,
+}
 
 
 def reference_fuse(batch: EventBatch, leaf_bits: int = 6) -> EventBatch:
@@ -43,10 +53,10 @@ def reference_fuse(batch: EventBatch, leaf_bits: int = 6) -> EventBatch:
     tail_leaf = -1
     for i in range(len(ops)):
         op = ops[i]
-        if op == OP_READ or op == OP_WRITE:
+        if op in RUN_OF:
             thread = threads[i]
             addr = args[i]
-            run_op = OP_READ_RUN if op == OP_READ else OP_WRITE_RUN
+            run_op = RUN_OF[op]
             if (
                 (tail_op == op or tail_op == run_op)
                 and thread == tail_thread
@@ -65,7 +75,7 @@ def reference_fuse(batch: EventBatch, leaf_bits: int = 6) -> EventBatch:
             tail_thread = thread
             tail_next = addr + 1
             tail_leaf = addr >> leaf_bits
-        elif op == OP_READ_RUN or op == OP_WRITE_RUN:
+        elif op in RUN_OF.values():
             tail_op = op
             tail_thread = threads[i]
             tail_next = args[i] + costs[i]
@@ -99,6 +109,13 @@ def columns(batch: EventBatch):
     )
 
 
+PLAIN_KINDS = {"read": OP_READ, "write": OP_WRITE, "k2u": OP_KERNEL_TO_USER}
+RUN_KINDS = {
+    "read_run": OP_READ_RUN,
+    "write_run": OP_WRITE_RUN,
+    "kfill_run": OP_KFILL_RUN,
+}
+
 _BASES = st.sampled_from(
     [0, 60, 63, -1, -70, 1 << 40, INT64_MAX - 3, INT64_MAX, INT64_MIN]
 )
@@ -107,7 +124,9 @@ _BASES = st.sampled_from(
 @st.composite
 def rows_strategy(draw):
     """Rows that mostly walk addresses by +1 (so runs form and cross
-    leaves), with jumps, thread changes, input runs and other opcodes."""
+    leaves), with jumps, thread changes, input runs and other opcodes;
+    reads, writes and kernel fills mix, so runs of one kind meet the
+    others' rows and runs."""
     rows = []
     addr = draw(_BASES)
     for _ in range(draw(st.integers(0, 40))):
@@ -115,7 +134,9 @@ def rows_strategy(draw):
             st.sampled_from(
                 ["read"] * 4
                 + ["write"] * 2
-                + ["read_run", "write_run", "call", "other", "jump", "wrap"]
+                + ["k2u"] * 2
+                + ["read_run", "write_run", "kfill_run"]
+                + ["call", "other", "jump", "wrap"]
             )
         )
         if kind == "jump":
@@ -128,11 +149,11 @@ def rows_strategy(draw):
         thread = draw(st.sampled_from([1, 1, 1, 2]))
         step = draw(st.sampled_from([1, 1, 1, 1, 0, 2, -1]))
         addr = min(INT64_MAX, max(INT64_MIN, addr + step))
-        if kind in ("read", "write"):
-            op = OP_READ if kind == "read" else OP_WRITE
+        if kind in PLAIN_KINDS:
+            op = PLAIN_KINDS[kind]
             rows.append((op, thread, addr, draw(st.sampled_from([0, 0, 5]))))
-        elif kind in ("read_run", "write_run"):
-            op = OP_READ_RUN if kind == "read_run" else OP_WRITE_RUN
+        elif kind in RUN_KINDS:
+            op = RUN_KINDS[kind]
             length = draw(st.integers(1, 8))
             rows.append((op, thread, addr, length))
             addr = min(INT64_MAX, addr + length - 1)

@@ -17,6 +17,7 @@ Three load-bearing properties:
   as it was found: no leaked segments, no orphan files.
 """
 
+import functools
 import os
 import signal
 import subprocess
@@ -194,6 +195,55 @@ def test_partitioned_over_shm_equals_serial_and_oracle(
     )
     assert read_counts(rep.profilers["drms"]) == read_counts(oracle)
     # residency cleanup: nothing left mapped or on disk
+    assert active_segments() == 0
+    assert shm_listing() == before
+
+
+@functools.lru_cache(maxsize=1)
+def _mysql_select_x4():
+    """Figure 4's ``mysql_select`` run ×4 with run boundaries — about
+    half its events are kernel fills — plus its serial scalar profiles
+    and the oracle's."""
+    from repro.core.tracing import with_switches
+    from repro.workloads.registry import get_workload
+
+    machine = get_workload("mysql_select").build(threads=4, scale=1)
+    machine.run()
+    run = with_switches(machine.trace)
+    events, bounds = concat_runs([run] * 4)
+    batch = encode_events(events)
+    payload = batch.to_bytes(boundaries=bounds)
+    serial_drms, serial_rms = serial_profilers(batch)
+    oracle = NaiveDrmsProfiler(policy=FULL_POLICY)
+    oracle.run(events)
+    return payload, serial_drms, serial_rms, oracle
+
+
+@pytest.mark.skipif(not shm_available(), reason="no working shared memory")
+@pytest.mark.parametrize("engine", ["scalar", "columnar"])
+@pytest.mark.parametrize("n_parts", [2, 3, 4])
+def test_fill_heavy_trace_partitioned_equals_serial_and_oracle(
+    force_pool, n_parts, engine
+):
+    payload, serial_drms, serial_rms, oracle = _mysql_select_x4()
+    before = shm_listing()
+    rep = replay_partitioned(
+        payload,
+        partitions=n_parts,
+        kinds=("drms", "rms"),
+        engine=engine,
+        workers=2,
+        timeout=120.0,
+    )
+    assert not rep.degradations
+    assert len(rep.plan.partitions) == n_parts
+    drms, rms = rep.profilers["drms"], rep.profilers["rms"]
+    assert drms.metrics_snapshot() == serial_drms.metrics_snapshot()
+    assert rms.metrics_snapshot() == serial_rms.metrics_snapshot()
+    assert profile_state(drms.profiles) == profile_state(serial_drms.profiles)
+    assert profile_state(drms.profiles) == profile_state(oracle.profiles)
+    assert read_counts(drms) == read_counts(oracle)
+    assert read_counts(oracle)["mysql_select"][2] > 0  # kernel-induced reads
     assert active_segments() == 0
     assert shm_listing() == before
 
