@@ -15,9 +15,9 @@ the events are syscall buffer fills (``kernelToUser``) that fuse into
 kernel-fill runs.  It stays out of the SPEC geomean and has its own
 floor: the fused drms kernel must reach **2.0x** its unfused rate.
 
-Fusion itself (:func:`repro.core.events.fuse_batch`) runs once per
-workload *outside* the timed region — exactly where the replay engines
-put it, since a stored columnar trace already carries its superops.
+The fused side replays the rows a stored trace carries: the trace
+writer fuses (``EventBatch.to_bytes``), and the rows are decoded once
+per workload *outside* the timed region — replay never fuses.
 
 Results are written to ``BENCH_kernel.json`` at the repo root so the
 README performance table and CI can track the ratio.  Also runnable
@@ -34,7 +34,7 @@ import time
 from pathlib import Path
 
 from repro.core import DrmsProfiler, FULL_POLICY
-from repro.core.events import count_superops, encode_events, fuse_batch
+from repro.core.events import EventBatch, count_superops, encode_events
 from repro.core.rms import RmsProfiler
 from repro.tools import geometric_mean
 from repro.workloads.registry import get_workload
@@ -78,7 +78,7 @@ def _median_pair(unfused_run, fused_run, repeats):
 def measure_workload_kernel(name, repeats, scale=SCALE):
     trace = record(name, scale=scale)
     batch = encode_events(trace)
-    fused = fuse_batch(batch)
+    fused = EventBatch.from_bytes(batch.to_bytes())
     runs, covered = count_superops(fused)
     n = len(trace)
 

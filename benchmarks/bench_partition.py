@@ -19,17 +19,17 @@ workers it must beat serial where the cores exist.  Second,
 wall-clock than collecting every shard first (``stream=False``) at 4
 workers, again gated only where ``os.cpu_count()`` permits.
 
-This PR adds the zero-copy claims.  With the v3 compact encoding the
-payload must stay at or under **8 bytes/event**; with shared-memory
-residency and the persistent warm pool (plus the parent replaying one
-partition itself), the 2-worker replay must be at least **1.0x**
+Then the zero-copy claims.  With the compact encoding the payload
+must stay at or under **8 bytes/event**; with shared-memory
+residency and the persistent warm pool, the 2-worker replay must be
+at least **1.0x**
 serial *even on a single-CPU box* — the historical failure mode was
 fork + pickle overhead making parallel replay a net loss there, and
 the whole point of warm workers over shm is that the overhead is gone.
 The artifact also carries a ``components`` decomposition of where a
 partitioned replay's time goes: ``dispatch`` (warm-pool task
 round-trip), ``transfer`` (shm segment create + attach), ``decode``
-(bytes to fused sections), ``replay`` (sections to profile), and
+(bytes to the stored fused sections), ``replay`` (sections to profile), and
 ``merge`` (shard fold), so a regression in any one layer is visible in
 isolation rather than smeared across the curve.
 
@@ -59,13 +59,7 @@ import time
 from pathlib import Path
 
 from repro.core import DrmsProfiler, FULL_POLICY
-from repro.core.events import (
-    Call,
-    Return,
-    SwitchThread,
-    encode_events,
-    fuse_batch,
-)
+from repro.core.events import Call, Return, SwitchThread, encode_events
 from repro.core.tracefile import iter_section_batches
 from repro.core.tracing import with_switches
 from repro.tools.partition import replay_partitioned
@@ -86,7 +80,7 @@ MIN_WARM_SPEEDUP_AT_2 = 1.0
 #: boundary-cut curve's 1.4x gate above subsumes this, but the floor is
 #: asserted by name so the claim survives any future retuning)
 MIN_WARM_SPEEDUP_AT_2_MULTICORE = 1.3
-#: v3 compact section encoding: the multi-run Figure 4 payload must
+#: compact fused section encoding: the multi-run Figure 4 payload must
 #: stay at or under this many stored bytes per event
 MAX_BYTES_PER_EVENT = 8.0
 #: per-thread carries cost seeding + fix-up work, so the monolithic
@@ -135,12 +129,13 @@ def build_payload(runs, monolithic=False):
 
 
 def serial_replay(payload):
-    """Bytes-to-profile streaming replay — the same section decoder,
-    fusion, and inline columnar kernel each partition worker runs,
-    minus the partitioning."""
+    """Bytes-to-profile streaming replay — the same section decoder
+    and inline columnar kernel each partition worker runs, minus the
+    partitioning.  The stored sections already carry their run
+    superops, so nothing is fused here."""
     profiler = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)
     for section in iter_section_batches(payload):
-        profiler.consume_columnar(fuse_batch(section))
+        profiler.consume_columnar(section)
     profiler.begin_trace()
     return profiler
 
@@ -209,12 +204,12 @@ def decompose(payload, repeats, merge_time):
     comps["transfer"] = _median(transfer, repeats)
 
     def decode():
-        for section in iter_section_batches(payload):
-            fuse_batch(section)
+        for _section in iter_section_batches(payload):
+            pass
 
     comps["decode"] = _median(decode, repeats)
 
-    fused = [fuse_batch(s) for s in iter_section_batches(payload)]
+    fused = list(iter_section_batches(payload))
 
     def replay():
         profiler = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)
@@ -410,7 +405,7 @@ def check_gates(results):
     # the compact encoding holds its byte budget, and the warm pool
     # over shm keeps 2-worker replay from ever losing to serial
     assert results["bytes_per_event"] <= MAX_BYTES_PER_EVENT, (
-        f"v3 payload {results['bytes_per_event']:.2f} B/event exceeds "
+        f"payload {results['bytes_per_event']:.2f} B/event exceeds "
         f"{MAX_BYTES_PER_EVENT} B/event budget"
     )
     # parity is asserted within the same noise tolerance the

@@ -210,32 +210,33 @@ def cmd_stats(args) -> int:
     superops_fused = [0]
     trace_totals = {"bytes": 0, "events": 0}
 
-    def counting(sink):
-        # Stats is the full-telemetry command: fold the v3 wire size of
-        # every batch into the encoding-efficiency gauge.
-        def wrapped(batch):
-            trace_totals["bytes"] += len(batch.to_bytes())
-            trace_totals["events"] += len(batch)
-            sink(batch)
+    from repro.core.events import count_superops, fuse_batch, write_rows
 
-        return wrapped
+    def stored_rows(batch):
+        # Stats is the full-telemetry command: fold the stored wire size
+        # of every batch into the encoding-efficiency gauge.  The rows
+        # it stores are the rows the columnar engine replays.
+        rows = fuse_batch(batch)
+        trace_totals["bytes"] += len(write_rows(rows))
+        trace_totals["events"] += len(batch)
+        return rows
 
     if args.engine == "columnar":
-        from repro.core.events import count_superops, fuse_batch
 
         def sink(batch):
-            fused = fuse_batch(batch)
-            superops_fused[0] += count_superops(fused)[0]
-            profiler.consume_columnar(fused)
+            rows = stored_rows(batch)
+            superops_fused[0] += count_superops(rows)[0]
+            profiler.consume_columnar(rows)
 
     else:
 
         def sink(batch):
+            stored_rows(batch)
             consume = profiler.consume
             for event in batch.iter_events():
                 consume(event)
 
-    machine.set_batch_sink(counting(sink))
+    machine.set_batch_sink(sink)
     with tracer.span("run", track="main", workload=name):
         machine.run()
     with tracer.span("publish", track="main"):
@@ -616,32 +617,13 @@ def cmd_trace(args) -> int:
         _print_metrics(registry, stream=sys.stderr)
     if args.save:
         if args.binary:
+            # The binary writer stores run superops: stride-1 same-thread
+            # runs collapse to one row each, and iter_events() expands
+            # them, so any consumer still sees the identical stream.
             from repro.core.tracefile import save_trace_binary
 
-            trace = machine.trace
-            if args.engine == "columnar":
-                # The columnar engine stores run superops: stride-1
-                # same-thread runs collapse to one row each, so the
-                # binary is smaller and replays straight into the
-                # columnar kernel.  iter_events() expands them, so any
-                # consumer still sees the identical logical stream.
-                from repro.core.events import (
-                    EventBatch,
-                    count_superops,
-                    encode_events,
-                    fuse_batch,
-                )
-
-                if not isinstance(trace, EventBatch):
-                    trace = encode_events(trace)
-                trace = fuse_batch(trace)
-                runs, covered = count_superops(trace)
-                print(
-                    f"fused {covered} event(s) into {runs} run superop(s)",
-                    file=sys.stderr,
-                )
             with open(args.save, "wb") as handle:
-                written = save_trace_binary(trace, handle)
+                written = save_trace_binary(machine.trace, handle)
         else:
             from repro.core.tracefile import save_trace
 
@@ -1591,7 +1573,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="collect VM telemetry and print the metrics table to stderr",
     )
-    add_engine_arg(p)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("report", help="full analysis report")

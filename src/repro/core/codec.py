@@ -1,5 +1,5 @@
-"""Compact v3 section codec: per-lane columnar deltas, width-tagged
-integer columns, and optional per-section zlib.
+"""Compact section codec (trace formats v3 and v4): per-lane columnar
+deltas, width-tagged integer columns, and optional per-section zlib.
 
 The v2 binary trace stores every event as 25 fixed bytes (1 opcode +
 three little-endian ``i64`` operands).  Real traces are massively
@@ -25,6 +25,10 @@ overflows.  Sections stay independently decodable — the delta chain
 resets per section — which is what keeps ranged partition decode and
 longest-valid-prefix recovery working on v3 exactly as on v2.
 
+The codec encodes *rows*.  Since v4 the rows are the writer's fused
+ones, so a run superop is one row whose cost lane holds the run length;
+the section header records how many logical events the rows stand for.
+
 Lane transforms use numpy when it is importable (``diff``/``cumsum``/
 ``astype`` are C loops) and fall back to pure Python otherwise; both
 paths produce identical bytes.
@@ -47,16 +51,23 @@ except Exception:  # pragma: no cover - numpy is present in CI images
 __all__ = [
     "FLAG_ZLIB",
     "SECTION_HEADER",
+    "SECTION_HEADER_V3",
     "SectionCodecError",
     "encode_section_payload",
     "decode_section_payload",
 ]
 
-#: v3 section header: ``u32 n_events | u8 flags | u32 calls |
-#: u32 returns | u32 enc_size`` — ``calls``/``returns`` are the opcode
-#: lane's OP_CALL/OP_RETURN counts, stored up front so the partition
+#: v4 section header: ``u32 rows | u32 events | u8 flags | u32 calls |
+#: u32 returns | u32 enc_size`` — ``events`` is the logical event count
+#: of the rows (a run superop weighs its length), so the partition
+#: planner balances events, not rows; ``calls``/``returns`` are the
+#: opcode lane's OP_CALL/OP_RETURN counts, stored up front so the
 #: planner can track call depth without decompressing any payload.
-SECTION_HEADER = struct.Struct("<IBIII")
+SECTION_HEADER = struct.Struct("<IIBIII")
+
+#: v3 section header (read only): the v4 header without ``events``,
+#: since every v3 row is one event
+SECTION_HEADER_V3 = struct.Struct("<IBIII")
 
 #: flags bit 0: the stored payload is zlib-compressed
 FLAG_ZLIB = 0x01
@@ -80,7 +91,7 @@ _I64_MAX = (1 << 63) - 1
 
 
 class SectionCodecError(ValueError):
-    """A v3 section payload does not decode (truncated column, bad lane
+    """A section payload does not decode (truncated column, bad lane
     tag, zlib damage).  CRC framing catches transport corruption first;
     this surfaces writer bugs and post-CRC impossibilities."""
 
@@ -214,11 +225,11 @@ def _decode_lane_python(buf, n: int, mode: int, width: int) -> array:
 def decode_section_payload(
     payload, n: int, flags: int
 ) -> Tuple[array, array, array, array]:
-    """Decode one v3 section payload back into the four lane arrays
+    """Decode one v3/v4 section payload back into the four lane arrays
     ``(ops 'b', threads 'q', args 'q', costs 'q')``.
 
     ``payload`` is the stored (possibly compressed) bytes; ``n`` the
-    event count from the section header.  Raises
+    row count from the section header.  Raises
     :class:`SectionCodecError` on any malformation — callers translate
     into their own integrity-error type with byte offsets.
     """

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import struct
-import sys
 import zlib
 from array import array
 from dataclasses import dataclass, field
@@ -26,13 +25,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as _np
 
-from repro.core.codec import (
-    FLAG_ZLIB,
-    SECTION_HEADER,
-    SectionCodecError,
-    decode_section_payload,
-    encode_section_payload,
-)
+from repro.core.codec import SECTION_HEADER, encode_section_payload
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
@@ -77,6 +70,9 @@ __all__ = [
     "encode_events",
     "decode_batch",
     "fuse_batch",
+    "fuse_segments",
+    "expand_runs",
+    "write_rows",
     "count_superops",
     "TraceIntegrityError",
     "TraceScan",
@@ -329,9 +325,12 @@ OPCODE_NAMES = tuple(
 # stored in ``costs[i]``.  Runs are capped so they never cross a
 # 64-cell leaf boundary (see :func:`fuse_batch`), which lets the
 # columnar kernel service a whole run with one leaf probe and C-level
-# array slices.  Superops are a *replay-side* encoding: they carry no
-# ``EventKind`` (``iter_events`` expands them back into the plain
-# dataclasses) and the VM never emits them.
+# array slices.  The VM records plain rows; the trace writer fuses them
+# (:func:`fuse_segments`), so stored traces carry superops and replay
+# decodes them straight into the kernel.  They carry no ``EventKind``:
+# ``iter_events`` expands them back into the plain dataclasses, and
+# :func:`expand_runs` back into plain rows for tools that know only
+# the plain opcodes.
 #
 # Reads and writes do not move the profiler's global counter, so every
 # cell of a read or write run executes at one timestamp.  A kernel fill
@@ -378,28 +377,52 @@ for _plain, _run in RUN_OPCODES.items():
     _RUN_CLASS[_plain] = _RUN_CLASS[_run] = _run
 del _plain, _run
 
-#: legacy unchecksummed format (still readable)
-_BATCH_MAGIC_V1 = b"RPRB\x01"
-#: fixed-width crash-safe format: CRC-guarded name table + 25-byte-per-
-#: event sections (still readable and writable via ``version=2``)
-_BATCH_MAGIC = b"RPRB\x02"
-#: current compact format: same header, per-lane delta/width-tagged
-#: columnar sections with optional per-section zlib (see
-#: :mod:`repro.core.codec`)
-_BATCH_MAGIC_V3 = b"RPRB\x03"
+#: opcode (as an unsigned byte) -> the opcode of the rows it expands to:
+#: a run superop's plain opcode, every other opcode itself
+_PLAIN_OF = _np.arange(256, dtype=_np.uint8).view(_np.int8).copy()
+for _plain, _run in RUN_OPCODES.items():
+    _PLAIN_OF[_run] = _plain
+del _plain, _run
 
-#: current binary trace format version (the ``RPRB\x03`` magic).  Cache
+
+def _run_mask(ops: array) -> "_np.ndarray":
+    """Which rows of an opcode column are run superops."""
+    ops = _np.frombuffer(ops, dtype=_np.int8)
+    run_class = _RUN_CLASS.take(ops.view(_np.uint8))
+    return (run_class >= 0) & (run_class == ops)
+
+#: magic of every readable binary trace format -> its version.  Only
+#: the current one is written; v2 (fixed 25-byte rows) and v3 (compact
+#: columnar rows, one row per event) stay readable, and both are the
+#: rows == events case of the current layout.
+_BATCH_MAGIC_V2 = b"RPRB\x02"
+_BATCH_MAGIC_V3 = b"RPRB\x03"
+#: current format: the v3 columnar sections, storing fused rows (run
+#: superops included) with each section's logical event count beside
+#: its row count (see :mod:`repro.core.codec`)
+_BATCH_MAGIC = b"RPRB\x04"
+_BATCH_MAGICS = {_BATCH_MAGIC_V2: 2, _BATCH_MAGIC_V3: 3, _BATCH_MAGIC: 4}
+
+#: current binary trace format version (the ``RPRB\x04`` magic).  Cache
 #: keys that address recorded traces must include it: a format bump
 #: invalidates every stored entry rather than mis-decoding it.
-TRACE_FORMAT_VERSION = 3
+TRACE_FORMAT_VERSION = 4
 
 #: bytes per event inside a v2 section payload (ops 1 + threads/args/costs 8)
 _EVENT_BYTES = 25
 
-#: events per v2 section when serialising (~25 KB sections — the CRC
-#: granularity, i.e. the most a single flipped bit or torn tail can
-#: cost; framing overhead is 12 bytes per section, under 0.05%)
-_SECTION_EVENTS = 1024
+#: rows per section when serialising — the CRC granularity, i.e. the
+#: most a single flipped bit or torn tail can cost
+_SECTION_ROWS = 1024
+
+#: logical events per section, as a multiple of its row cap (see
+#: :func:`write_rows`)
+_SECTION_WEIGHT = 4
+
+#: shadow-leaf width every stored run respects: a run never crosses a
+#: ``1 << _LEAF_BITS``-cell leaf, so the columnar kernel services it with
+#: one leaf probe (the decoder rejects a run that does)
+_LEAF_BITS = 6
 
 
 class TraceIntegrityError(ValueError):
@@ -417,10 +440,11 @@ class TraceIntegrityError(ValueError):
 class TraceScan:
     """Result of scanning a binary trace for its longest valid prefix.
 
-    ``batch`` holds every event from sections whose CRC verified, in
-    order; ``error`` carries the first integrity problem found (``None``
-    for a pristine trace).  ``intact`` is the doctor's verdict: no
-    errors *and* every declared event recovered."""
+    ``batch`` holds the stored rows (run superops included) of every
+    section that verified, in order; ``error`` carries the first
+    integrity problem found (``None`` for a pristine trace).
+    ``intact`` is the doctor's verdict: no errors *and* every declared
+    event recovered."""
 
     batch: "EventBatch"
     version: int
@@ -429,9 +453,8 @@ class TraceScan:
     sections_valid: int
     valid_bytes: int
     error: Optional[TraceIntegrityError] = field(default=None)
-    #: events salvaged from each CRC-verified section, in file order
-    #: (``sum(section_events) == events_loaded``); a v1 trace reads as
-    #: one all-or-nothing section
+    #: logical events salvaged from each verified section, in file
+    #: order (``sum(section_events) == events_loaded``)
     section_events: List[int] = field(default_factory=list)
     #: 0-based index of the section where the scan stopped (``None``
     #: when every section verified) — the count of valid sections
@@ -442,15 +465,6 @@ class TraceScan:
     @property
     def intact(self) -> bool:
         return self.error is None and self.events_loaded == self.declared_events
-
-
-def _native_le(arr: array) -> array:
-    """Return ``arr`` in little-endian byte order (copying only on
-    big-endian hosts, which are vanishingly rare)."""
-    if sys.byteorder == "big":  # pragma: no cover - exotic hardware
-        arr = array(arr.typecode, arr)
-        arr.byteswap()
-    return arr
 
 
 class EventBatch:
@@ -541,22 +555,17 @@ class EventBatch:
 
     # -- binary serialisation -------------------------------------------
     #
-    # Shared header (little-endian throughout):
+    # Header (little-endian throughout):
     #
-    #   magic "RPRB\x02" (v2) or "RPRB\x03" (v3)
+    #   magic "RPRB\x04"
     #   u32   names_size                # bytes of names payload
     #   bytes names payload             # u32 n_names, then (u32 len, utf8)*
     #   u32   crc32(names payload)
-    #   u64   declared event count
+    #   u64   declared event count      # logical events, runs expanded
     #
-    # v2 sections until EOF, each:
-    #     u64   n                       # events in this section
-    #     bytes payload                 # ops[n] ++ threads[8n] ++ args[8n]
-    #                                   #   ++ costs[8n]
-    #     u32   crc32(payload)
-    #
-    # v3 sections until EOF, each:
-    #     u32   n                       # events in this section
+    # then sections until EOF, each:
+    #     u32   rows                    # stored rows (run superops fused)
+    #     u32   events                  # logical events those rows stand for
     #     u8    flags                   # bit0: payload zlib-compressed
     #     u32   calls                   # OP_CALL count (planner shortcut)
     #     u32   returns                 # OP_RETURN count
@@ -564,18 +573,28 @@ class EventBatch:
     #     bytes payload                 # per-lane columns, see core.codec
     #     u32   crc32(stored payload)
     #
+    # The writer fuses (``fuse_segments``), so replay decodes run
+    # superops straight off the wire and never fuses.  Readers still
+    # accept v3 (the same sections without the ``events`` field) and v2
+    # (25-byte rows); both store one row per event.
+    #
     # A crashed writer leaves a truncated tail; a bad disk flips bits.
     # Either way every section is independently verifiable, so readers
     # recover the longest valid prefix instead of losing the whole run.
 
     def to_bytes(
         self,
-        section_events: int = _SECTION_EVENTS,
+        section_events: int = _SECTION_ROWS,
         boundaries: Iterable[int] = (),
-        version: int = TRACE_FORMAT_VERSION,
         compress: bool = True,
     ) -> bytes:
-        """Serialise to the crash-safe binary trace form.
+        """Serialise to the crash-safe binary trace form, fused.
+
+        Each boundary segment is fused into run superops separately
+        (:func:`fuse_segments`) and written by :func:`write_rows`, so
+        no run crosses an execution boundary or a section.
+        ``section_events`` caps the *rows* per section (and, fourfold,
+        its logical events).
 
         ``boundaries`` (optional, sorted or not) are event indices at
         which a section MUST end — a new section starts at each listed
@@ -584,73 +603,16 @@ class EventBatch:
         section boundary, which is what makes the trace partitionable
         by :func:`repro.core.tracefile.plan_partitions`.  Out-of-range
         indices are ignored; the default is the plain fixed-size
-        sectioning.
-
-        ``version`` selects the wire format: 3 (the default) writes the
-        compact per-lane columnar sections of :mod:`repro.core.codec`
-        (with per-section zlib unless ``compress=False``); 2 writes the
-        legacy fixed 25-bytes-per-event sections.  Readers accept both.
+        sectioning.  Sections are zlib-compressed unless
+        ``compress=False``.
         """
-        if section_events < 1:
-            raise ValueError("section_events must be >= 1")
-        if version not in (2, 3):
-            raise ValueError(f"unsupported trace format version {version}")
-        name_parts = [struct.pack("<I", len(self.names))]
-        for name in self.names:
-            raw = name.encode("utf-8")
-            name_parts.append(struct.pack("<I", len(raw)))
-            name_parts.append(raw)
-        names_payload = b"".join(name_parts)
-        n_events = len(self.ops)
-        parts = [
-            _BATCH_MAGIC if version == 2 else _BATCH_MAGIC_V3,
-            struct.pack("<I", len(names_payload)),
-            names_payload,
-            struct.pack("<I", zlib.crc32(names_payload)),
-            struct.pack("<Q", n_events),
-        ]
-        cuts = sorted({int(b) for b in boundaries if 0 < int(b) < n_events})
-        seg_lo = 0
-        for seg_hi in cuts + [n_events]:
-            for start in range(seg_lo, seg_hi, section_events):
-                stop = min(start + section_events, seg_hi)
-                if version == 2:
-                    payload = b"".join(
-                        _native_le(arr[start:stop]).tobytes()
-                        for arr in (
-                            self.ops,
-                            self.threads,
-                            self.args,
-                            self.costs,
-                        )
-                    )
-                    parts.append(struct.pack("<Q", stop - start))
-                else:
-                    ops_b = _native_le(self.ops[start:stop]).tobytes()
-                    flags, payload = encode_section_payload(
-                        ops_b,
-                        self.threads[start:stop],
-                        self.args[start:stop],
-                        self.costs[start:stop],
-                        compress=compress,
-                    )
-                    parts.append(
-                        SECTION_HEADER.pack(
-                            stop - start,
-                            flags,
-                            ops_b.count(OP_CALL),
-                            ops_b.count(OP_RETURN),
-                            len(payload),
-                        )
-                    )
-                parts.append(payload)
-                parts.append(struct.pack("<I", zlib.crc32(payload)))
-            seg_lo = seg_hi
-        return b"".join(parts)
+        rows, cuts = fuse_segments(self, boundaries)
+        return write_rows(rows, cuts, section_events, compress)
 
     @classmethod
     def from_bytes(cls, data: bytes, lenient: bool = False) -> "EventBatch":
-        """Deserialise a binary trace (v1 or v2).
+        """Deserialise a binary trace into its stored rows (run
+        superops included; :meth:`iter_events` expands them).
 
         Strict mode (the default) raises :class:`TraceIntegrityError` on
         any truncation or CRC mismatch.  ``lenient=True`` returns the
@@ -662,52 +624,6 @@ class EventBatch:
             raise scan.error
         return scan.batch
 
-    @classmethod
-    def _from_bytes_v1(cls, data: bytes) -> "EventBatch":
-        """Parse the legacy v1 layout (no checksums, all-or-nothing)."""
-        pos = len(_BATCH_MAGIC_V1)
-        try:
-            (n_names,) = struct.unpack_from("<I", data, pos)
-            pos += 4
-            names: List[str] = []
-            for _ in range(n_names):
-                (length,) = struct.unpack_from("<I", data, pos)
-                pos += 4
-                raw = data[pos : pos + length]
-                if len(raw) != length:
-                    raise TraceIntegrityError(
-                        "truncated name table entry", pos
-                    )
-                names.append(raw.decode("utf-8"))
-                pos += length
-            (n_events,) = struct.unpack_from("<Q", data, pos)
-            pos += 8
-        except struct.error as exc:
-            raise TraceIntegrityError(
-                f"truncated v1 header: {exc}", pos
-            ) from exc
-        except UnicodeDecodeError as exc:
-            raise TraceIntegrityError(
-                f"corrupt name table: {exc}", pos
-            ) from exc
-        arrays = []
-        for typecode in ("b", "q", "q", "q"):
-            arr = array(typecode)
-            size = n_events * arr.itemsize
-            chunk = data[pos : pos + size]
-            if len(chunk) != size:
-                raise TraceIntegrityError(
-                    f"truncated v1 event arrays: expected {size} bytes "
-                    f"for the {typecode!r} array, found {len(chunk)}",
-                    pos,
-                )
-            arr.frombytes(chunk)
-            if sys.byteorder == "big":  # pragma: no cover
-                arr.byteswap()
-            arrays.append(arr)
-            pos += size
-        return cls(*arrays, names=names)
-
 
 class TraceEncoder:
     """Append-only builder of :class:`EventBatch` slices.
@@ -718,8 +634,7 @@ class TraceEncoder:
     the encoder flushes a batch every ``flush_events`` appends and at
     :meth:`flush`; without one it simply records (``.batch`` grows
     unboundedly — the record-once measurement mode).  Encoders never
-    fuse: run superops are made on the replay side by
-    :func:`fuse_batch`.
+    fuse: the trace writer makes run superops (:func:`fuse_segments`).
     """
 
     def __init__(
@@ -835,7 +750,7 @@ def decode_batch(batch: EventBatch) -> List[Event]:
     return list(batch.iter_events())
 
 
-def fuse_batch(batch: EventBatch, leaf_bits: int = 6) -> EventBatch:
+def fuse_batch(batch: EventBatch, leaf_bits: int = _LEAF_BITS) -> EventBatch:
     """Collapse stride-1 same-thread runs of one fusable opcode into
     superops.
 
@@ -859,9 +774,40 @@ def fuse_batch(batch: EventBatch, leaf_bits: int = 6) -> EventBatch:
     are the output.  Address sums wrap in int64, but a wrap flips the
     sign and so the leaf check (an arithmetic shift) rejects it.
     """
+    return _fuse(batch, leaf_bits, ())[0]
+
+
+def fuse_segments(
+    batch: EventBatch, boundaries: Iterable[int] = ()
+) -> Tuple[EventBatch, List[int]]:
+    """Fuse each boundary segment of ``batch`` separately: the rows the
+    trace writer stores.
+
+    ``boundaries`` are event indices where a segment starts (the
+    recording's execution boundaries; out-of-range ones are ignored).
+    No run crosses one.  Returns ``(rows, row_boundaries)``, with each
+    kept boundary mapped to the index of the row it now starts at — the
+    ``boundaries`` argument of :func:`write_rows`.  A caller that both
+    replays and writes a recording fuses once here and hands the same
+    rows to both.
+    """
+    n = len(batch.ops)
+    cuts = sorted({int(b) for b in boundaries if 0 < int(b) < n})
+    rows, heads = _fuse(batch, _LEAF_BITS, cuts)
+    if heads is None:  # nothing fused: rows are events
+        return rows, cuts
+    return rows, _np.searchsorted(heads, cuts).tolist()
+
+
+def _fuse(
+    batch: EventBatch, leaf_bits: int, cuts: List[int]
+) -> Tuple[EventBatch, Optional["_np.ndarray"]]:
+    """The fusion pass behind :func:`fuse_batch`; no row joins the row
+    before an index in ``cuts``.  Returns the fused batch and the input
+    index of each output row (``None`` when no row fused)."""
     n = len(batch.ops)
     if n == 0:
-        return EventBatch(names=batch.names)
+        return EventBatch(names=batch.names), None
     ops = _np.frombuffer(batch.ops, dtype=_np.int8)
     threads = _np.frombuffer(batch.threads, dtype=_np.int64)
     args = _np.frombuffer(batch.args, dtype=_np.int64)
@@ -880,10 +826,15 @@ def fuse_batch(batch: EventBatch, leaf_bits: int = 6) -> EventBatch:
         & (addr == expected)
         & ((addr >> leaf_bits) == (prev_addr >> leaf_bits))
     )
+    if cuts:
+        joins[_np.asarray(cuts) - 1] = False
     if not joins.any():
-        return EventBatch(
-            batch.ops[:], batch.threads[:], batch.args[:], batch.costs[:],
-            names=batch.names,
+        return (
+            EventBatch(
+                batch.ops[:], batch.threads[:], batch.args[:], batch.costs[:],
+                names=batch.names,
+            ),
+            None,
         )
     heads = _np.flatnonzero(_np.concatenate(([True], ~joins)))
     extra = _np.append(heads[1:], n) - heads - 1  # followers per head
@@ -891,11 +842,44 @@ def fuse_batch(batch: EventBatch, leaf_bits: int = 6) -> EventBatch:
     f_ops = _np.where(becomes_run, run_class[heads], ops[heads])
     # A fresh run counts its rows; an input run grows by its followers.
     f_costs = _np.where(becomes_run, extra + 1, costs[heads] + extra)
-    return EventBatch(
+    fused = EventBatch(
         array("b", f_ops.tobytes()),
         array("q", threads[heads].tobytes()),
         array("q", args[heads].tobytes()),
         array("q", f_costs.tobytes()),
+        names=batch.names,
+    )
+    return fused, heads
+
+
+def expand_runs(batch: EventBatch) -> EventBatch:
+    """The plain rows a batch stands for: each run superop becomes its
+    run of plain ``read``/``write``/``kernelToUser`` rows (the inverse
+    of :func:`fuse_batch`, vectorised).
+
+    This is the one step between stored rows and the tools whose
+    ``consume_batch`` loops know only plain opcodes.  A batch with no
+    run superop is returned as is."""
+    runs = _run_mask(batch.ops)
+    if not runs.any():
+        return batch
+    costs = _np.frombuffer(batch.costs, dtype=_np.int64)
+    reps = _np.where(runs, costs, 1)
+    ends = _np.cumsum(reps)
+    starts = ends - reps  # output index of each row's first expansion
+    # cell ``j`` of a run at ``base`` is ``base + (j - start)``; int64
+    # wraps identically on both sides
+    e_args = _np.repeat(
+        _np.frombuffer(batch.args, dtype=_np.int64) - starts, reps
+    ) + _np.arange(ends[-1], dtype=_np.int64)
+    ops = _np.frombuffer(batch.ops, dtype=_np.uint8)
+    return EventBatch(
+        array("b", _np.repeat(_PLAIN_OF.take(ops), reps).tobytes()),
+        array("q", _np.repeat(
+            _np.frombuffer(batch.threads, dtype=_np.int64), reps
+        ).tobytes()),
+        array("q", e_args.tobytes()),
+        array("q", _np.repeat(_np.where(runs, 0, costs), reps).tobytes()),
         names=batch.names,
     )
 
@@ -903,150 +887,141 @@ def fuse_batch(batch: EventBatch, leaf_bits: int = 6) -> EventBatch:
 def count_superops(batch: EventBatch) -> Tuple[int, int]:
     """``(runs, events_covered)`` for the run superops in ``batch`` —
     the observability hook behind the ``kernel.superops_fused`` gauge."""
-    ops = _np.frombuffer(batch.ops, dtype=_np.int8)
-    run_class = _RUN_CLASS.take(ops.view(_np.uint8))
-    runs = (run_class >= 0) & (run_class == ops)
+    runs = _run_mask(batch.ops)
     covered = _np.frombuffer(batch.costs, dtype=_np.int64)[runs].sum()
     return int(runs.sum()), int(covered)
+
+
+def write_rows(
+    rows: EventBatch,
+    boundaries: Iterable[int] = (),
+    section_rows: int = _SECTION_ROWS,
+    compress: bool = True,
+) -> bytes:
+    """Serialise ``rows`` as they are — the one trace writer.
+
+    ``rows`` is normally the output of :func:`fuse_segments` and
+    ``boundaries`` its row boundaries: a section ends at each one,
+    after ``section_rows`` rows, and before it would hold more than
+    ``4 * section_rows`` logical events.  Each section header records its
+    row count and the logical event count of those rows, and the file
+    header the logical total, so planners and doctors count events
+    whatever the fusion.  :meth:`EventBatch.to_bytes` is this applied
+    to :func:`fuse_segments` of a recording.
+    """
+    if section_rows < 1:
+        raise ValueError("rows per section must be >= 1")
+    name_parts = [struct.pack("<I", len(rows.names))]
+    for name in rows.names:
+        raw = name.encode("utf-8")
+        name_parts.append(struct.pack("<I", len(raw)))
+        name_parts.append(raw)
+    names_payload = b"".join(name_parts)
+    n_rows = len(rows.ops)
+    # logical events before each row (a run weighs its length)
+    weights = _np.where(
+        _run_mask(rows.ops), _np.frombuffer(rows.costs, dtype=_np.int64), 1
+    )
+    weight_sums = _np.concatenate(([0], _np.cumsum(weights)))
+    parts = [
+        _BATCH_MAGIC,
+        struct.pack("<I", len(names_payload)),
+        names_payload,
+        struct.pack("<I", zlib.crc32(names_payload)),
+        struct.pack("<Q", int(weight_sums[-1])),
+    ]
+    # A section also ends once it holds ``_SECTION_WEIGHT`` times its
+    # row cap in events: fused rows stand for up to 64 events each, and
+    # sections are the cut points the partition planner balances by
+    # events, so a section must bound replay work as well as rows.
+    event_cap = _SECTION_WEIGHT * section_rows
+    cuts = sorted({int(b) for b in boundaries if 0 < int(b) < n_rows})
+    seg_lo = 0
+    for seg_hi in cuts + [n_rows]:
+        start = seg_lo
+        while start < seg_hi:
+            by_events = int(
+                _np.searchsorted(
+                    weight_sums, weight_sums[start] + event_cap, "right"
+                )
+            ) - 1
+            stop = min(start + section_rows, seg_hi, max(by_events, start + 1))
+            ops_b = rows.ops[start:stop].tobytes()
+            flags, payload = encode_section_payload(
+                ops_b,
+                rows.threads[start:stop],
+                rows.args[start:stop],
+                rows.costs[start:stop],
+                compress=compress,
+            )
+            parts.append(
+                SECTION_HEADER.pack(
+                    stop - start,
+                    int(weight_sums[stop] - weight_sums[start]),
+                    flags,
+                    ops_b.count(OP_CALL),
+                    ops_b.count(OP_RETURN),
+                    len(payload),
+                )
+            )
+            parts.append(payload)
+            parts.append(struct.pack("<I", zlib.crc32(payload)))
+            start = stop
+        seg_lo = seg_hi
+    return b"".join(parts)
 
 
 def scan_batch_bytes(data: bytes) -> TraceScan:
     """Scan a binary trace, recovering its longest valid prefix.
 
-    Never raises on malformed input: the verdict — including the first
+    A fold over the section decoder of :mod:`repro.core.tracefile`:
+    every section that decodes and verifies is kept, in order, and the
+    first that does not ends the scan.  Never raises on malformed
+    input: the verdict — including the first
     :class:`TraceIntegrityError` found, if any — is in the returned
     :class:`TraceScan`.  ``repro doctor`` is a thin CLI over this."""
+    from repro.core.tracefile import (
+        TraceFormatError,
+        _decode_section,
+        _parse_batch_header,
+    )
+
     empty = EventBatch()
-    if data[: len(_BATCH_MAGIC_V1)] == _BATCH_MAGIC_V1:
-        # v1 has no checksums or sections: all-or-nothing.
-        try:
-            batch = EventBatch._from_bytes_v1(data)
-        except TraceIntegrityError as exc:
-            return TraceScan(empty, 1, 0, 0, 0, 0, exc, error_section=0)
-        return TraceScan(
-            batch, 1, len(batch), len(batch), 1, len(data),
-            section_events=[len(batch)],
-        )
-    if data[: len(_BATCH_MAGIC)] == _BATCH_MAGIC:
-        version = 2
-    elif data[: len(_BATCH_MAGIC_V3)] == _BATCH_MAGIC_V3:
-        version = 3
-    else:
-        return TraceScan(
-            empty, 0, 0, 0, 0, 0,
-            TraceIntegrityError("not a binary trace: bad magic", 0),
-        )
-
-    pos = len(_BATCH_MAGIC)
-    total = len(data)
-
-    def bad(message: str, offset: int) -> TraceScan:
-        return TraceScan(
-            empty, version, 0, 0, 0, 0, TraceIntegrityError(message, offset)
-        )
-
-    # -- name table (one CRC guards the whole payload) -------------------
-    if total - pos < 4:
-        return bad("truncated header: missing name-table size", pos)
-    (names_size,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    names_payload = data[pos : pos + names_size]
-    if len(names_payload) != names_size or total - pos - names_size < 4:
-        return bad("truncated name table", pos)
-    pos += names_size
-    (names_crc,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    if zlib.crc32(names_payload) != names_crc:
-        return bad("name table CRC mismatch", pos - 4)
-    names: List[str] = []
+    version = _BATCH_MAGICS.get(bytes(data[: len(_BATCH_MAGIC)]), 0)
     try:
-        (n_names,) = struct.unpack_from("<I", names_payload, 0)
-        off = 4
-        for _ in range(n_names):
-            (length,) = struct.unpack_from("<I", names_payload, off)
-            off += 4
-            raw = names_payload[off : off + length]
-            if len(raw) != length:
-                raise struct.error("name overruns payload")
-            names.append(raw.decode("utf-8"))
-            off += length
-    except (struct.error, UnicodeDecodeError) as exc:
-        return bad(f"corrupt name table: {exc}", pos - 4 - names_size)
-    if total - pos < 8:
-        return bad("truncated header: missing event count", pos)
-    (declared,) = struct.unpack_from("<Q", data, pos)
-    pos += 8
-
-    # -- sections: accept every one whose CRC verifies, stop at the ------
-    # -- first that does not ----------------------------------------------
+        version, names, declared, pos = _parse_batch_header(data)
+    except TraceFormatError as exc:
+        return TraceScan(
+            empty, version, 0, 0, 0, 0,
+            TraceIntegrityError(str(exc), exc.offset),
+        )
     arrays = (array("b"), array("q"), array("q"), array("q"))
     loaded = 0
-    sections_valid = 0
-    valid_bytes = pos
     section_events: List[int] = []
     error: Optional[TraceIntegrityError] = None
-    header_size = 8 if version == 2 else SECTION_HEADER.size
+    total = len(data)
     while pos < total and loaded < declared:
-        if total - pos < header_size:
-            error = TraceIntegrityError("truncated section header", pos)
-            break
-        if version == 2:
-            (n,) = struct.unpack_from("<Q", data, pos)
-            flags = 0
-            payload_size = n * _EVENT_BYTES
-        else:
-            n, flags, _calls, _rets, payload_size = SECTION_HEADER.unpack_from(
-                data, pos
+        try:
+            events, *columns, next_pos = _decode_section(
+                data, pos, version, declared - loaded
             )
-        if n == 0 or n > declared - loaded:
-            error = TraceIntegrityError(
-                f"implausible section event count {n}", pos
-            )
+        except TraceFormatError as exc:
+            error = TraceIntegrityError(str(exc), exc.offset)
             break
-        if total - pos - header_size < payload_size + 4:
-            error = TraceIntegrityError(
-                f"truncated section ({n} events declared)", pos
-            )
-            break
-        payload = data[pos + header_size : pos + header_size + payload_size]
-        (crc,) = struct.unpack_from("<I", data, pos + header_size + payload_size)
-        if zlib.crc32(payload) != crc:
-            error = TraceIntegrityError("section CRC mismatch", pos)
-            break
-        if version == 2:
-            off = 0
-            for arr in arrays:
-                width = arr.itemsize
-                chunk = array(arr.typecode)
-                chunk.frombytes(payload[off : off + n * width])
-                if sys.byteorder == "big":  # pragma: no cover
-                    chunk.byteswap()
-                arr.extend(chunk)
-                off += n * width
-        else:
-            try:
-                columns = decode_section_payload(payload, n, flags)
-            except SectionCodecError as exc:
-                error = TraceIntegrityError(
-                    f"corrupt section encoding: {exc}", pos
-                )
-                break
-            for arr, col in zip(arrays, columns):
-                arr.extend(col)
-        loaded += n
-        sections_valid += 1
-        section_events.append(n)
-        pos += header_size + payload_size + 4
-        valid_bytes = pos
+        for arr, col in zip(arrays, columns):
+            arr.extend(col)
+        loaded += events
+        section_events.append(events)
+        pos = next_pos
     if error is None and loaded < declared:
         error = TraceIntegrityError(
             f"trace truncated: {loaded} of {declared} events recovered", pos
         )
     if error is None and pos != total:
         error = TraceIntegrityError("trailing bytes after final section", pos)
-    batch = EventBatch(*arrays, names=names)
     return TraceScan(
-        batch, version, declared, loaded, sections_valid, valid_bytes, error,
+        EventBatch(*arrays, names=names), version, declared, loaded,
+        len(section_events), pos, error,
         section_events=section_events,
-        error_section=sections_valid if error is not None else None,
+        error_section=len(section_events) if error is not None else None,
     )

@@ -40,17 +40,24 @@ from array import array
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
+import numpy as _np
+
 from repro.core.codec import (
     FLAG_ZLIB,
     SECTION_HEADER,
+    SECTION_HEADER_V3,
     SectionCodecError,
     decode_section_payload,
 )
 from repro.core.events import (
     _BATCH_MAGIC,
-    _BATCH_MAGIC_V1,
-    _BATCH_MAGIC_V3,
+    _BATCH_MAGICS,
     _EVENT_BYTES,
+    _LEAF_BITS,
+    KIND_BY_OPCODE,
+    OP_CALL,
+    OP_RETURN,
+    SUPEROP_NAMES,
     TRACE_FORMAT_VERSION,
     Call,
     Event,
@@ -197,18 +204,21 @@ def iter_trace(stream: IO[str]) -> Iterator[Event]:
 def save_trace_binary(
     trace: Union[EventBatch, Iterable[Event]], stream: IO[bytes]
 ) -> int:
-    """Write a trace in the binary opcode format; returns events written.
+    """Write a trace in the binary opcode format; returns the logical
+    events written.
 
-    Accepts either an already-encoded :class:`EventBatch` (zero-copy
-    path) or any iterable of dataclass events.
+    Accepts either an already-encoded :class:`EventBatch` (plain or
+    fused rows) or any iterable of dataclass events; the writer fuses
+    either way (:meth:`EventBatch.to_bytes`).
     """
     batch = trace if isinstance(trace, EventBatch) else encode_events(trace)
     stream.write(batch.to_bytes())
-    return len(batch)
+    return batch.event_count()
 
 
 def load_batch(stream: IO[bytes], strict: bool = True) -> EventBatch:
-    """Read a binary trace back as an :class:`EventBatch` (fast path).
+    """Read a binary trace back as an :class:`EventBatch` of its stored
+    rows (fast path; run superops included).
 
     ``strict`` (the default) raises :class:`TraceFormatError` — with a
     byte-offset context, never a raw ``struct.error`` — on truncation or
@@ -237,25 +247,25 @@ def scan_trace(stream: IO[bytes]) -> TraceScan:
 # -- streaming zero-copy decode ----------------------------------------------
 #
 # ``load_batch`` materialises the whole trace before the first event is
-# profiled.  ``iter_section_batches`` instead turns a v2/v3 trace into a
+# profiled.  ``iter_section_batches`` instead turns a trace into a
 # stream of per-section batches whose columns are decoded straight off
 # ``memoryview`` slices of the CRC-checked section payload (no per-event
 # object, no intermediate byte copies beyond the column buffers
-# themselves).  Replay loops pull one section, fuse it once and feed it
-# to every profiler inline: decode is GIL-bound, so a reader thread
-# could not overlap it with the kernels anyway.
+# themselves).  The batches are the stored rows — fused by the writer —
+# so replay loops feed each section to every profiler inline, as is:
+# decode is GIL-bound, so a reader thread could not overlap it with the
+# kernels anyway.  ``_decode_section`` is the one section parser: the
+# scanner (``scan_batch_bytes``), the ranged replay iterator and the
+# planner's carry snapshots all go through it.
 
 
 def _parse_batch_header(data) -> Tuple[int, List[str], int, int]:
-    """Decode the shared v2/v3 header: returns ``(version, names,
+    """Decode the trace header: returns ``(version, names,
     declared_events, body_start)`` where ``body_start`` is the byte
     offset of the first section header.  Raises
     :class:`TraceFormatError` on damage."""
-    if data[: len(_BATCH_MAGIC)] == _BATCH_MAGIC:
-        version = 2
-    elif data[: len(_BATCH_MAGIC_V3)] == _BATCH_MAGIC_V3:
-        version = 3
-    else:
+    version = _BATCH_MAGICS.get(bytes(data[: len(_BATCH_MAGIC)]))
+    if version is None:
         raise TraceFormatError("not a binary trace: bad magic", 0)
     view = memoryview(data)
     total = len(data)
@@ -295,36 +305,118 @@ def _parse_batch_header(data) -> Tuple[int, List[str], int, int]:
     return version, names, declared, pos
 
 
+#: section header bytes per format version
+_SECTION_HEADER_SIZE = {
+    2: 8,
+    3: SECTION_HEADER_V3.size,
+    4: SECTION_HEADER.size,
+}
+
+
 def _read_section_header(
-    data, pos: int, version: int
-) -> Tuple[int, int, int, int, int, int]:
-    """Parse one section header at ``pos``; returns ``(n, flags, calls,
-    returns, payload_size, header_size)``.  For v2, ``calls``/
-    ``returns`` come back as -1 (unknown without reading the opcode
-    lane) and ``flags`` as 0.  The caller is responsible for bounds
-    checks before and after."""
+    data, pos: int, version: int, remaining: Optional[int] = None
+) -> Tuple[int, int, int, int, int, int, int]:
+    """Parse and sanity-check one section header at ``pos``; returns
+    ``(rows, events, flags, calls, returns, payload_size,
+    header_size)``.
+
+    Raises :class:`TraceFormatError` when the header or its payload
+    and CRC run past the end of ``data``, or when the counts are
+    implausible: no rows, fewer events than rows, or more events than
+    ``remaining`` (the events the file header has left to declare).
+    v2 and v3 store one row per event; v2 has no stored call/return
+    counts, so they are counted off its raw opcode lane."""
+    total = len(data)
+    header_size = _SECTION_HEADER_SIZE[version]
+    if total - pos < header_size:
+        raise TraceFormatError("truncated section header", pos)
     if version == 2:
-        (n,) = struct.unpack_from("<Q", data, pos)
-        return n, 0, -1, -1, n * _EVENT_BYTES, 8
-    n, flags, calls, rets, enc_size = SECTION_HEADER.unpack_from(data, pos)
-    return n, flags, calls, rets, enc_size, SECTION_HEADER.size
+        (rows,) = struct.unpack_from("<Q", data, pos)
+        events, flags, payload_size = rows, 0, rows * _EVENT_BYTES
+        lane = bytes(data[pos + 8 : pos + 8 + rows])
+        calls, rets = lane.count(OP_CALL), lane.count(OP_RETURN)
+    elif version == 3:
+        rows, flags, calls, rets, payload_size = SECTION_HEADER_V3.unpack_from(
+            data, pos
+        )
+        events = rows
+    else:
+        rows, events, flags, calls, rets, payload_size = (
+            SECTION_HEADER.unpack_from(data, pos)
+        )
+    if rows == 0 or events < rows or (
+        remaining is not None and events > remaining
+    ):
+        raise TraceFormatError(
+            f"implausible section event count {events}", pos
+        )
+    if total - pos - header_size < payload_size + 4:
+        raise TraceFormatError(
+            f"truncated section ({events} events declared)", pos
+        )
+    return rows, events, flags, calls, rets, payload_size, header_size
+
+
+#: the opcodes are dense: the plain ones from 0, then the run superops
+#: up to the last opcode a writer stores
+_FIRST_RUN_OPCODE = min(SUPEROP_NAMES)
+_LAST_OPCODE = max(SUPEROP_NAMES)
+assert sorted(KIND_BY_OPCODE) + sorted(SUPEROP_NAMES) == list(
+    range(_LAST_OPCODE + 1)
+)
+
+
+def _check_rows(
+    ops: array, args: array, costs: array, events: int, pos: int
+) -> None:
+    """Reject decoded rows no writer produces: an unknown opcode, a run
+    superop shorter than one cell or crossing a shadow leaf, or rows
+    whose summed weights (a run weighs its length) differ from the
+    section header's event count.  The columnar kernel trusts all
+    three."""
+    op_u8 = _np.frombuffer(ops, dtype=_np.uint8)
+    if op_u8.max() > _LAST_OPCODE:
+        raise TraceFormatError("unknown opcode in section", pos)
+    runs = op_u8 >= _FIRST_RUN_OPCODE
+    spans = _np.frombuffer(costs, dtype=_np.int64)[runs] - 1
+    weight = len(ops)
+    if len(spans):
+        # a run covers ``base .. base + span`` with ``0 <= span < 64``
+        # in one leaf; int64 wraps, but a wrap flips the sign bit, so
+        # the leaf test still fails
+        bases = _np.frombuffer(args, dtype=_np.int64)[runs]
+        moved = (bases ^ (bases + spans)) >> _LEAF_BITS
+        if ((spans >> _LEAF_BITS) | moved).any():
+            raise TraceFormatError(
+                "run superop shorter than one cell or crossing a shadow leaf",
+                pos,
+            )
+        weight += int(spans.sum())
+    if weight != events:
+        raise TraceFormatError(
+            f"section rows weigh {weight} events, header says {events}", pos
+        )
 
 
 def _decode_section(
-    data, pos: int, version: int, verify: bool = True
+    data,
+    pos: int,
+    version: int,
+    remaining: Optional[int] = None,
+    verify: bool = True,
 ) -> Tuple[int, array, array, array, array, int]:
     """Decode the section at ``pos`` into its four lane arrays; returns
-    ``(n, ops, threads, args, costs, next_pos)``.  ``verify`` checks
-    the payload CRC first (ranged replay must; the planner's carry
-    snapshots may skip it and let the workers' checked decode fail
-    later).  Raises :class:`TraceFormatError` at the point of damage.
+    ``(events, ops, threads, args, costs, next_pos)`` where ``events``
+    is the logical event count of the decoded rows.  ``remaining``
+    bounds the plausible event count (see :func:`_read_section_header`).
+    ``verify`` checks the payload CRC first (ranged replay must; the
+    planner's carry snapshots may skip it and let the workers' checked
+    decode fail later).  Raises :class:`TraceFormatError` at the point
+    of damage.
     """
-    total = len(data)
-    n, flags, _calls, _rets, payload_size, header_size = _read_section_header(
-        data, pos, version
+    rows, events, flags, _calls, _rets, payload_size, header_size = (
+        _read_section_header(data, pos, version, remaining)
     )
-    if total - pos - header_size < payload_size + 4:
-        raise TraceFormatError(f"truncated section ({n} events declared)", pos)
     view = memoryview(data)
     payload = view[pos + header_size : pos + header_size + payload_size]
     if verify:
@@ -337,20 +429,24 @@ def _decode_section(
         for typecode in ("b", "q", "q", "q"):
             col = array(typecode)
             width = col.itemsize
-            col.frombytes(payload[off : off + n * width])
+            col.frombytes(payload[off : off + rows * width])
             if sys.byteorder == "big":  # pragma: no cover - exotic hardware
                 col.byteswap()
             columns.append(col)
-            off += n * width
+            off += rows * width
         ops, threads, args, costs = columns
     else:
         try:
-            ops, threads, args, costs = decode_section_payload(payload, n, flags)
+            ops, threads, args, costs = decode_section_payload(
+                payload, rows, flags
+            )
         except SectionCodecError as exc:
             raise TraceFormatError(
                 f"corrupt section encoding: {exc}", pos
             ) from exc
-    return n, ops, threads, args, costs, pos + header_size + payload_size + 4
+    _check_rows(ops, args, costs, events, pos)
+    next_pos = pos + header_size + payload_size + 4
+    return events, ops, threads, args, costs, next_pos
 
 
 def iter_section_batches(
@@ -361,13 +457,14 @@ def iter_section_batches(
     """Yield one :class:`EventBatch` per CRC-verified section of a
     binary trace, decoding zero-copy off a ``memoryview``.
 
-    Sections are the CRC granularity of the v2 format (~1024 events),
-    so the first batch is ready after touching ~25 KB regardless of
+    Each batch holds the section's stored rows, run superops included
+    (:func:`repro.core.events.expand_runs` gives the plain rows).
+    Sections are the CRC granularity (at most 1024 rows as written),
+    so the first batch is ready after touching a few KB regardless of
     trace size.  The shared intern table is decoded once and referenced
     by every yielded batch.  Raises :class:`TraceFormatError` at the
     point of damage (events of previously yielded sections stand — the
-    longest-valid-prefix contract of the scanner, streamed).  A v1
-    trace degrades to a single all-or-nothing batch.
+    longest-valid-prefix contract of the scanner, streamed).
 
     ``start``/``end`` restrict decoding to the byte range of a
     :class:`TracePartition` (section-header to past-final-CRC offsets
@@ -375,41 +472,23 @@ def iter_section_batches(
     replay just their slice of a shared trace; the header is still
     parsed for the intern table, and the declared-event total is not
     enforced for a sub-range (the partition carries its own count).
-    A v1 trace cannot be sub-ranged.
     """
-    if data[: len(_BATCH_MAGIC_V1)] == _BATCH_MAGIC_V1:
-        if start is not None or end is not None:
-            raise TraceFormatError("v1 traces have no sections to sub-range", 0)
-        yield EventBatch._from_bytes_v1(data)
-        return
     version, names, declared, body_start = _parse_batch_header(data)
-    total = len(data)
     ranged = start is not None or end is not None
     pos = body_start if start is None else start
-    stop = total if end is None else end
-    if pos < body_start or stop > total or pos > stop:
+    stop = len(data) if end is None else end
+    if pos < body_start or stop > len(data) or pos > stop:
         raise TraceFormatError(
             f"partition range [{pos}, {stop}) outside trace body", pos
         )
-
-    header_size = 8 if version == 2 else SECTION_HEADER.size
+    # a sub-range ends at ``stop``: decode as if the data did too
+    view = memoryview(data)[:stop]
     loaded = 0
     while pos < stop and (ranged or loaded < declared):
-        if stop - pos < header_size:
-            raise TraceFormatError("truncated section header", pos)
-        n, _flags, _c, _r, payload_size, _hs = _read_section_header(
-            data, pos, version
+        events, ops, threads, args, costs, pos = _decode_section(
+            view, pos, version, declared if ranged else declared - loaded
         )
-        if n == 0 or (not ranged and n > declared - loaded) or n > declared:
-            raise TraceFormatError(f"implausible section event count {n}", pos)
-        if stop - pos - header_size < payload_size + 4:
-            raise TraceFormatError(
-                f"truncated section ({n} events declared)", pos
-            )
-        _n, ops, threads, args, costs, pos = _decode_section(
-            data, pos, version
-        )
-        loaded += n
+        loaded += events
         yield EventBatch(ops, threads, args, costs, names=names)
     if not ranged and loaded < declared:
         raise TraceFormatError(
@@ -423,7 +502,7 @@ def iter_section_batches(
 #
 # One big trace is the last serial bottleneck of a sweep: every cell's
 # replay walks its sections in order on one core.  ``plan_partitions``
-# turns the v2 section framing into an embarrassingly parallel job by
+# turns the section framing into an embarrassingly parallel job by
 # finding byte offsets where the trace can be cut WITHOUT changing any
 # profiler's answer, and balancing event counts across the cuts.  The
 # safety argument (DESIGN.md §12 and §15, condensed): a boundary where
@@ -441,9 +520,6 @@ def iter_section_batches(
 # and only when a chosen cut actually lands mid-activation.
 
 
-_OP_CALL_BYTE = 0
-_OP_RETURN_BYTE = 1
-
 #: a thread's carried stack, bottom-to-top: ``(seq, routine, call_cost)``
 #: per live activation, where ``seq`` is the thread-local call ordinal —
 #: the stable cross-partition activation identity ``(thread, seq)``.
@@ -454,12 +530,13 @@ CarryIn = Tuple[Tuple[int, CarryStack], ...]
 
 @dataclass(frozen=True)
 class TracePartition:
-    """One byte-range of a v2 trace, replayable in isolation.
+    """One byte-range of a binary trace, replayable in isolation.
 
     ``start``/``end`` delimit whole sections (``start`` is a section
     header offset, ``end`` is one past a section CRC) and are valid
     ``iter_section_batches`` range arguments.  ``events`` is the exact
-    event count of the range (from section headers, not an estimate).
+    logical event count of the range (from section headers, not an
+    estimate).
 
     ``carry_in`` lists the activations live at ``start`` (empty for a
     depth-zero cut): the worker seeds its shadow stacks with them
@@ -487,7 +564,7 @@ class PartitionPlan:
     """A partitioning of one trace into independently replayable ranges.
 
     ``partitions`` covers the trace body exactly, in order, with no
-    overlap.  When the trace cannot be split (v1 format, a single
+    overlap.  When the trace cannot be split (a single
     section, an unmatched-depth or torn trace) the plan degrades to
     one partition and ``reason`` says why — callers fall back to serial
     replay rather than failing.  ``carried`` counts the activation
@@ -572,39 +649,31 @@ def _carry_snapshots(
     last = cuts[-1]
     for s in range(last + 1):
         pos = starts[s]
-        n, _flags, calls, rets, _size, header_size = _read_section_header(
+        _rows, _events, _flags, calls, rets, _size, _hs = _read_section_header(
             data, pos, version
         )
         if calls != 0 or rets != 0:
-            # The v3 header says call/return-free sections up front;
-            # for v2 (-1/-1) peek at the raw opcode lane, which is the
-            # first ``n`` payload bytes.
-            if version == 2:
-                lane = pos + header_size
-                ops_b = bytes(data[lane : lane + n])
-                active = _OP_CALL_BYTE in ops_b or _OP_RETURN_BYTE in ops_b
-            else:
-                active = True
-            if active:
-                try:
-                    _n, ops, threads, args, costs, _next = _decode_section(
-                        data, pos, version, verify=False
+            try:
+                _n, ops, threads, args, costs, _next = _decode_section(
+                    data, pos, version, verify=False
+                )
+            except TraceFormatError:
+                return None
+            for i, op in enumerate(ops):
+                if op == OP_CALL:
+                    if not 0 <= args[i] < len(names):
+                        return None
+                    tid = threads[i]
+                    seq = seqs.get(tid, 0)
+                    seqs[tid] = seq + 1
+                    stacks.setdefault(tid, []).append(
+                        (seq, names[args[i]], costs[i])
                     )
-                except TraceFormatError:
-                    return None
-                for i, op in enumerate(ops):
-                    if op == _OP_CALL_BYTE:
-                        tid = threads[i]
-                        seq = seqs.get(tid, 0)
-                        seqs[tid] = seq + 1
-                        stacks.setdefault(tid, []).append(
-                            (seq, names[args[i]], costs[i])
-                        )
-                    elif op == _OP_RETURN_BYTE:
-                        st = stacks.get(threads[i])
-                        if not st:
-                            return None
-                        st.pop()
+                elif op == OP_RETURN:
+                    st = stacks.get(threads[i])
+                    if not st:
+                        return None
+                    st.pop()
         if s == cuts[ci]:
             snapshots.append(
                 tuple(
@@ -637,24 +706,12 @@ def plan_partitions(data: bytes, partitions: int) -> PartitionPlan:
     """
     if partitions < 1:
         raise ValueError("partitions must be >= 1")
-    if data[: len(_BATCH_MAGIC_V1)] == _BATCH_MAGIC_V1:
-        part = TracePartition(0, 0, len(data), 1, 0)
-        return PartitionPlan(
-            requested=partitions,
-            total_events=0,
-            total_sections=1,
-            safe_boundaries=0,
-            partitions=(part,),
-            reason="v1 trace: single undivided payload",
-        )
     version, names, declared, body_start = _parse_batch_header(data)
     total = len(data)
-    header_size = 8 if version == 2 else SECTION_HEADER.size
     # Walk the section framing: starts[i] is section i's header offset,
     # cum_events[i]/depth after section i, plus whether the boundary
-    # *after* section i is a depth-zero (carry-free) cut.  Depth deltas
-    # come from the raw opcode lane for v2 and from the call/return
-    # counts stored in the v3 section header (no payload decode).
+    # *after* section i is a depth-zero (carry-free) cut.  Events and
+    # depth deltas come from the section headers (no payload decode).
     starts: List[int] = []
     cum_events: List[int] = []
     safe_after: List[bool] = []
@@ -663,24 +720,14 @@ def plan_partitions(data: bytes, partitions: int) -> PartitionPlan:
     depth = 0
     torn: Optional[str] = None
     while pos < total:
-        if total - pos < header_size:
-            torn = "truncated section header"
+        try:
+            _rows, n, _flags, calls, rets, payload_size, header_size = (
+                _read_section_header(data, pos, version, declared - events)
+            )
+        except TraceFormatError as exc:
+            torn = str(exc)
             break
-        n, _flags, calls, rets, payload_size, _hs = _read_section_header(
-            data, pos, version
-        )
-        if n == 0 or n > declared - events:
-            torn = f"implausible section event count {n}"
-            break
-        if total - pos - header_size < payload_size + 4:
-            torn = f"truncated section ({n} events declared)"
-            break
-        if version == 2:
-            # the opcode lane is the first ``n`` payload bytes
-            ops = bytes(data[pos + header_size : pos + header_size + n])
-            depth += ops.count(_OP_CALL_BYTE) - ops.count(_OP_RETURN_BYTE)
-        else:
-            depth += calls - rets
+        depth += calls - rets
         starts.append(pos)
         events += n
         cum_events.append(events)
@@ -790,12 +837,13 @@ def plan_partitions(data: bytes, partitions: int) -> PartitionPlan:
 class SectionStats:
     """Size accounting for one section of a binary trace.
 
+    ``events`` counts logical events (a stored run weighs its length).
     ``stored_bytes`` is the section's full on-disk footprint (header +
     stored payload + CRC); ``raw_bytes`` is what the same events cost
     under the v2 fixed 25-bytes-per-event layout, so
     ``stored_bytes / raw_bytes`` is the section's compression ratio
     independent of which version actually stored it.  ``compressed``
-    reports the v3 zlib flag (always False for v2 sections).
+    reports the zlib flag (always False for v2 sections).
     """
 
     index: int
@@ -823,37 +871,18 @@ def trace_section_stats(data: bytes) -> List[SectionStats]:
     Headers only — payloads are not CRC-checked or decoded.  Stops
     quietly at the first implausible or truncated section (the stats of
     the valid prefix stand); raises :class:`TraceFormatError` only when
-    the trace header itself is unreadable.  v1 traces report a single
-    pseudo-section covering the whole payload.
+    the trace header itself is unreadable.
     """
-    if data[: len(_BATCH_MAGIC_V1)] == _BATCH_MAGIC_V1:
-        body = len(data) - len(_BATCH_MAGIC_V1)
-        return [
-            SectionStats(
-                index=0,
-                offset=len(_BATCH_MAGIC_V1),
-                version=1,
-                events=0,
-                stored_bytes=body,
-                raw_bytes=body,
-                compressed=False,
-            )
-        ]
     version, _names, declared, body_start = _parse_batch_header(data)
-    total = len(data)
-    header_size = 8 if version == 2 else SECTION_HEADER.size
     out: List[SectionStats] = []
     pos = body_start
     events = 0
-    while pos < total and events < declared:
-        if total - pos < header_size:
-            break
-        n, flags, _c, _r, payload_size, _hs = _read_section_header(
-            data, pos, version
-        )
-        if n == 0 or n > declared - events:
-            break
-        if total - pos - header_size < payload_size + 4:
+    while pos < len(data) and events < declared:
+        try:
+            _rows, n, flags, _c, _r, payload_size, header_size = (
+                _read_section_header(data, pos, version, declared - events)
+            )
+        except TraceFormatError:
             break
         out.append(
             SectionStats(

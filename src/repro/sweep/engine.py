@@ -39,7 +39,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.costfunc import classify_trend
-from repro.core.events import fuse_batch
+# unused here since the writer stores fused rows; kept so perfbench's
+# layer hook on ``engine.fuse_batch`` still resolves
+from repro.core.events import fuse_batch  # noqa: F401
+from repro.core.events import fuse_segments, write_rows
 from repro.core.rms import RmsProfiler
 from repro.core.timestamping import DrmsProfiler
 from repro.sweep.store import TraceKey, TraceStore
@@ -323,27 +326,29 @@ def _run_cell(
     store = TraceStore(store_root)
     key = _cell_key(cell, fault_seed)
 
-    batch = store.get(key)
-    cached = batch is not None
+    # ``rows`` are the trace's fused rows: read back from the store on a
+    # warm cell, fused once from the recording on a cold one — and then
+    # stored, so a cold cell replays exactly the rows it writes.
+    rows = store.get(key)
+    cached = rows is not None
     record_time = 0.0
-    if batch is None:
+    batch = rows  # the plain recording, when this cell made one
+    if rows is None:
         record_time, batch, _machine = record_trace(
             _cell_builder(cell, fault_seed)
         )
+        rows, row_bounds = fuse_segments(batch, _machine.trace_boundaries)
         # Boundary-aligned persistence: the planner's depth-zero cut
         # points survive the cache round-trip.
-        store.put(key, batch, boundaries=_machine.trace_boundaries)
+        store.put(key, rows, boundaries=row_bounds)
+    events = rows.event_count()
 
     meta = store.get_meta(key) or {}
     meta.setdefault("workload", cell.workload)
     meta.setdefault("scale", cell.scale)
     meta.setdefault("threads", cell.threads)
-    meta.setdefault("events", len(batch))
+    meta.setdefault("events", events)
     stored_replays = meta.get("replays") or {}
-
-    # Fuse once per cell, outside every timed region: the columnar
-    # replays and the columnar shard profiling below share the result.
-    fused = fuse_batch(batch) if engine == "columnar" else None
 
     replays: Dict[str, Dict[str, Any]] = {}
     measured_any = False
@@ -364,7 +369,7 @@ def _run_cell(
             }
             continue
         seconds, space = replay_tool(
-            DEFAULT_TOOLS[name], batch, repeats, engine=engine, fused=fused
+            DEFAULT_TOOLS[name], batch, repeats, engine=engine, fused=rows
         )
         replays[name] = {
             "seconds": seconds,
@@ -402,7 +407,7 @@ def _run_cell(
         # Use the persisted payload when there is one: its section
         # framing carries the recorded execution boundaries, which a
         # fresh default to_bytes() would drop.
-        payload = store.payload(key) or batch.to_bytes()
+        payload = store.payload(key) or write_rows(rows)
         plan = plan_partitions(payload, resolve_partitions(partitions))
         cell_partitions = len(plan.partitions)
         if cell_partitions > 1:
@@ -462,11 +467,11 @@ def _run_cell(
             # profile.
             drms = DrmsProfiler(keep_activations=False)
             rms = RmsProfiler(keep_activations=False)
-            if fused is not None:
-                drms.consume_columnar(fused)
-                rms.consume_columnar(fused)
+            if engine == "columnar":
+                drms.consume_columnar(rows)
+                rms.consume_columnar(rows)
             else:
-                for event in batch.iter_events():
+                for event in rows.iter_events():
                     drms.consume(event)
                     rms.consume(event)
             drms.begin_trace()
@@ -482,7 +487,7 @@ def _run_cell(
         "shards_cached": shards_cached,
         "corrupt": store.corrupt,
         "record_time": record_time,
-        "events": len(batch),
+        "events": events,
         "partitions": cell_partitions,
         "replays": replays,
         "shard_bytes": shard_bytes,

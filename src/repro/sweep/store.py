@@ -42,7 +42,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.core.events import EventBatch
+from repro.core.events import EventBatch, write_rows
 from repro.core.tracefile import (
     TRACE_FORMAT_VERSION,
     save_trace_binary,
@@ -215,7 +215,7 @@ class TraceStore:
     # -- traces -------------------------------------------------------------
 
     def get(self, key: TraceKey) -> Optional[EventBatch]:
-        """Load the cached trace for ``key``, or ``None`` on a miss.
+        """Load the cached trace rows for ``key``, or ``None`` on a miss.
 
         The entry is decoded with the crash-safe scanner; anything less
         than a fully intact trace (bad magic, CRC mismatch, truncation)
@@ -243,15 +243,17 @@ class TraceStore:
         self, key: TraceKey, batch: EventBatch, boundaries: tuple = ()
     ) -> str:
         """Persist ``batch`` under ``key`` (atomic); returns the entry
-        path.  ``boundaries`` (execution-boundary row indices, as
-        recorded by the VM) section-align the persisted payload so a
-        warm partition replay sees the same depth-zero cut points a
-        cold one does."""
+        path.  The rows are stored as given (:func:`write_rows`): the
+        sweep hands over the fused rows of
+        :func:`~repro.core.events.fuse_segments`, which are also what
+        it replays.  ``boundaries`` (execution-boundary row indices)
+        section-align the persisted payload so a warm partition replay
+        sees the same depth-zero cut points a cold one does."""
         digest = key.digest()
         directory = self._entry_dir(digest)
         os.makedirs(directory, exist_ok=True)
         path = self.trace_path(key)
-        _atomic_write(path, batch.to_bytes(boundaries=boundaries))
+        _atomic_write(path, write_rows(batch, boundaries))
         return path
 
     def payload(self, key: TraceKey) -> Optional[bytes]:

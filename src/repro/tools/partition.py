@@ -9,11 +9,11 @@ parallel job:
    with per-thread carry-in summaries — into byte ranges with balanced
    event counts;
 2. each partition replays its range through the normal engines
-   (columnar by default; each section is decoded and fused once, inline,
-   and fed to every profiler kind) in a supervised process pool — a
-   worker that times out or dies is retried with backoff and, failing
-   that, that partition alone falls back to an inline replay in the
-   parent;
+   (columnar by default; each section is decoded once, inline, and its
+   stored rows — run superops included — fed to every profiler kind)
+   in a supervised process pool — a worker that times out or dies is
+   retried with backoff and, failing that, that partition alone falls
+   back to an inline replay in the parent;
 3. the per-partition profiler shards **stream back** and fold through
    the exact associative ``merge()`` as they arrive (buffered to index
    order), so the final merge overlaps the slowest worker instead of
@@ -46,7 +46,9 @@ from concurrent.futures import wait as futures_wait  # noqa: F401
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.events import fuse_batch
+# unused here since the writer stores fused rows; kept so perfbench's
+# layer hook on ``partition.fuse_batch`` still resolves
+from repro.core.events import fuse_batch  # noqa: F401
 from repro.core.policy import FULL_POLICY
 from repro.core.rms import RmsProfiler
 from repro.core.timestamping import DrmsProfiler
@@ -159,12 +161,12 @@ def replay_partition(
     """Replay one partition's byte range under each profiler kind.
 
     One pass over the range serves every kind: each section is decoded
-    once, fused once into run superops (columnar engine) and handed
-    inline to every kind's profiler before the next section is pulled.
-    ``scalar`` replays the same sections through the reference
-    ``consume`` loop for the equivalence suite.  Each shard reports the
-    pass's wall time as ``elapsed`` and its decode + fuse share as
-    ``decode_stall_s``.
+    once and its stored rows (fused by the writer) are handed inline,
+    unchanged, to every kind's columnar kernel before the next section
+    is pulled.  ``scalar`` replays the same sections, expanded into
+    events, through the reference ``consume`` loop for the equivalence
+    suite.  Each shard reports the pass's wall time as ``elapsed`` and
+    its decode share as ``decode_stall_s``.
 
     A partition with a nonempty ``carry_in`` starts mid-activation:
     the profilers are seeded with placeholder frames for the carried
@@ -197,8 +199,6 @@ def replay_partition(
             break
         if engine == "scalar":
             section = list(section.iter_events())
-        else:
-            section = fuse_batch(section)
         decode_s += now() - mark
         for prof in profs:
             if engine == "scalar":
@@ -281,7 +281,7 @@ def _subrange_payload(
     payload: bytes, part: TracePartition, body_start: int
 ) -> Tuple[bytes, TracePartition]:
     """Slice one partition's share of the trace into a standalone
-    payload: the v2 header (magic + intern table + declared count)
+    payload: the trace header (magic + intern table + declared count)
     followed by just this partition's sections, with the partition
     descriptor rebased onto the new body.
 
@@ -334,7 +334,7 @@ def _open_partition_trace(
 
 def _emit_shard_counters(tracer, shards: List[PartitionShard]) -> None:
     """Counter-track samples (Perfetto "C" events) of each shard's
-    inline decode + fuse time (the stall and queue-depth tracks keep
+    inline decode time (the stall and queue-depth tracks keep
     their names; with no reader thread they read 0)."""
     if not getattr(tracer, "enabled", False):
         return
@@ -748,13 +748,13 @@ def replay_partitioned(
     timing the replay plan outside the timed region) or a ``partitions``
     request (``None``/``0`` = one per CPU).  Single-partition plans —
     requested or degraded-to — replay inline, no pool.  The pool round
-    runs under :func:`repro.tools.pool.supervise`, with the parent
-    replaying the last partition itself meanwhile: a dead or wedged
-    worker is retried with jittered backoff, then *that partition only*
-    falls back to an inline replay, every decision recorded as a
-    :class:`Degradation` (stage ``partition-replay``).  Never hangs;
-    raises only if a partition fails even inline (a genuinely
-    unreplayable trace).
+    runs under :func:`repro.tools.pool.supervise` while the parent
+    waits (see there for why it replays no share itself): a dead or
+    wedged worker is retried with jittered backoff, then *that
+    partition only* falls back to an inline replay, every decision
+    recorded as a :class:`Degradation` (stage ``partition-replay``).
+    Never hangs; raises only if a partition fails even inline (a
+    genuinely unreplayable trace).
 
     ``only`` restricts replay to the listed partition indices and
     ``merge=False`` skips the merge stage (``.profilers`` comes back
@@ -854,16 +854,6 @@ def replay_partitioned(
     if not (
         len(parts) <= 1 or pool_workers <= 1 or single_cpu or in_pool_worker()
     ):
-        # The parent replays the last partition itself between submit
-        # and collect: one fewer dispatch round-trip and shard pickle,
-        # and on a single-CPU box the 2-way topology collapses to
-        # parent + one worker — the shape that breaks even with serial.
-        # Skipped under an active crash-injection spec, which must land
-        # in a worker process to mean anything.
-        parent = None
-        if not kill_active:
-            last = parts[-1]
-            parent = (last.index, lambda: inline(last))
         # Trace residency: the payload goes into one shared-memory
         # segment for the whole replay (all partitions, all retry
         # rounds); tasks ship only byte offsets and workers decode
@@ -875,7 +865,7 @@ def replay_partitioned(
         body_start = all_parts[0].start
         args = (kinds, total, engine, counter_limit, trace, carry_aware)
         tasks = {}
-        for part in parts[:-1] if parent is not None else parts:
+        for part in parts:
             if shared is not None:
                 source = (shared.name, shared.size, part)
                 fn = _partition_worker_shm
@@ -901,7 +891,6 @@ def replay_partitioned(
                     backoff_base=backoff_base,
                     on_result=record,
                     unit=lambda index: f"{label}:p{index}",
-                    parent=parent,
                 )
         finally:
             # Unlink on every path out — success, degradation, or an

@@ -624,7 +624,6 @@ def supervise(
     backoff_base: float,
     on_result: Callable[[Hashable, Any], None],
     unit: Callable[[Hashable], str] = str,
-    parent: Optional[Tuple[Hashable, Callable[[], Any]]] = None,
 ) -> Supervised:
     """Run ``tasks`` (``{key: (fn, args)}``) on the warm pool in rounds.
 
@@ -644,18 +643,18 @@ def supervise(
     * a pool that cannot start marks every pending key
       ``serial-fallback``.
 
-    ``parent`` is an optional ``(key, fn)`` the parent runs itself in
-    round 1, between submit and collect, so it works alongside the pool
-    instead of idling; its result goes to ``on_result`` too and a
-    failure is ``serial-fallback``.  Degradations name the key as
-    ``unit(key)`` under ``stage``, with ``attempt`` = tries so far.
+    The parent only waits: the executor's dispatch threads need the GIL
+    to hand each task to a worker, and work the parent ran meanwhile in
+    pure Python would hold it for whole switch intervals at every
+    hand-off.  Degradations name the key as ``unit(key)`` under
+    ``stage``, with ``attempt`` = tries so far.
 
     Never raises on worker trouble and never hangs; exceptions from
     ``on_result`` propagate.  The caller runs the returned
     ``unfinished`` keys inline.
     """
     pending = dict(tasks)
-    order = list(tasks) + ([parent[0]] if parent is not None else [])
+    order = list(tasks)
     attempts: Dict[Hashable, int] = {key: 0 for key in order}
     finished = set()
     degradations: List[Degradation] = []
@@ -701,14 +700,6 @@ def supervise(
             reason = f"pool unavailable: {type(exc).__name__}: {exc}"
             for key in list(pending):
                 fail(key, reason, False)
-        if parent is not None and round_no == 1:
-            key, fn = parent
-            try:
-                value = fn()
-            except Exception as exc:
-                fail(key, f"{type(exc).__name__}: {exc}", False)
-            else:
-                deliver(key, value)
         waves = -(-len(futures) // max(1, workers))
         deadline = time.monotonic() + timeout * max(1, waves)
         not_done = set(futures)

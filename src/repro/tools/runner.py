@@ -21,9 +21,10 @@ Regenerates the Table 1 / Figure 16 methodology:
   workload cells.
 
 Because the trace is an artifact, replays are embarrassingly parallel:
-``measure_workload(..., parallel=N)`` ships the serialised batch
-(``EventBatch.to_bytes``) to ``N`` worker processes and replays the
-tools concurrently under :func:`repro.tools.pool.supervise`: a stuck
+``measure_workload(..., parallel=N)`` ships the serialised trace (its
+fused rows, :func:`~repro.core.events.write_rows`) to ``N`` worker
+processes and replays the tools concurrently under
+:func:`repro.tools.pool.supervise`: a stuck
 or killed worker is retried a bounded number of times with jittered
 exponential backoff, and a tool the pool cannot finish degrades to
 serial replay — or, if it fails even serially, is excluded from the
@@ -43,7 +44,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.events import EventBatch, count_superops, fuse_batch
+from repro.core.events import (
+    EventBatch,
+    count_superops,
+    expand_runs,
+    fuse_batch,
+    fuse_segments,
+    write_rows,
+)
 from repro.core.tracefile import iter_section_batches
 from repro.tools.pool import (
     Degradation,
@@ -79,10 +87,11 @@ __all__ = [
 
 #: selectable replay engines: ``scalar`` decodes dataclass events and
 #: feeds ``consume`` (the paper-faithful reference loop); ``columnar``
-#: (the one fast path) fuses run superops once per workload for
-#: superop-capable tools and replays through ``consume_batch`` with
-#: section-at-a-time inline decode in worker processes.  Both are
-#: bit-identical in profiling output (property-tested).
+#: (the one fast path) hands superop-capable tools the fused rows the
+#: trace writer stores, and every other tool their plain expansion,
+#: through ``consume_batch`` with section-at-a-time inline decode in
+#: worker processes.  Both are bit-identical in profiling output
+#: (property-tested).
 ENGINES = ("scalar", "columnar")
 
 #: the default replay engine
@@ -193,11 +202,13 @@ def replay_tool(
     wall time and the matching tool's shadow-state cells.
 
     ``engine`` selects the consumption path (see :data:`ENGINES`).
-    Under ``columnar``, superop-capable tools replay the fused form of
-    the batch — pass ``fused`` to reuse one fusion across tools (the
-    runner fuses once per workload); otherwise it is computed here,
-    outside the timed region.  Tools without superop support replay
-    the plain batch; either way through :meth:`~AnalysisTool.consume_batch`.
+    ``batch`` may hold plain or fused rows.  Under ``columnar``,
+    superop-capable tools replay the fused form — pass ``fused`` (the
+    rows the caller writes, from :func:`fuse_segments`) to share one
+    fusion; otherwise it is computed here, outside the timed region.
+    Tools without superop support replay the plain rows
+    (:func:`expand_runs`); either way through
+    :meth:`~AnalysisTool.consume_batch`.
     """
     check_engine(engine)
     best_time = math.inf
@@ -221,7 +232,7 @@ def replay_tool(
                     fused = fuse_batch(batch)
                 payload = fused
             else:
-                payload = batch
+                payload = expand_runs(batch)
             start = time.perf_counter()
             tool.consume_batch(payload)
             elapsed = time.perf_counter() - start
@@ -238,20 +249,22 @@ def replay_tool_streaming(
 ) -> Tuple[float, int]:
     """Columnar replay of a *serialised* trace, one section at a time.
 
-    Each section is decoded zero-copy (:func:`iter_section_batches`),
-    fused for superop-capable tools, and consumed inline before the
-    next is pulled, so only one section is ever materialised.  The
-    measured wall time is end-to-end bytes-to-profile.
+    Each section is decoded zero-copy (:func:`iter_section_batches`)
+    and consumed inline before the next is pulled, so only one section
+    is ever materialised: superop-capable tools take its stored rows
+    as they are, every other tool their plain expansion
+    (:func:`expand_runs`).  The measured wall time is end-to-end
+    bytes-to-profile.
     """
     best_time = math.inf
     space = 0
     for _ in range(repeats):
         tool = factory()
-        fuse = tool.supports_superops
+        runs_ok = tool.supports_superops
         consume = tool.consume_batch
         start = time.perf_counter()
         for section in iter_section_batches(payload):
-            consume(fuse_batch(section) if fuse else section)
+            consume(section if runs_ok else expand_runs(section))
         elapsed = time.perf_counter() - start
         if elapsed < best_time:
             best_time = elapsed
@@ -347,10 +360,11 @@ def measure_workload(
     Perfetto timeline.  Both default to off and cost nothing then.
 
     ``engine`` selects the replay path for every tool (see
-    :data:`ENGINES`); recording is always unfused, and under the
-    columnar engine the batch is fused into run superops exactly once,
-    shared by all in-process replays.  Reported event counts are always
-    logical (unfused) counts.
+    :data:`ENGINES`).  Recording is always unfused; the recorded batch
+    is fused into run superops exactly once per workload, per execution
+    boundary (:func:`fuse_segments`), and those rows are both what the
+    in-process columnar replays consume and what a serialised trace
+    stores.  Reported event counts are always logical (unfused) counts.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -385,14 +399,14 @@ def measure_workload(
         record_time, batch, _machine = record_trace(build)
     events = len(batch)
 
-    fused: Optional[EventBatch] = None
-    superops = 0
-    if engine == "columnar":
-        # Fuse once per workload, outside every timed region; all
-        # in-process replays share it (workers re-fuse locally, also
-        # outside their timed regions).
-        fused = fuse_batch(batch)
-        superops = count_superops(fused)[0]
+    # Fuse once per workload, outside every timed region: the rows
+    # every in-process columnar replay shares are the rows the payload
+    # below stores.  The machine marked an execution boundary per
+    # completed run; fusing and sectioning per boundary keeps every
+    # begin_trace() point on a section boundary, so the partition
+    # planner gets its depth-zero cuts.
+    rows, row_bounds = fuse_segments(batch, _machine.trace_boundaries)
+    superops = count_superops(rows)[0] if engine == "columnar" else 0
 
     # Partition planning happens once per workload, outside every timed
     # region (the per-replay timed work is bytes-to-merged-profile).
@@ -405,10 +419,7 @@ def measure_workload(
         from repro.tools.partition import resolve_partitions
 
         eff_partitions = resolve_partitions(partitions)
-        # The machine marked an execution boundary per completed run;
-        # serialising with them keeps every begin_trace() point on a
-        # section boundary, so the planner gets its depth-zero cuts.
-        payload = batch.to_bytes(boundaries=_machine.trace_boundaries)
+        payload = write_rows(rows, row_bounds)
         partition_plan = plan_partitions(payload, eff_partitions)
         partition_tools = {
             tool_name: kind
@@ -420,7 +431,7 @@ def measure_workload(
     if supervised and payload is None:
         # One serialisation serves every supervised round (and, with
         # shm, every worker attaches the same copy).
-        payload = batch.to_bytes()
+        payload = write_rows(rows, row_bounds)
     replays: Dict[str, Tuple[float, int]] = {}
     degradations: List[Degradation] = []
     with tracer.span(
@@ -508,7 +519,7 @@ def measure_workload(
                 # the run.
                 try:
                     replays[tool_name] = replay_tool(
-                        tool_factory, batch, repeats, engine, fused
+                        tool_factory, batch, repeats, engine, rows
                     )
                 except Exception as exc:
                     degradations.append(
@@ -522,7 +533,7 @@ def measure_workload(
                     )
             else:
                 replays[tool_name] = replay_tool(
-                    tool_factory, batch, repeats, engine, fused
+                    tool_factory, batch, repeats, engine, rows
                 )
 
     if degradations and getattr(tracer, "enabled", False):

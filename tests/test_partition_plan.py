@@ -24,7 +24,6 @@ from repro.core.events import (
     decode_batch,
     encode_events,
 )
-from repro.core.events import _BATCH_MAGIC_V1
 from repro.core.tracefile import (
     TraceFormatError,
     iter_section_batches,
@@ -72,8 +71,10 @@ def multi_run_payload(n_runs=4, section_events=8, ops=20):
 
 
 def v1_bytes(events):
+    """The retired v1 layout (no checksums, no sections): unknown magic
+    to every reader now."""
     batch = encode_events(events)
-    parts = [_BATCH_MAGIC_V1, struct.pack("<I", len(batch.names))]
+    parts = [b"RPRB\x01", struct.pack("<I", len(batch.names))]
     for name in batch.names:
         raw = name.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)))
@@ -173,10 +174,10 @@ def test_plan_caps_at_available_boundaries():
 
 
 def test_plan_v1_degrades():
+    """v1 is retired: planning one is an unknown-magic rejection."""
     payload = v1_bytes(with_switches(run_events(ops=30)))
-    plan = plan_partitions(payload, 4)
-    assert len(plan.partitions) == 1
-    assert plan.reason == "v1 trace: single undivided payload"
+    with pytest.raises(TraceFormatError, match="bad magic"):
+        plan_partitions(payload, 4)
 
 
 def test_plan_unmatched_calls_degrades():
@@ -212,7 +213,7 @@ def test_plan_truncated_trace_degrades_to_valid_prefix():
     part = plan.partitions[0]
     # The surviving range must still replay cleanly.
     got = sum(
-        len(b)
+        b.event_count()
         for b in iter_section_batches(payload[:-10], part.start, part.end)
     )
     assert got == part.events
@@ -244,7 +245,8 @@ def test_partition_ranges_decode_to_original_events():
     assert decoded == events
     for part in plan.partitions:
         got = sum(
-            len(b) for b in iter_section_batches(payload, part.start, part.end)
+            b.event_count()
+            for b in iter_section_batches(payload, part.start, part.end)
         )
         assert got == part.events
 
@@ -277,7 +279,7 @@ def test_to_bytes_boundaries_force_section_breaks():
     sections = list(iter_section_batches(payload))
     # Without the boundary this small trace would be one section.
     assert len(sections) == 2
-    assert len(sections[0]) == bounds[0]
+    assert sections[0].event_count() == bounds[0]
     assert [e for s in sections for e in s.iter_events()] == events
 
 

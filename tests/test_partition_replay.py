@@ -301,10 +301,14 @@ def test_merge_standalone_matches_replay_partitioned():
     assert merged["rms"].metrics_snapshot() == serial_rms.metrics_snapshot()
 
 
-def test_replay_partition_decodes_and_fuses_each_section_once(monkeypatch):
+def test_replay_partition_decodes_each_section_once_and_never_fuses(
+    monkeypatch,
+):
     """Every requested kind rides one pass: two kinds, one decode
-    stream, one fusion per section — and the shards still merge to the
-    serial profiles."""
+    stream, each stored section fed as decoded — the writer fused it,
+    so replay calls ``fuse_batch`` zero times — and the shards still
+    merge to the serial profiles."""
+    import repro.core.events as events
     import repro.tools.partition as partition
 
     batch, payload = _three_part_payload()
@@ -312,7 +316,6 @@ def test_replay_partition_decodes_and_fuses_each_section_once(monkeypatch):
     (part,) = plan.partitions
     calls = {"decode": 0, "sections": 0, "fuse": 0}
     real_iter = partition.iter_section_batches
-    real_fuse = partition.fuse_batch
 
     def counting_iter(*args, **kwargs):
         calls["decode"] += 1
@@ -322,14 +325,16 @@ def test_replay_partition_decodes_and_fuses_each_section_once(monkeypatch):
 
     def counting_fuse(*args, **kwargs):
         calls["fuse"] += 1
-        return real_fuse(*args, **kwargs)
+        raise AssertionError("replay must not fuse")
 
     monkeypatch.setattr(partition, "iter_section_batches", counting_iter)
     monkeypatch.setattr(partition, "fuse_batch", counting_fuse)
+    monkeypatch.setattr(events, "fuse_batch", counting_fuse)
+    monkeypatch.setattr(events, "_fuse", counting_fuse)
     shards = replay_partition(payload, part, ("drms", "rms"), 1)
     assert calls["decode"] == 1
     assert calls["sections"] == part.sections > 1
-    assert calls["fuse"] == calls["sections"]
+    assert calls["fuse"] == 0
     assert [s.kind for s in shards] == ["drms", "rms"]
     assert shards[0].decode_stall_s == shards[1].decode_stall_s > 0.0
     assert shards[0].backpressure_s == shards[0].queue_depth_hwm == 0

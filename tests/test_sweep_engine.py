@@ -57,6 +57,31 @@ class TestColdWarm:
         # identical merged trends either way
         assert warm.trends == cold.trends
 
+    def test_cold_and_warm_cells_report_the_same_logical_events(
+        self, tmp_path
+    ):
+        """A warm cell replays the stored (fused) rows, a cold one the
+        recording; both report logical events, not rows."""
+        from repro.sweep.store import TraceStore
+
+        cfg = config(
+            tmp_path, workloads=("mysql_select", "producer_consumer"),
+            scales=(1,),
+        )
+        cold = run_sweep(cfg)
+        warm = run_sweep(cfg)
+        events = {c["cell"].id: c["events"] for c in cold.cells}
+        assert events == {c["cell"].id: c["events"] for c in warm.cells}
+        store = TraceStore(cfg.store_root)
+        for cell in cold.cells:
+            rows = store.get(_cell_key(cell["cell"], None))
+            assert rows.event_count() == events[cell["cell"].id]
+        mysql = cold.cells[[c["cell"].workload for c in cold.cells].index(
+            "mysql_select"
+        )]["cell"]
+        # the store holds run superops: far fewer rows than events
+        assert len(store.get(_cell_key(mysql, None))) * 10 < events[mysql.id]
+
     def test_remeasure_reuses_traces_but_not_measurements(self, tmp_path):
         cfg = config(tmp_path)
         run_sweep(cfg)

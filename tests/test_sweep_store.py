@@ -40,7 +40,7 @@ class TestTraceKey:
         assert len(digests) == 7
 
     def test_default_version_is_current_format(self):
-        assert KEY.trace_version == TRACE_FORMAT_VERSION == 3
+        assert KEY.trace_version == TRACE_FORMAT_VERSION == 4
 
     def test_fault_plan_digest_tracks_config_not_state(self):
         a, b = FaultPlan(seed=7), FaultPlan(seed=7)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.events import Call, Read, Return, Write
+from repro.core.events import Call, EventBatch, Read, Return, Write
 from repro.tools import (
     AprofDrmsTool,
     AprofTool,
@@ -176,6 +176,49 @@ class TestRecordReplay:
             assert tool_measurement.wall_time == pytest.approx(
                 measurement.record_time + tool_measurement.replay_time
             )
+
+
+def _findings(tool):
+    """A tool's ``finish()`` with profile sets projected to plain data."""
+    out = dict(tool.finish())
+    if "profiles" in out:
+        out["profiles"] = {
+            key: (p.calls, p.total_input, p.points)
+            for key, p in out["profiles"]
+        }
+    if "read_counters" in out:
+        out["read_counters"] = {
+            r: tuple(c) for r, c in out["read_counters"].items()
+        }
+    return out
+
+
+@pytest.mark.parametrize("workload", ["mysql_select", "swim"])
+def test_every_tool_replays_stored_rows_like_the_recording(workload):
+    """Tools with superop support take the stored fused rows as they
+    are, the others their plain expansion; either way each tool ends in
+    the state the recorded batch leaves it in."""
+    from repro.tools.runner import replay_tool_streaming
+    from repro.workloads.registry import get_workload
+
+    _t, batch, machine = record_trace(
+        lambda: get_workload(workload).build(threads=4, scale=1)
+    )
+    payload = batch.to_bytes(boundaries=machine.trace_boundaries)
+    assert len(EventBatch.from_bytes(payload)) < len(batch)  # runs stored
+    for name, factory in DEFAULT_TOOLS.items():
+        made = []
+
+        def spy():
+            made.append(factory())
+            return made[-1]
+
+        replay_tool_streaming(spy, payload, repeats=1)
+        (stored,) = made
+        recorded = factory()
+        recorded.consume_batch(batch)
+        assert stored.space_cells() == recorded.space_cells(), name
+        assert _findings(stored) == _findings(recorded), name
 
 
 class TestSetSink:

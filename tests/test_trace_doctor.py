@@ -1,6 +1,7 @@
-"""Crash-safe binary trace format (v2): CRC sections, strict/lenient
-loading, longest-valid-prefix recovery, v1 back-compat, error hygiene on
-garbage streams, and the ``repro doctor`` CLI."""
+"""Crash-safe binary trace format: CRC sections, strict/lenient
+loading, longest-valid-prefix recovery, rejection of the retired v1
+layout, error hygiene on garbage streams, and the ``repro doctor``
+CLI."""
 
 import io
 import struct
@@ -20,7 +21,6 @@ from repro.core.events import (
     encode_events,
     scan_batch_bytes,
 )
-from repro.core.events import _BATCH_MAGIC_V1
 from repro.core.tracefile import (
     TRACE_FORMAT_VERSION,
     TraceFormatError,
@@ -46,9 +46,10 @@ def v2_bytes(events, section_events=16):
 
 
 def v1_bytes(events):
-    """Serialise in the legacy v1 layout (no checksums, no sections)."""
+    """Serialise in the retired v1 layout (no checksums, no sections),
+    which every reader now rejects as an unknown magic."""
     batch = encode_events(events)
-    parts = [_BATCH_MAGIC_V1, struct.pack("<I", len(batch.names))]
+    parts = [b"RPRB\x01", struct.pack("<I", len(batch.names))]
     for name in batch.names:
         raw = name.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)))
@@ -155,17 +156,6 @@ class TestSectionAccounting:
         assert len(scan.section_events) == scan.sections_valid
         assert sum(scan.section_events) == scan.events_loaded
 
-    def test_v1_scan_is_one_section(self):
-        scan = scan_batch_bytes(v1_bytes(sample_events()))
-        assert scan.section_events == [scan.events_loaded]
-        assert scan.error_section is None
-
-    def test_v1_corrupt_scan_blames_section_zero(self):
-        scan = scan_batch_bytes(v1_bytes(sample_events())[:-5])
-        assert not scan.intact
-        assert scan.error_section == 0
-        assert scan.section_events == []
-
 
 class TestErrorHygiene:
     """Satellite: loaders raise TraceFormatError with offset context,
@@ -185,13 +175,13 @@ class TestErrorHygiene:
                 assert exc.offset >= 0
             # no other exception type may escape
 
-    def test_v1_loads_fully_when_intact(self):
-        events = sample_events()
-        assert load_trace_binary(io.BytesIO(v1_bytes(events))) == events
-
     def test_v1_scan_verdict(self):
+        """v1 is retired: its magic is unknown to the one section
+        parser, so the scan rejects it before any section."""
         scan = scan_batch_bytes(v1_bytes(sample_events()))
-        assert scan.intact and scan.version == 1
+        assert not scan.intact and scan.version == 0
+        assert "bad magic" in str(scan.error)
+        assert scan.section_events == [] and scan.error_section is None
 
     def test_lenient_load_of_garbage_is_empty(self):
         assert len(load_batch(io.BytesIO(b"junk"), strict=False)) == 0

@@ -2,12 +2,12 @@
 
 Three load-bearing properties:
 
-* **v3 <-> v2 wire equivalence** — the compact columnar v3 section
-  encoding and the row-format v2 encoding are interchangeable: the same
-  events round-trip through both, byte scans agree, and a torn v3 tail
-  at *every* byte offset salvages a clean section prefix, never raises,
-  and replays (at ``counter_limit=64``) identically to the same prefix
-  of the original trace.
+* **wire equivalence** — the fused v4 sections the writer stores and
+  the retired one-row-per-event v3/v2 layouts (still readable) are
+  interchangeable: the same events round-trip through all three, byte
+  scans agree, and a torn tail at *every* byte offset salvages a clean
+  section prefix, never raises, and replays (at ``counter_limit=64``)
+  identically to the same prefix of the original trace.
 * **shm residency exactness** — partitioned replay over a shared-memory
   segment with real pool workers produces profiles byte-identical to
   the serial replay and the naive oracle for both profiler kinds at
@@ -20,15 +20,18 @@ Three load-bearing properties:
 import functools
 import os
 import signal
+import struct
 import subprocess
 import sys
 import textwrap
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FULL_POLICY, DrmsProfiler, NaiveDrmsProfiler
+from repro.core.codec import SECTION_HEADER_V3, encode_section_payload
 from repro.core.events import EventBatch, encode_events, scan_batch_bytes
 from repro.core.tracefile import TRACE_FORMAT_VERSION, trace_section_stats
 from repro.tools.partition import _KILL_ENV, replay_partitioned
@@ -65,33 +68,89 @@ def shm_listing():
 # -- v3 <-> v2 wire equivalence ----------------------------------------------
 
 
+def legacy_bytes(batch, version, section_events, boundaries=(), compress=True):
+    """A test-local writer of the retired one-row-per-event layouts:
+    v2 (fixed 25-byte rows) and v3 (the columnar codec, with no
+    logical-event field in the section header).  Readers still accept
+    both; nothing in the program writes them any more."""
+    names = [struct.pack("<I", len(batch.names))]
+    for name in batch.names:
+        raw = name.encode("utf-8")
+        names += [struct.pack("<I", len(raw)), raw]
+    names_payload = b"".join(names)
+    n = len(batch)
+    parts = [
+        b"RPRB\x02" if version == 2 else b"RPRB\x03",
+        struct.pack("<I", len(names_payload)),
+        names_payload,
+        struct.pack("<I", zlib.crc32(names_payload)),
+        struct.pack("<Q", n),
+    ]
+    cuts = sorted({b for b in boundaries if 0 < b < n}) + [n]
+    lo = 0
+    for hi in cuts:
+        for start in range(lo, hi, section_events):
+            stop = min(start + section_events, hi)
+            ops_b = batch.ops[start:stop].tobytes()
+            if version == 2:
+                payload = ops_b + b"".join(
+                    lane[start:stop].tobytes()
+                    for lane in (batch.threads, batch.args, batch.costs)
+                )
+                parts.append(struct.pack("<Q", stop - start))
+            else:
+                flags, payload = encode_section_payload(
+                    ops_b,
+                    batch.threads[start:stop],
+                    batch.args[start:stop],
+                    batch.costs[start:stop],
+                    compress=compress,
+                )
+                parts.append(
+                    SECTION_HEADER_V3.pack(
+                        stop - start, flags, ops_b.count(0), ops_b.count(1),
+                        len(payload),
+                    )
+                )
+            parts += [payload, struct.pack("<I", zlib.crc32(payload))]
+        lo = hi
+    return b"".join(parts)
+
+
 @given(multi_run_trace(), st.integers(4, 64), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_v3_v2_round_trip(trace, section_events, compress):
+    """The written v4 trace and the retired v3/v2 layouts of the same
+    events read back as one stream; v3 and v2 hold one row per event."""
     events, bounds = trace
     batch = encode_events(events)
-    v3 = batch.to_bytes(
+    v4 = batch.to_bytes(
         section_events=section_events, boundaries=bounds, compress=compress
     )
-    v2 = batch.to_bytes(
-        section_events=section_events, boundaries=bounds, version=2
-    )
+    v3 = legacy_bytes(batch, 3, section_events, bounds, compress)
+    v2 = legacy_bytes(batch, 2, section_events, bounds)
+    from_v4 = EventBatch.from_bytes(v4)
     from_v3 = EventBatch.from_bytes(v3)
     from_v2 = EventBatch.from_bytes(v2)
-    assert list(from_v3.iter_events()) == list(batch.iter_events())
-    assert list(from_v2.iter_events()) == list(from_v3.iter_events())
-    assert from_v3.names == batch.names
-    scan3, scan2 = scan_batch_bytes(v3), scan_batch_bytes(v2)
-    assert scan3.intact and scan2.intact
-    assert scan3.version == TRACE_FORMAT_VERSION == 3
-    assert scan2.version == 2
-    assert scan3.events_loaded == scan2.events_loaded == len(batch)
-    # re-encoding the decoded batch is a fixed point
-    assert from_v3.to_bytes(
-        section_events=section_events, compress=compress
-    ) == EventBatch.from_bytes(v3).to_bytes(
-        section_events=section_events, compress=compress
+    assert list(from_v4.iter_events()) == list(batch.iter_events())
+    assert list(from_v3.iter_events()) == list(from_v4.iter_events())
+    assert list(from_v2.iter_events()) == list(from_v4.iter_events())
+    assert from_v3.ops == from_v2.ops == batch.ops
+    assert from_v4.names == from_v3.names == batch.names
+    scan4, scan3, scan2 = (scan_batch_bytes(d) for d in (v4, v3, v2))
+    assert scan4.intact and scan3.intact and scan2.intact
+    assert scan4.version == TRACE_FORMAT_VERSION == 4
+    assert (scan3.version, scan2.version) == (3, 2)
+    assert (
+        scan4.events_loaded
+        == scan3.events_loaded
+        == scan2.events_loaded
+        == len(batch)
     )
+    # re-encoding what any version decodes to is one fixed point
+    assert from_v4.to_bytes(
+        section_events=section_events, compress=compress
+    ) == from_v3.to_bytes(section_events=section_events, compress=compress)
 
 
 @given(multi_run_trace())
