@@ -8,16 +8,12 @@ workers** must reach at least **1.4x** the events/second of the serial
 streaming replay of the identical bytes, and throughput must stay
 monotone non-decreasing through 4 workers.
 
-PR 9 adds two more measured claims.  First, the **monolithic** variant:
-the same trace wrapped in one outer activation, so no depth-zero
-boundary exists and every cut is a per-thread mid-activation carry —
-the plan must still go multi-way (>= 2 partitions from 2 workers up, a
-CPU-independent gate) with the merged profile byte-exact, and at 2
-workers it must beat serial where the cores exist.  Second,
-**streaming vs barrier** merge: folding shards through the associative
-``merge()`` as they arrive (``stream=True``) must not cost more total
-wall-clock than collecting every shard first (``stream=False``) at 4
-workers, again gated only where ``os.cpu_count()`` permits.
+PR 9 adds the **monolithic** variant: the same trace wrapped in one
+outer activation, so no depth-zero boundary exists and every cut is a
+per-thread mid-activation carry — the plan must still go multi-way
+(>= 2 partitions from 2 workers up, a CPU-independent gate) with the
+merged profile byte-exact, and at 2 workers it must beat serial where
+the cores exist.
 
 Then the zero-copy claims.  With the compact encoding the payload
 must stay at or under **8 bytes/event**; with shared-memory
@@ -86,8 +82,6 @@ MAX_BYTES_PER_EVENT = 8.0
 #: per-thread carries cost seeding + fix-up work, so the monolithic
 #: trace gets a softer 2-worker gate than the boundary-cut one
 MIN_MONO_SPEEDUP_AT_2 = 1.2
-#: worker count at which streaming-vs-barrier merge is compared/gated
-STREAM_WORKERS = 4
 #: monotonicity is asserted with a small tolerance so scheduler noise
 #: on a busy runner cannot fail an otherwise-flat step
 MONOTONE_TOLERANCE = 0.95
@@ -236,7 +230,7 @@ def run_suite(quick=False):
         profiler = serial_replay(payload)
         state["serial"] = profiler.metrics_snapshot()
 
-    def make_partitioned(src, workers, key, stream=True):
+    def make_partitioned(src, workers, key):
         # Keep only a slim summary row alive between runs: a full
         # PartitionedReplay per config would grow the shared heap as
         # the interleaved round proceeds and bill the growth to
@@ -247,7 +241,6 @@ def run_suite(quick=False):
                 partitions=workers,
                 kinds=("drms",),
                 workers=workers,
-                stream=stream,
             )
             state[key] = {
                 "partitions": len(rep.plan.partitions),
@@ -264,9 +257,6 @@ def run_suite(quick=False):
     runs_map = {"serial": serial}
     for workers in WORKER_COUNTS:
         runs_map[workers] = make_partitioned(payload, workers, workers)
-    runs_map["barrier"] = make_partitioned(
-        payload, STREAM_WORKERS, "barrier", stream=False
-    )
     best = _interleaved(runs_map, repeats)
     serial_time = best["serial"]
     baseline = state["serial"]
@@ -288,21 +278,6 @@ def run_suite(quick=False):
                 "exact": row["snapshot"] == baseline,
             }
         )
-
-    # -- streaming vs barrier merge (PR 9), same multi-run payload ----
-    # the streaming row at STREAM_WORKERS is already in the curve; the
-    # barrier run rode the same interleaved schedule
-    stream_rows = {}
-    for key, name in ((STREAM_WORKERS, "streaming"), ("barrier", "barrier")):
-        row = state[key]
-        elapsed = best[key]
-        stream_rows[name] = {
-            "time": elapsed,
-            "events_per_sec": events / elapsed,
-            "merge_time": row["merge_time"],
-            "degradations": row["degradations"],
-            "exact": row["snapshot"] == baseline,
-        }
 
     # -- monolithic trace: per-thread cuts (PR 9) ---------------------
     mono_runs = max(runs // 4, 8)
@@ -372,10 +347,6 @@ def run_suite(quick=False):
             "events_per_sec": events / serial_time,
         },
         "curve": curve,
-        "streaming_vs_barrier": {
-            "workers": STREAM_WORKERS,
-            **stream_rows,
-        },
         "monolithic": {
             "runs": mono_runs,
             "events": mono_events,
@@ -432,17 +403,6 @@ def check_gates(results):
                 * by_workers[step // 2]["events_per_sec"]
             ), f"throughput regressed from {step // 2} to {step} workers"
 
-    # streaming fold must not cost total wall-clock vs the barrier
-    # collect (5% noise tolerance), and both must stay exact
-    sv = results["streaming_vs_barrier"]
-    assert sv["streaming"]["exact"] and sv["barrier"]["exact"]
-    assert sv["streaming"]["degradations"] == 0
-    assert sv["barrier"]["degradations"] == 0
-    if cpus >= sv["workers"]:
-        assert (
-            sv["streaming"]["time"] <= sv["barrier"]["time"] * 1.05
-        ), "streaming merge slower than barrier merge"
-
     # monolithic trace: the multi-way plan itself is CPU-independent —
     # per-thread cuts must split what PR 6 could not
     mono = {row["workers"]: row for row in results["monolithic"]["curve"]}
@@ -493,11 +453,6 @@ def print_results(results):
             f"{row['speedup_vs_serial']:>7.2f}x "
             f"{'yes' if row['exact'] else 'NO':>6}"
         )
-    sv = results["streaming_vs_barrier"]
-    print(
-        f"streaming vs barrier merge at {sv['workers']} workers: "
-        f"{sv['streaming']['time']:.2f}s vs {sv['barrier']['time']:.2f}s"
-    )
     mono = results["monolithic"]
     print(
         f"monolithic trace ({mono['runs']} runs, {mono['events']} events, "

@@ -29,24 +29,18 @@ The codec encodes *rows*.  Since v4 the rows are the writer's fused
 ones, so a run superop is one row whose cost lane holds the run length;
 the section header records how many logical events the rows stand for.
 
-Lane transforms use numpy when it is importable (``diff``/``cumsum``/
-``astype`` are C loops) and fall back to pure Python otherwise; both
-paths produce identical bytes.
+Lane transforms are numpy ``subtract``/``cumsum``/``astype`` C loops;
+numpy's int64 arithmetic wraps, which is the wraparound above.
 """
 
 from __future__ import annotations
 
-import itertools
 import struct
-import sys
 import zlib
 from array import array
 from typing import List, Tuple
 
-try:  # numpy is a project dependency, but the codec must not require it
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is present in CI images
-    _np = None
+import numpy as _np
 
 __all__ = [
     "FLAG_ZLIB",
@@ -84,11 +78,6 @@ _WIDTH_BOUNDS = (
     (8, -(1 << 63), (1 << 63) - 1),
 )
 
-_TYPECODE_BY_WIDTH = {1: "b", 2: "h", 4: "i", 8: "q"}
-
-_U64 = 1 << 64
-_I64_MAX = (1 << 63) - 1
-
 
 class SectionCodecError(ValueError):
     """A section payload does not decode (truncated column, bad lane
@@ -103,15 +92,14 @@ def _width_for(lo: int, hi: int) -> int:
     raise SectionCodecError(f"value range [{lo}, {hi}] exceeds i64")
 
 
-def _wrap64(value: int) -> int:
-    value &= _U64 - 1
-    return value - _U64 if value > _I64_MAX else value
-
-
 # -- lane encode -------------------------------------------------------------
 
 
-def _encode_lane_numpy(values: array) -> bytes:
+def _encode_lane(values: array) -> bytes:
+    """One operand lane -> ``tag byte + packed column``.
+
+    ``values`` must be a non-empty ``array('q')`` (or a slice of one).
+    """
     v = _np.frombuffer(values, dtype=_np.int64)
     n = len(v)
     with _np.errstate(over="ignore"):
@@ -129,35 +117,6 @@ def _encode_lane_numpy(values: array) -> bytes:
     dt = _np.dtype(f"<i{width}")
     packed = col.astype(dt, copy=False).tobytes()
     return bytes((tag,)) + packed
-
-
-def _encode_lane_python(values: array) -> bytes:
-    vlist = values.tolist()
-    deltas: List[int] = []
-    prev = 0
-    for value in vlist:
-        deltas.append(_wrap64(value - prev))
-        prev = value
-    raw_w = _width_for(min(vlist), max(vlist))
-    delta_w = _width_for(min(deltas), max(deltas))
-    if delta_w <= raw_w:
-        tag, col, width = _MODE_DELTA | delta_w, deltas, delta_w
-    else:
-        tag, col, width = _MODE_RAW | raw_w, vlist, raw_w
-    packed = array(_TYPECODE_BY_WIDTH[width], col)
-    if sys.byteorder == "big":  # pragma: no cover - exotic hardware
-        packed.byteswap()
-    return bytes((tag,)) + packed.tobytes()
-
-
-def _encode_lane(values: array) -> bytes:
-    """One operand lane -> ``tag byte + packed column``.
-
-    ``values`` must be a non-empty ``array('q')`` (or a slice of one).
-    """
-    if _np is not None:
-        return _encode_lane_numpy(values)
-    return _encode_lane_python(values)
 
 
 def encode_section_payload(
@@ -193,7 +152,7 @@ def encode_section_payload(
 # -- lane decode -------------------------------------------------------------
 
 
-def _decode_lane_numpy(buf, n: int, mode: int, width: int) -> array:
+def _decode_lane(buf, n: int, mode: int, width: int) -> array:
     dt = _np.dtype(f"<i{width}")
     col = _np.frombuffer(buf, dtype=dt, count=n)
     # astype to the *native* int64 so the final frombytes below reads
@@ -205,21 +164,6 @@ def _decode_lane_numpy(buf, n: int, mode: int, width: int) -> array:
     out = array("q")
     out.frombytes(col.tobytes())
     return out
-
-
-def _decode_lane_python(buf, n: int, mode: int, width: int) -> array:
-    col = array(_TYPECODE_BY_WIDTH[width])
-    col.frombytes(bytes(buf[: n * width]))
-    if sys.byteorder == "big":  # pragma: no cover - exotic hardware
-        col.byteswap()
-    if mode == _MODE_DELTA:
-        return array(
-            "q",
-            itertools.accumulate(col, lambda a, b: _wrap64(a + b)),
-        )
-    if width == 8:
-        return col
-    return array("q", col)
 
 
 def decode_section_payload(
@@ -258,10 +202,7 @@ def decode_section_payload(
         if len(view) - pos < size:
             raise SectionCodecError(f"{lane_name} lane truncated")
         buf = view[pos : pos + size]
-        if _np is not None:
-            lanes.append(_decode_lane_numpy(buf, n, mode, width))
-        else:
-            lanes.append(_decode_lane_python(buf, n, mode, width))
+        lanes.append(_decode_lane(buf, n, mode, width))
         pos += size
     if pos != len(view):
         raise SectionCodecError("trailing bytes after cost lane")

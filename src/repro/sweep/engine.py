@@ -332,7 +332,6 @@ def _run_cell(
     rows = store.get(key)
     cached = rows is not None
     record_time = 0.0
-    batch = rows  # the plain recording, when this cell made one
     if rows is None:
         record_time, batch, _machine = record_trace(
             _cell_builder(cell, fault_seed)
@@ -369,7 +368,7 @@ def _run_cell(
             }
             continue
         seconds, space = replay_tool(
-            DEFAULT_TOOLS[name], batch, repeats, engine=engine, fused=rows
+            DEFAULT_TOOLS[name], rows, repeats, engine=engine
         )
         replays[name] = {
             "seconds": seconds,
@@ -449,9 +448,15 @@ def _run_cell(
             # store-level consumers (service job reports,
             # merge_store_profiles) read those without needing the
             # partition plan.  The partitioned warm path above still
-            # re-merges from the per-partition shards.
-            store.put_shard(key, "drms", drms)
-            store.put_shard(key, "rms", rms)
+            # re-merges from the per-partition shards, so the plain
+            # shards change only when a partition was replayed; a warm
+            # rerun leaves every store file as it found it.
+            if missing or not all(
+                os.path.exists(store.shard_path(key, kind))
+                for kind in ("drms", "rms")
+            ):
+                store.put_shard(key, "drms", drms)
+                store.put_shard(key, "rms", rms)
             for kind in ("drms", "rms"):
                 shard_bytes[kind] = sum(
                     os.path.getsize(store.shard_path(key, f"{kind}.p{i}of{n}"))

@@ -21,7 +21,6 @@ from repro.tools.runner import (
     publish_measurement,
     record_trace,
     replay_tool,
-    replay_tool_streaming,
     suite_summary,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "WorkloadMeasurement",
     "record_trace",
     "replay_tool",
-    "replay_tool_streaming",
     "measure_workload",
     "publish_measurement",
     "geometric_mean",

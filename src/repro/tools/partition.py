@@ -14,10 +14,9 @@ parallel job:
    in a supervised process pool — a worker that times out or dies is
    retried with backoff and, failing that, that partition alone falls
    back to an inline replay in the parent;
-3. the per-partition profiler shards **stream back** and fold through
-   the exact associative ``merge()`` as they arrive (buffered to index
-   order), so the final merge overlaps the slowest worker instead of
-   waiting behind a barrier.
+3. once every partition is in, the per-partition profiler shards fold
+   once, in partition-index order, through the exact associative
+   ``merge()`` (:func:`merge_partition_shards`).
 
 Exactness (DESIGN.md §12 for depth-zero cuts, §15 for per-thread
 cuts): the state a later partition cannot see is the *prefix* — global
@@ -615,18 +614,27 @@ def merge_partition_shards(
     shard's profiler is mutated and returned.  Shards are
     self-describing, so cached rows merge without the original plan.
     """
+    return _fold_shards(shard_rows)[0]
+
+
+def _fold_shards(
+    shard_rows: Sequence[Sequence[PartitionShard]],
+) -> Tuple[Dict[str, object], int]:
+    """The one shard fold behind :func:`merge_partition_shards`; also
+    returns how many cold reads the fix-ups reclassified."""
     by_kind: Dict[str, List[PartitionShard]] = {}
     for row in shard_rows:
         for shard in row:
             by_kind.setdefault(shard.kind, []).append(shard)
     merged: Dict[str, object] = {}
+    fixups = 0
     for kind, shards in by_kind.items():
         shards.sort(key=lambda s: s.index)
         indices = [s.index for s in shards]
-        if indices != list(range(shards[-1].index + 1)):
+        if indices != list(range(shards[0].partitions)):
             raise ValueError(
                 f"cannot merge an incomplete shard set for {kind!r}: "
-                f"have partitions {indices}"
+                f"have partitions {indices} of {shards[0].partitions}"
             )
         state = _CarryState(kind)
         base: Optional[object] = None
@@ -639,60 +647,8 @@ def merge_partition_shards(
         for rtn, thread, total, cost in state.assemble():
             base.profiles.collect(rtn, thread, total, cost)
         merged[kind] = base
-    return merged
-
-
-class _ShardFolder:
-    """Streaming left-fold of shard rows in partition-index order.
-
-    Rows may arrive in any order (workers race); arrivals ahead of the
-    fold frontier buffer until the gap fills, then fold through
-    :class:`_CarryState` and the exact ``merge()``.  This is what lets
-    the final merge overlap the slowest worker: by the time the last
-    shard lands, every other shard is already folded.
-    """
-
-    def __init__(self) -> None:
-        self.states: Dict[str, _CarryState] = {}
-        self.bases: Dict[str, object] = {}
-        self.buffer: Dict[int, List[PartitionShard]] = {}
-        self.next_index = 0
-        self.fold_time = 0.0
-
-    def add(self, index: int, row: List[PartitionShard]) -> None:
-        self.buffer[index] = row
-        while self.next_index in self.buffer:
-            start = time.perf_counter()
-            for shard in self.buffer.pop(self.next_index):
-                state = self.states.get(shard.kind)
-                if state is None:
-                    state = self.states[shard.kind] = _CarryState(shard.kind)
-                state.fold_shard(shard)
-                base = self.bases.get(shard.kind)
-                if base is None:
-                    self.bases[shard.kind] = shard.profiler
-                else:
-                    base.merge(shard.profiler)
-            self.next_index += 1
-            self.fold_time += time.perf_counter() - start
-
-    @property
-    def fixups(self) -> int:
-        return sum(state.fixups for state in self.states.values())
-
-    def finish(self) -> Dict[str, object]:
-        if self.buffer:
-            raise ValueError(
-                f"cannot merge an incomplete shard set: partition "
-                f"{self.next_index} never arrived"
-            )
-        start = time.perf_counter()
-        for kind, state in self.states.items():
-            base = self.bases[kind]
-            for rtn, thread, total, cost in state.assemble():
-                base.profiles.collect(rtn, thread, total, cost)
-        self.fold_time += time.perf_counter() - start
-        return dict(self.bases)
+        fixups += state.fixups
+    return merged, fixups
 
 
 @dataclass
@@ -739,7 +695,6 @@ def replay_partitioned(
     only: Optional[Sequence[int]] = None,
     merge: bool = True,
     trace: Optional[dict] = None,
-    stream: bool = True,
 ) -> PartitionedReplay:
     """Partition ``payload``, replay the partitions in a supervised
     process pool, and merge the shards exactly.
@@ -761,12 +716,9 @@ def replay_partitioned(
     empty) — together they let the sweep cache replay just its missing
     partition shards and fold them with shards it already has.
 
-    ``stream`` (the default) folds shards through the exact merge *as
-    workers return them* — buffered to partition-index order — so the
-    merge overlaps the slowest worker; ``stream=False`` keeps the old
-    barrier behaviour (collect everything, then merge), which the
-    partition benchmark uses as its comparison baseline.  Both produce
-    byte-identical profiles.
+    The merge folds the collected shards once, in partition-index
+    order (:func:`merge_partition_shards`); ``.merge_time`` is that
+    fold's wall time.
 
     ``trace`` is a distributed trace context
     (:meth:`~repro.obs.distributed.TraceContext.to_dict` form, as
@@ -808,13 +760,7 @@ def replay_partitioned(
     carry_aware = plan.carried > 0
     degradations: List[Degradation] = []
     results: Dict[int, List[PartitionShard]] = {}
-    folder = _ShardFolder() if merge and stream and only is None else None
     start_all = time.perf_counter()
-
-    def record(index: int, row: List[PartitionShard]) -> None:
-        results[index] = row
-        if folder is not None:
-            folder.add(index, row)
 
     def inline(part: TracePartition) -> List[PartitionShard]:
         with tracer.span(
@@ -889,7 +835,7 @@ def replay_partitioned(
                     timeout=timeout,
                     max_retries=max_retries,
                     backoff_base=backoff_base,
-                    on_result=record,
+                    on_result=results.__setitem__,
                     unit=lambda index: f"{label}:p{index}",
                 )
         finally:
@@ -899,7 +845,7 @@ def replay_partitioned(
                 shared.unlink()
         unfinished = [p for p in parts if p.index in left]
     for part in unfinished:
-        record(part.index, inline(part))
+        results[part.index] = inline(part)
 
     if degradations and getattr(tracer, "enabled", False):
         flight = getattr(tracer, "flight", None)
@@ -926,18 +872,9 @@ def replay_partitioned(
     profilers: Dict[str, object] = {}
     if merge:
         with tracer.span("partition-merge", track="partition", label=label):
-            if folder is None:
-                # Barrier mode (or an explicit ``only`` subset, which
-                # must raise on incompleteness just like a standalone
-                # merge): fold everything now, in index order.
-                folder_ = _ShardFolder()
-                for index in sorted(results):
-                    folder_.add(index, results[index])
-            else:
-                folder_ = folder
-            profilers = folder_.finish()
-            reclassified = folder_.fixups
-            merge_time = folder_.fold_time
+            merge_start = time.perf_counter()
+            profilers, reclassified = _fold_shards(rows)
+            merge_time = time.perf_counter() - merge_start
             for kind in kinds:
                 if kind not in profilers:
                     # Empty trace (zero partitions): an empty profile,

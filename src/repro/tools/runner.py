@@ -11,10 +11,14 @@ Regenerates the Table 1 / Figure 16 methodology:
   :class:`repro.core.events.EventBatch`.  The recording time is the
   shared instrumentation-infrastructure cost every tool pays — exactly
   what nulgrind isolates in the paper;
-* **tool replay** — each tool's :meth:`consume_batch` replays the same
-  recorded batch, so per-tool analysis work is measured over *identical*
-  event streams instead of re-executing the workload ``tools x repeats``
-  times.  Tool time = record time + best replay time;
+* **tool replay** — :func:`replay_tool`, the one replay loop, feeds
+  each tool's :meth:`consume_batch` the same stored rows (the recorded
+  batch fused once by the trace writer), so per-tool analysis work is
+  measured over *identical* event streams instead of re-executing the
+  workload ``tools x repeats`` times.  Only the tool's consumption is
+  timed — never trace decode or run expansion — whether the replay runs
+  in process or in a pool worker.  Tool time = record time + best
+  replay time;
 * **slowdown** — tool time over native time (geometric means across a
   suite, as in Table 1);
 * **space overhead** — (workload cells + tool shadow cells) over
@@ -23,7 +27,8 @@ Regenerates the Table 1 / Figure 16 methodology:
 Because the trace is an artifact, replays are embarrassingly parallel:
 ``measure_workload(..., parallel=N)`` ships the serialised trace (its
 fused rows, :func:`~repro.core.events.write_rows`) to ``N`` worker
-processes and replays the tools concurrently under
+processes, each of which decodes it once and replays through the same
+:func:`replay_tool`, concurrently under
 :func:`repro.tools.pool.supervise`: a stuck
 or killed worker is retried a bounded number of times with jittered
 exponential backoff, and a tool the pool cannot finish degrades to
@@ -44,15 +49,19 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+# unused here since the writer stores fused rows; kept so perfbench's
+# layer hook on ``runner.fuse_batch`` still resolves
+from repro.core.events import fuse_batch  # noqa: F401
 from repro.core.events import (
     EventBatch,
     count_superops,
     expand_runs,
-    fuse_batch,
     fuse_segments,
     write_rows,
 )
-from repro.core.tracefile import iter_section_batches
+# unused here since workers decode with ``EventBatch.from_bytes``; kept
+# so perfbench's layer hook on ``runner.iter_section_batches`` resolves
+from repro.core.tracefile import iter_section_batches  # noqa: F401
 from repro.tools.pool import (
     Degradation,
     attached_view,
@@ -78,7 +87,6 @@ __all__ = [
     "WorkloadMeasurement",
     "record_trace",
     "replay_tool",
-    "replay_tool_streaming",
     "measure_workload",
     "publish_measurement",
     "geometric_mean",
@@ -89,9 +97,8 @@ __all__ = [
 #: feeds ``consume`` (the paper-faithful reference loop); ``columnar``
 #: (the one fast path) hands superop-capable tools the fused rows the
 #: trace writer stores, and every other tool their plain expansion,
-#: through ``consume_batch`` with section-at-a-time inline decode in
-#: worker processes.  Both are bit-identical in profiling output
-#: (property-tested).
+#: through ``consume_batch``.  Both are bit-identical in profiling
+#: output (property-tested).
 ENGINES = ("scalar", "columnar")
 
 #: the default replay engine
@@ -193,31 +200,26 @@ def record_trace(build: Callable[[], Machine]) -> Tuple[float, EventBatch, Machi
 
 def replay_tool(
     factory: Callable[[], AnalysisTool],
-    batch: EventBatch,
+    rows: EventBatch,
     repeats: int = 3,
     engine: str = DEFAULT_ENGINE,
-    fused: Optional[EventBatch] = None,
 ) -> Tuple[float, int]:
-    """Replay ``batch`` under ``repeats`` fresh tools; returns the best
+    """Replay ``rows`` under ``repeats`` fresh tools; returns the best
     wall time and the matching tool's shadow-state cells.
 
     ``engine`` selects the consumption path (see :data:`ENGINES`).
-    ``batch`` may hold plain or fused rows.  Under ``columnar``,
-    superop-capable tools replay the fused form — pass ``fused`` (the
-    rows the caller writes, from :func:`fuse_segments`) to share one
-    fusion; otherwise it is computed here, outside the timed region.
-    Tools without superop support replay the plain rows
-    (:func:`expand_runs`); either way through
-    :meth:`~AnalysisTool.consume_batch`.
+    ``rows`` may hold plain or fused rows (the stored form).  Under
+    ``columnar``, superop-capable tools take them as they are and every
+    other tool their plain expansion (:func:`expand_runs`), through
+    :meth:`~AnalysisTool.consume_batch`.  Event decoding and run
+    expansion stay outside the timed region: the time is the tool's
+    analysis work alone.
     """
     check_engine(engine)
     best_time = math.inf
     space = 0
-    events = None
     if engine == "scalar":
-        # decode once, outside the timed region: the scalar engine
-        # measures the per-event consume loop, not batch decoding
-        events = list(batch.iter_events())
+        events = list(rows.iter_events())
     for _ in range(repeats):
         tool = factory()
         if engine == "scalar":
@@ -227,45 +229,10 @@ def replay_tool(
                 consume(event)
             elapsed = time.perf_counter() - start
         else:
-            if tool.supports_superops:
-                if fused is None:
-                    fused = fuse_batch(batch)
-                payload = fused
-            else:
-                payload = expand_runs(batch)
+            payload = rows if tool.supports_superops else expand_runs(rows)
             start = time.perf_counter()
             tool.consume_batch(payload)
             elapsed = time.perf_counter() - start
-        if elapsed < best_time:
-            best_time = elapsed
-            space = tool.space_cells()
-    return best_time, space
-
-
-def replay_tool_streaming(
-    factory: Callable[[], AnalysisTool],
-    payload: bytes,
-    repeats: int = 3,
-) -> Tuple[float, int]:
-    """Columnar replay of a *serialised* trace, one section at a time.
-
-    Each section is decoded zero-copy (:func:`iter_section_batches`)
-    and consumed inline before the next is pulled, so only one section
-    is ever materialised: superop-capable tools take its stored rows
-    as they are, every other tool their plain expansion
-    (:func:`expand_runs`).  The measured wall time is end-to-end
-    bytes-to-profile.
-    """
-    best_time = math.inf
-    space = 0
-    for _ in range(repeats):
-        tool = factory()
-        runs_ok = tool.supports_superops
-        consume = tool.consume_batch
-        start = time.perf_counter()
-        for section in iter_section_batches(payload):
-            consume(section if runs_ok else expand_runs(section))
-        elapsed = time.perf_counter() - start
         if elapsed < best_time:
             best_time = elapsed
             space = tool.space_cells()
@@ -278,13 +245,8 @@ def _replay_worker(
     repeats: int,
     engine: str = DEFAULT_ENGINE,
 ) -> Tuple[float, int]:
-    """Process-pool entry point: decode the shipped trace and replay.
-
-    The columnar engine streams sections through the inline decoder;
-    the scalar reference decodes the whole payload up front.
-    """
-    if engine == "columnar":
-        return replay_tool_streaming(factory, payload, repeats)
+    """Process-pool entry point: decode the shipped trace once, then
+    :func:`replay_tool` it."""
     return replay_tool(factory, EventBatch.from_bytes(payload), repeats, engine)
 
 
@@ -297,21 +259,14 @@ def _replay_worker_shm(
 ) -> Tuple[float, int]:
     """Pool entry point for shared-memory residency: the task pickles a
     factory and a segment name; the trace bytes never cross the pipe.
-
-    The columnar engine decodes sections zero-copy straight off the
-    attached view; the scalar reference materialises the payload locally
-    (one in-worker copy, still no pickling) because ``from_bytes``
-    wants an immutable buffer to slice.
-    """
+    The rows decode straight off the attached view, which is released
+    before the replay starts."""
     view = attached_view(segment, size)
     try:
-        if engine == "columnar":
-            return replay_tool_streaming(factory, view, repeats)
-        return replay_tool(
-            factory, EventBatch.from_bytes(bytes(view)), repeats, engine
-        )
+        rows = EventBatch.from_bytes(view)
     finally:
         view.release()
+    return replay_tool(factory, rows, repeats, engine)
 
 
 def measure_workload(
@@ -349,8 +304,8 @@ def measure_workload(
     means one partition per CPU; ``None`` keeps partitioning off.
     Composes with ``parallel``, which still fans the remaining tools
     out across workers.  Partitioned replay times are end-to-end
-    bytes-to-merged-profile (like the streaming path), so they include
-    ranged decode and the merge.  An unsplittable trace degrades to a
+    bytes-to-merged-profile, so they include ranged decode and the
+    merge.  An unsplittable trace degrades to a
     single partition; ``.partition_reason`` says why.
 
     ``metrics`` (a :class:`repro.obs.MetricsRegistry`) receives the
@@ -519,7 +474,7 @@ def measure_workload(
                 # the run.
                 try:
                     replays[tool_name] = replay_tool(
-                        tool_factory, batch, repeats, engine, rows
+                        tool_factory, rows, repeats, engine
                     )
                 except Exception as exc:
                     degradations.append(
@@ -533,7 +488,7 @@ def measure_workload(
                     )
             else:
                 replays[tool_name] = replay_tool(
-                    tool_factory, batch, repeats, engine, rows
+                    tool_factory, rows, repeats, engine
                 )
 
     if degradations and getattr(tracer, "enabled", False):

@@ -57,7 +57,8 @@ from repro.core.events import (
 )
 from repro.core.tracing import with_switches
 from repro.core.tracefile import TraceFormatError, iter_section_batches
-from repro.tools import DEFAULT_TOOLS, replay_tool, replay_tool_streaming
+from repro.tools import DEFAULT_TOOLS, replay_tool
+from repro.tools.runner import _replay_worker
 from repro.tools.base import AnalysisTool
 
 from tests.test_batch_pipeline import (
@@ -584,8 +585,9 @@ def test_replay_tool_gates_superops_on_capability():
 
         return factory
 
-    replay_tool(make(True), batch, repeats=1, engine="columnar")
-    replay_tool(make(False), batch, repeats=1, engine="columnar")
+    rows = fuse_batch(batch)  # the stored form replay_tool takes
+    replay_tool(make(True), rows, repeats=1, engine="columnar")
+    replay_tool(make(False), rows, repeats=1, engine="columnar")
     capable, plain = spies
     assert capable.saw_runs is True
     assert plain.saw_runs is False
@@ -608,5 +610,5 @@ def test_replay_tool_streaming_matches_direct_replay():
         _, space_direct = replay_tool(
             factory, batch, repeats=1, engine="columnar"
         )
-        _, space_streamed = replay_tool_streaming(factory, payload, repeats=1)
+        _, space_streamed = _replay_worker(factory, payload, 1, "columnar")
         assert space_streamed == space_direct, name

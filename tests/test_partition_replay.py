@@ -286,6 +286,19 @@ def test_merge_rejects_incomplete_shard_set():
         merge_partition_shards(rows)
 
 
+def test_merge_rejects_a_missing_last_partition():
+    """Shards know their plan's partition count, so a set missing its
+    trailing partition is incomplete too, not a shorter trace."""
+    _batch, payload = _three_part_payload()
+    plan = plan_partitions(payload, 3)
+    rows = [
+        replay_partition(payload, part, ("drms",), 3)
+        for part in plan.partitions[:2]
+    ]
+    with pytest.raises(ValueError, match="incomplete shard set"):
+        merge_partition_shards(rows)
+
+
 def test_merge_standalone_matches_replay_partitioned():
     batch, payload = _three_part_payload()
     plan = plan_partitions(payload, 3)

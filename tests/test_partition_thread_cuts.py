@@ -180,28 +180,6 @@ def test_faulted_monolithic_trace_partitions_exact():
         )
 
 
-def test_streaming_equals_barrier_merge():
-    """``stream=True`` folds shards as they arrive; ``stream=False``
-    collects them all first.  Identical results, same fix-up count."""
-    events = fixed_monolithic()
-    batch = encode_events(events)
-    payload = batch.to_bytes(section_events=16)
-    streamed = replay_partitioned(
-        payload, partitions=4, kinds=("drms", "rms"), workers=1, stream=True
-    )
-    barrier = replay_partitioned(
-        payload, partitions=4, kinds=("drms", "rms"), workers=1, stream=False
-    )
-    for kind in ("drms", "rms"):
-        assert (
-            streamed.profilers[kind].metrics_snapshot()
-            == barrier.profilers[kind].metrics_snapshot()
-        )
-    assert (
-        streamed.cold_reads_reclassified == barrier.cold_reads_reclassified
-    )
-
-
 # -- acceptance: the Figure 4 monolithic trace --------------------------------
 
 
@@ -254,7 +232,6 @@ def test_streaming_merge_survives_worker_kill(monkeypatch):
         timeout=60.0,
         max_retries=1,
         backoff_base=0.01,
-        stream=True,
     )
     serial, _ = serial_profilers(batch)
     assert (

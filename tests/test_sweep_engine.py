@@ -325,6 +325,43 @@ class TestPartitionedCells:
         assert warm.trends == part.trends
         assert all(cell["shards_cached"] for cell in warm.cells)
 
+    def test_warm_partitioned_rerun_writes_no_store_file(self, tmp_path):
+        """Every partition shard of a warm rerun is a cache hit, so the
+        merged plain shards it publishes are already stored: the rerun
+        leaves every store file untouched and merges the same profiles."""
+        cfg = config(
+            tmp_path,
+            workloads=("mysql_select", "producer_consumer"),
+            partitions=2,
+        )
+
+        def files():
+            found = {}
+            for dirpath, _dirs, names in os.walk(cfg.store_root):
+                for name in names:
+                    path = os.path.join(dirpath, name)
+                    st = os.stat(path)
+                    with open(path, "rb") as handle:
+                        found[path] = (st.st_ino, st.st_mtime_ns, handle.read())
+            return found
+
+        cold = run_sweep(cfg)
+        assert any(cell["partitions"] == 2 for cell in cold.cells)
+        before = files()
+        warm = run_sweep(cfg)
+        after = files()
+        assert sorted(after) == sorted(before)
+        assert [p for p in sorted(after) if after[p] != before[p]] == []
+        assert all(cell["shards_cached"] for cell in warm.cells)
+        cold_cells = {c["cell"].id: c for c in cold.cells}
+        for cell in warm.cells:
+            for kind in ("drms", "rms"):
+                assert (
+                    cell[kind].metrics_snapshot()
+                    == cold_cells[cell["cell"].id][kind].metrics_snapshot()
+                )
+        assert warm.trends == cold.trends
+
     def test_partitions_validation(self, tmp_path):
         with pytest.raises(ValueError):
             run_sweep(config(tmp_path, partitions=-1))

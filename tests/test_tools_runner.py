@@ -1,6 +1,7 @@
 """Tests for the measurement harness and the tool adapters."""
 
 import math
+import time
 
 import pytest
 
@@ -178,6 +179,38 @@ class TestRecordReplay:
             )
 
 
+def test_pooled_and_serial_replays_time_the_same_work(monkeypatch):
+    """A pooled replay times the tool's analysis alone, as a serial one
+    does: the worker decodes the shipped trace before its clock starts.
+    A decoder slowed before the pool forks must not reach nulgrind's
+    ``replay_time``."""
+    from repro.core import tracefile
+    from repro.tools.pool import shutdown_pool
+
+    delay = 0.25
+    decode = tracefile._decode_section
+
+    def slow_decode(*args, **kwargs):
+        time.sleep(delay)
+        return decode(*args, **kwargs)
+
+    shutdown_pool()  # the workers must fork with the slow decoder
+    monkeypatch.setattr(tracefile, "_decode_section", slow_decode)
+    try:
+        measurement = measure_workload(
+            "pc",
+            lambda: producer_consumer(20),
+            tools={"nulgrind": Nulgrind, "aprof": AprofTool},
+            repeats=1,
+            parallel=2,
+        )
+    finally:
+        shutdown_pool()  # later tests get workers with the real decoder
+    assert not measurement.degradations  # both tools replayed pooled
+    assert measurement.trace_bytes > 0
+    assert measurement.tools["nulgrind"].replay_time < delay
+
+
 def _findings(tool):
     """A tool's ``finish()`` with profile sets projected to plain data."""
     out = dict(tool.finish())
@@ -198,7 +231,7 @@ def test_every_tool_replays_stored_rows_like_the_recording(workload):
     """Tools with superop support take the stored fused rows as they
     are, the others their plain expansion; either way each tool ends in
     the state the recorded batch leaves it in."""
-    from repro.tools.runner import replay_tool_streaming
+    from repro.tools.runner import _replay_worker
     from repro.workloads.registry import get_workload
 
     _t, batch, machine = record_trace(
@@ -213,7 +246,7 @@ def test_every_tool_replays_stored_rows_like_the_recording(workload):
             made.append(factory())
             return made[-1]
 
-        replay_tool_streaming(spy, payload, repeats=1)
+        _replay_worker(spy, payload, 1, "columnar")
         (stored,) = made
         recorded = factory()
         recorded.consume_batch(batch)
