@@ -15,6 +15,12 @@ the events are syscall buffer fills (``kernelToUser``) that fuse into
 kernel-fill runs.  It stays out of the SPEC geomean and has its own
 floor: the fused drms kernel must reach **2.0x** its unfused rate.
 
+A ``fillReadLoop`` row replays the same stored ``mysql_select`` rows
+against the same rows with every loop superop unfolded back into its
+fill-run/read-run pairs (``unfold_loops``), so it isolates what the
+loop superop buys over run fusion alone; the loop drms kernel must
+reach **2.0x** the unfolded rate.
+
 The fused side replays the rows a stored trace carries: the trace
 writer fuses (``EventBatch.to_bytes``), and the rows are decoded once
 per workload *outside* the timed region — replay never fuses.
@@ -34,7 +40,13 @@ import time
 from pathlib import Path
 
 from repro.core import DrmsProfiler, FULL_POLICY
-from repro.core.events import EventBatch, count_superops, encode_events
+from repro.core.events import (
+    OP_FILL_READ_LOOP,
+    EventBatch,
+    count_superops,
+    encode_events,
+    unfold_loops,
+)
 from repro.core.rms import RmsProfiler
 from repro.tools import geometric_mean
 from repro.workloads.registry import get_workload
@@ -43,6 +55,8 @@ SPEC_SUBSET = ("md", "nab", "swim", "ilbdc")
 #: the kernel-fill row, outside the SPEC geomean
 FILL_WORKLOAD = "mysql_select"
 MIN_FILL_DRMS_SPEEDUP = 2.0
+#: loop rows vs the same rows unfolded into run pairs
+MIN_LOOP_DRMS_SPEEDUP = 2.0
 THREADS = 8
 SCALE = 3
 MIN_SPEEDUP = 1.8
@@ -75,26 +89,54 @@ def _median_pair(unfused_run, fused_run, repeats):
     return statistics.median(unfused_times), statistics.median(fused_times)
 
 
+def drms_run(payload):
+    def run():
+        profiler = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)
+        profiler.consume_columnar(payload)
+
+    return run
+
+
+def rms_run(payload):
+    def run():
+        profiler = RmsProfiler(keep_activations=False)
+        profiler.consume_columnar(payload)
+
+    return run
+
+
+def measure_loop_kernel(name, repeats, scale=SCALE):
+    """Stored rows with loop superops vs the same rows unfolded."""
+    trace = record(name, scale=scale)
+    looped = EventBatch.from_bytes(encode_events(trace).to_bytes())
+    unfolded = unfold_loops(looped)
+    n = len(trace)
+    drms_u, drms_l = _median_pair(
+        drms_run(unfolded), drms_run(looped), repeats
+    )
+    rms_u, rms_l = _median_pair(rms_run(unfolded), rms_run(looped), repeats)
+    return {
+        "events": n,
+        "rows": len(looped),
+        "loop_rows": list(looped.ops).count(OP_FILL_READ_LOOP),
+        "unfolded_rows": len(unfolded),
+        "drms_unfolded_time": drms_u,
+        "drms_loop_time": drms_l,
+        "drms_loop_events_per_sec": n / drms_l,
+        "drms_speedup": drms_u / drms_l,
+        "rms_unfolded_time": rms_u,
+        "rms_loop_time": rms_l,
+        "rms_loop_events_per_sec": n / rms_l,
+        "rms_speedup": rms_u / rms_l,
+    }
+
+
 def measure_workload_kernel(name, repeats, scale=SCALE):
     trace = record(name, scale=scale)
     batch = encode_events(trace)
     fused = EventBatch.from_bytes(batch.to_bytes())
     runs, covered = count_superops(fused)
     n = len(trace)
-
-    def drms_run(payload):
-        def run():
-            profiler = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)
-            profiler.consume_columnar(payload)
-
-        return run
-
-    def rms_run(payload):
-        def run():
-            profiler = RmsProfiler(keep_activations=False)
-            profiler.consume_columnar(payload)
-
-        return run
 
     drms_u, drms_f = _median_pair(drms_run(batch), drms_run(fused), repeats)
     rms_u, rms_f = _median_pair(rms_run(batch), rms_run(fused), repeats)
@@ -143,6 +185,8 @@ def run_suite(quick=False):
         "min_required_speedup": MIN_SPEEDUP,
         "fill_workload": FILL_WORKLOAD,
         "min_required_fill_drms_speedup": MIN_FILL_DRMS_SPEEDUP,
+        "loop": measure_loop_kernel(FILL_WORKLOAD, repeats, scale=scale),
+        "min_required_loop_drms_speedup": MIN_LOOP_DRMS_SPEEDUP,
     }
     RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")
     return results
@@ -166,6 +210,12 @@ def print_results(results):
         f"{FILL_WORKLOAD} (kernel fills) is outside the geomean "
         f"(written to {RESULT_PATH.name})"
     )
+    loop = results["loop"]
+    print(
+        f"fillReadLoop ({FILL_WORKLOAD}): {loop['rows']} rows with "
+        f"{loop['loop_rows']} loops vs {loop['unfolded_rows']} unfolded; "
+        f"drms {loop['drms_speedup']:.2f}x, rms {loop['rms_speedup']:.2f}x"
+    )
 
 
 def test_columnar_kernel_throughput(benchmark):
@@ -186,6 +236,10 @@ def test_columnar_kernel_throughput(benchmark):
     assert results["geomean_rms_speedup"] >= MIN_SPEEDUP
     fill = results["workloads"][FILL_WORKLOAD]
     assert fill["drms_speedup"] >= MIN_FILL_DRMS_SPEEDUP
+    loop = results["loop"]
+    assert loop["loop_rows"] > 0
+    assert loop["rms_speedup"] > 1.0
+    assert loop["drms_speedup"] >= MIN_LOOP_DRMS_SPEEDUP
 
 
 if __name__ == "__main__":

@@ -152,18 +152,20 @@ def encode_section_payload(
 # -- lane decode -------------------------------------------------------------
 
 
+#: lane width in bytes -> its little-endian integer dtype
+_LANE_DTYPES = {w: _np.dtype(f"<i{w}") for w in (1, 2, 4, 8)}
+
+
 def _decode_lane(buf, n: int, mode: int, width: int) -> array:
-    dt = _np.dtype(f"<i{width}")
-    col = _np.frombuffer(buf, dtype=dt, count=n)
-    # astype to the *native* int64 so the final frombytes below reads
+    col = _np.frombuffer(buf, dtype=_LANE_DTYPES[width], count=n)
+    # Both branches yield *native* int64, so the bytes below read
     # correctly on any host endianness (free on little-endian + i64).
-    col = col.astype(_np.int64, copy=False)
+    # Integer cumsum wraps silently, as the encoder's deltas did.
     if mode == _MODE_DELTA:
-        with _np.errstate(over="ignore"):
-            col = _np.cumsum(col, dtype=_np.int64)
-    out = array("q")
-    out.frombytes(col.tobytes())
-    return out
+        col = col.cumsum(dtype=_np.int64)
+    else:
+        col = col.astype(_np.int64, copy=False)
+    return array("q", col.tobytes())
 
 
 def decode_section_payload(

@@ -60,8 +60,12 @@ __all__ = [
     "OP_READ_RUN",
     "OP_WRITE_RUN",
     "OP_KFILL_RUN",
+    "OP_FILL_READ_LOOP",
     "SUPEROP_NAMES",
     "RUN_OPCODES",
+    "LOOP_OPCODES",
+    "pack_loop",
+    "unpack_loop",
     "OPCODE_BY_KIND",
     "KIND_BY_OPCODE",
     "OPCODE_NAMES",
@@ -72,6 +76,7 @@ __all__ = [
     "fuse_batch",
     "fuse_segments",
     "expand_runs",
+    "unfold_loops",
     "write_rows",
     "count_superops",
     "TraceIntegrityError",
@@ -340,10 +345,22 @@ OPCODE_NAMES = tuple(
 # which case the kernel replays it cell by cell.  ``userToKernel`` never
 # fuses: what it means depends on the profiler policy (a read when
 # external input counts, nothing otherwise), so it stays a plain row.
+#
+# A loop superop folds the syscall read loop of a buffered scan (the
+# Figure 4 table scan): ``k >= 2`` back-to-back repetitions, all by one
+# thread, of "the kernel fills cells ``[a, a+n)``, then the thread
+# reads ``[a, a+n)``" — a fill run followed by a read run of the same
+# buffer, repeated.  ``args`` holds ``a``, and ``(n, k)`` are packed
+# into ``costs`` (:func:`pack_loop` / :func:`unpack_loop`).  The buffer
+# sits in one 64-cell leaf and a loop weighs ``2 * n * k`` logical
+# events, at most one section's event budget.  Every read of a loop is
+# induced by the fill just before it, so the drms kernel replays the
+# whole loop in one leaf segment (see :mod:`repro.core.kernel`).
 
 OP_READ_RUN = 11
 OP_WRITE_RUN = 12
 OP_KFILL_RUN = 13
+OP_FILL_READ_LOOP = 14
 
 #: superop opcode -> debug name (kept out of OPCODE_NAMES, which is the
 #: VM-emitted wire vocabulary indexed by EventKind-backed opcodes)
@@ -351,6 +368,7 @@ SUPEROP_NAMES = {
     OP_READ_RUN: "readRun",
     OP_WRITE_RUN: "writeRun",
     OP_KFILL_RUN: "kernelFillRun",
+    OP_FILL_READ_LOOP: "fillReadLoop",
 }
 
 #: plain opcode -> the run superop it fuses into; the one statement of
@@ -361,7 +379,13 @@ RUN_OPCODES = {
     OP_WRITE: OP_WRITE_RUN,
     OP_KERNEL_TO_USER: OP_KFILL_RUN,
 }
-assert set(RUN_OPCODES.values()) == set(SUPEROP_NAMES)
+
+#: loop superop -> the (first, second) run superops of the pair it
+#: repeats; the one statement of what folds, from which the fold in
+#: ``fuse_batch``, ``iter_events``, ``expand_runs``, ``event_count``,
+#: ``count_superops`` and the trace decoder's row check are derived
+LOOP_OPCODES = {OP_FILL_READ_LOOP: (OP_KFILL_RUN, OP_READ_RUN)}
+assert set(RUN_OPCODES.values()) | set(LOOP_OPCODES) == set(SUPEROP_NAMES)
 
 #: run superop -> the dataclass of each event it stands for
 _RUN_EVENT = {
@@ -384,12 +408,57 @@ for _plain, _run in RUN_OPCODES.items():
     _PLAIN_OF[_run] = _plain
 del _plain, _run
 
+#: opcode (as an unsigned byte) -> the run superops its unfolding
+#: alternates between: a loop's pair, every other opcode itself twice
+_LOOP_PAIR = (
+    _np.arange(256, dtype=_np.uint8).view(_np.int8).repeat(2).reshape(256, 2)
+)
+#: opcode (as an unsigned byte) -> whether it is a loop superop
+_IS_LOOP = _np.zeros(256, dtype=bool)
+for _loop, _pair in LOOP_OPCODES.items():
+    _LOOP_PAIR[_loop] = _pair
+    _IS_LOOP[_loop] = True
+del _loop, _pair
 
-def _run_mask(ops: array) -> "_np.ndarray":
-    """Which rows of an opcode column are run superops."""
+#: ``costs`` of a loop row: the buffer length ``n`` (1..64) in the low
+#: ``_LOOP_N_BITS`` bits, the repetition count ``k`` above them
+_LOOP_N_BITS = 7
+_LOOP_N_MASK = (1 << _LOOP_N_BITS) - 1
+
+
+def pack_loop(n, k):
+    """The ``costs`` value of a loop of ``k`` fill/read pairs over an
+    ``n``-cell buffer (ints or int64 arrays alike)."""
+    return (k << _LOOP_N_BITS) | n
+
+
+def unpack_loop(cost):
+    """``(n, k)`` of a loop row's ``costs`` value (ints or int64 arrays
+    alike); the inverse of :func:`pack_loop`."""
+    return cost & _LOOP_N_MASK, cost >> _LOOP_N_BITS
+
+
+def _superops(ops) -> Tuple["_np.ndarray", "_np.ndarray"]:
+    """Which rows of an opcode column are run superops, and which are
+    loop superops."""
     ops = _np.frombuffer(ops, dtype=_np.int8)
     run_class = _RUN_CLASS.take(ops.view(_np.uint8))
-    return (run_class >= 0) & (run_class == ops)
+    runs = (run_class >= 0) & (run_class == ops)
+    return runs, _IS_LOOP.take(ops.view(_np.uint8))
+
+
+def _row_weights(batch: "EventBatch") -> Tuple["_np.ndarray", "_np.ndarray"]:
+    """The logical events each row stands for (a run weighs its length,
+    a loop ``2 * n * k``, any other row 1), and which rows are
+    superops."""
+    runs, loops = _superops(batch.ops)
+    costs = _np.frombuffer(batch.costs, dtype=_np.int64)
+    weights = _np.where(runs, costs, 1)
+    if loops.any():
+        n, k = unpack_loop(costs[loops])
+        weights[loops] = 2 * n * k
+    return weights, runs | loops
+
 
 #: magic of every readable binary trace format -> its version.  Only
 #: the current one is written; v2 (fixed 25-byte rows) and v3 (compact
@@ -423,6 +492,10 @@ _SECTION_WEIGHT = 4
 #: ``1 << _LEAF_BITS``-cell leaf, so the columnar kernel services it with
 #: one leaf probe (the decoder rejects a run that does)
 _LEAF_BITS = 6
+
+#: the most logical events one loop row may stand for: the default
+#: section's event budget, so a loop never outweighs a section
+_LOOP_MAX_WEIGHT = _SECTION_WEIGHT * _SECTION_ROWS
 
 
 class TraceIntegrityError(ValueError):
@@ -506,10 +579,10 @@ class EventBatch:
         return len(self.ops)
 
     def event_count(self) -> int:
-        """Logical event count: run superops weigh their run length, so a
-        fused batch counts the same as its unfused original."""
-        runs, covered = count_superops(self)
-        return len(self.ops) - runs + covered
+        """Logical event count: run superops weigh their run length and
+        loops ``2 * n * k``, so a fused batch counts the same as its
+        unfused original."""
+        return int(_row_weights(self)[0].sum())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EventBatch({len(self)} events, {len(self.names)} names)"
@@ -517,9 +590,9 @@ class EventBatch:
     def iter_events(self) -> Iterator[Event]:
         """Decode back into dataclass events (the slow, generic path).
 
-        Run superops are expanded into their individual ``Read``/
-        ``Write``/``KernelToUser`` events, so generic consumers see
-        fused and unfused batches identically."""
+        Run and loop superops are expanded into their individual
+        ``Read``/``Write``/``KernelToUser`` events, so generic consumers
+        see fused and unfused batches identically."""
         ops, threads, args, costs = self.ops, self.threads, self.args, self.costs
         names = self.names
         for i in range(len(ops)):
@@ -550,6 +623,14 @@ class EventBatch:
                 event, thread, base = _RUN_EVENT[op], threads[i], args[i]
                 for off in range(costs[i]):
                     yield event(thread, base + off)
+            elif op in LOOP_OPCODES:
+                pair = [_RUN_EVENT[run] for run in LOOP_OPCODES[op]]
+                thread, base = threads[i], args[i]
+                n, k = unpack_loop(costs[i])
+                for _ in range(k):
+                    for event in pair:
+                        for off in range(n):
+                            yield event(thread, base + off)
             else:
                 raise ValueError(f"unknown opcode {op} at index {i}")
 
@@ -773,6 +854,11 @@ def fuse_batch(batch: EventBatch, leaf_bits: int = _LEAF_BITS) -> EventBatch:
     adjacent pairs finds every continuation and the surviving head rows
     are the output.  Address sums wrap in int64, but a wrap flips the
     sign and so the leaf check (an arithmetic shift) rejects it.
+
+    The runs then fold into loop superops (:data:`LOOP_OPCODES`): every
+    stretch of two or more back-to-back fill-run/read-run pairs on one
+    thread's buffer in one 64-cell leaf becomes one ``fillReadLoop`` row
+    per ``_LOOP_MAX_WEIGHT`` events (see :func:`_fold_loops`).
     """
     return _fuse(batch, leaf_bits, ())[0]
 
@@ -785,11 +871,11 @@ def fuse_segments(
 
     ``boundaries`` are event indices where a segment starts (the
     recording's execution boundaries; out-of-range ones are ignored).
-    No run crosses one.  Returns ``(rows, row_boundaries)``, with each
-    kept boundary mapped to the index of the row it now starts at — the
-    ``boundaries`` argument of :func:`write_rows`.  A caller that both
-    replays and writes a recording fuses once here and hands the same
-    rows to both.
+    No run or loop crosses one.  Returns ``(rows, row_boundaries)``,
+    with each kept boundary mapped to the index of the row it now
+    starts at — the ``boundaries`` argument of :func:`write_rows`.  A
+    caller that both replays and writes a recording fuses once here
+    and hands the same rows to both.
     """
     n = len(batch.ops)
     cuts = sorted({int(b) for b in boundaries if 0 < int(b) < n})
@@ -826,9 +912,27 @@ def _fuse(
         & (addr == expected)
         & ((addr >> leaf_bits) == (prev_addr >> leaf_bits))
     )
+    cut_rows = _np.asarray(cuts, dtype=_np.int64)
     if cuts:
-        joins[_np.asarray(cuts) - 1] = False
-    if not joins.any():
+        joins[cut_rows - 1] = False
+    heads = None
+    if joins.any():
+        heads = _np.flatnonzero(_np.concatenate(([True], ~joins)))
+        extra = _np.append(heads[1:], n) - heads - 1  # followers per head
+        becomes_run = (extra > 0) & ~is_run[heads]
+        ops = _np.where(becomes_run, run_class[heads], ops[heads])
+        # A fresh run counts its rows; an input run grows by its followers.
+        costs = _np.where(becomes_run, extra + 1, costs[heads] + extra)
+        threads, args = threads[heads], args[heads]
+        cut_rows = _np.searchsorted(heads, cut_rows)
+    folded = _fold_loops(ops, threads, args, costs, cut_rows)
+    if folded is not None:
+        keep, ops, costs = folded
+        heads = _np.flatnonzero(keep) if heads is None else heads[keep]
+        ops, threads, args, costs = (
+            ops[keep], threads[keep], args[keep], costs[keep]
+        )
+    if heads is None:
         return (
             EventBatch(
                 batch.ops[:], batch.threads[:], batch.args[:], batch.costs[:],
@@ -836,31 +940,95 @@ def _fuse(
             ),
             None,
         )
-    heads = _np.flatnonzero(_np.concatenate(([True], ~joins)))
-    extra = _np.append(heads[1:], n) - heads - 1  # followers per head
-    becomes_run = (extra > 0) & ~is_run[heads]
-    f_ops = _np.where(becomes_run, run_class[heads], ops[heads])
-    # A fresh run counts its rows; an input run grows by its followers.
-    f_costs = _np.where(becomes_run, extra + 1, costs[heads] + extra)
     fused = EventBatch(
-        array("b", f_ops.tobytes()),
-        array("q", threads[heads].tobytes()),
-        array("q", args[heads].tobytes()),
-        array("q", f_costs.tobytes()),
+        array("b", ops.astype(_np.int8, copy=False).tobytes()),
+        array("q", threads.tobytes()),
+        array("q", args.tobytes()),
+        array("q", costs.tobytes()),
         names=batch.names,
     )
     return fused, heads
 
 
+def _fold_loops(ops, threads, args, costs, cut_rows):
+    """Fold run rows into loop superops; ``None`` when nothing folds,
+    else ``(keep, ops, costs)``: which rows survive, and the columns
+    with each loop's head row rewritten into the loop.
+
+    Vectorised like the run pass: a *pair* is a fill run at row ``i``
+    followed by a read run of the same thread, base and length in one
+    64-cell leaf; pair ``i`` *continues* pair ``i - 2`` when both cover
+    the same buffer.  Neither may span an index in ``cut_rows`` (the
+    row where an execution-boundary segment starts).  Each maximal
+    chain of continuing pairs is cut into chunks of at most
+    ``_LOOP_MAX_WEIGHT`` events, and every chunk of two or more pairs
+    becomes one loop row in place of its first fill run."""
+    m = len(ops)
+    ((loop_op, (first, second)),) = LOOP_OPCODES.items()
+    if m < 4:
+        return None
+    head = ops[:-1] == first
+    if not head.any():
+        return None
+    base, length = args[:-1], costs[:-1]
+    with _np.errstate(over="ignore"):
+        pair = (
+            head
+            & (ops[1:] == second)
+            & (threads[1:] == threads[:-1])
+            & (args[1:] == base)
+            & (costs[1:] == length)
+            & (length > 0)
+            & ((base >> _LEAF_BITS) == ((base + length - 1) >> _LEAF_BITS))
+        )
+    if len(cut_rows):
+        pair[cut_rows - 1] = False
+    same = (
+        (threads[2:-1] == threads[:-3])
+        & (args[2:-1] == args[:-3])
+        & (costs[2:-1] == costs[:-3])
+    )
+    cont = _np.zeros(m - 1, dtype=bool)
+    cont[2:] = pair[2:] & pair[:-2] & same
+    if len(cut_rows):
+        cont[cut_rows[cut_rows < m - 1]] = False
+    pos = _np.flatnonzero(pair)
+    if len(pos) < 2:
+        return None
+    starts = ~cont[pos]
+    stretch = _np.cumsum(starts) - 1
+    first_pair = _np.flatnonzero(starts)
+    j = _np.arange(len(pos)) - first_pair[stretch]  # index in its stretch
+    n = costs[pos]
+    k_max = _LOOP_MAX_WEIGHT // (2 * n)
+    chunk = j // k_max
+    left = _np.bincount(stretch)[stretch] - chunk * k_max
+    k = _np.minimum(k_max, left)  # pairs in this pair's chunk
+    fold = k >= 2
+    if not fold.any():
+        return None
+    lead = fold & (j == chunk * k_max)
+    keep = _np.ones(m, dtype=bool)
+    keep[pos[fold] + 1] = False
+    keep[pos[fold & ~lead]] = False
+    ops = ops.copy()
+    costs = costs.copy()
+    ops[pos[lead]] = loop_op
+    costs[pos[lead]] = pack_loop(n[lead], k[lead])
+    return keep, ops, costs
+
+
 def expand_runs(batch: EventBatch) -> EventBatch:
-    """The plain rows a batch stands for: each run superop becomes its
-    run of plain ``read``/``write``/``kernelToUser`` rows (the inverse
-    of :func:`fuse_batch`, vectorised).
+    """The plain rows a batch stands for: each loop superop becomes its
+    pairs of runs (:func:`unfold_loops`) and each run superop its run of
+    plain ``read``/``write``/``kernelToUser`` rows (the inverse of
+    :func:`fuse_batch`, vectorised).
 
     This is the one step between stored rows and the tools whose
     ``consume_batch`` loops know only plain opcodes.  A batch with no
-    run superop is returned as is."""
-    runs = _run_mask(batch.ops)
+    superop is returned as is."""
+    batch = unfold_loops(batch)
+    runs = _superops(batch.ops)[0]
     if not runs.any():
         return batch
     costs = _np.frombuffer(batch.costs, dtype=_np.int64)
@@ -884,12 +1052,38 @@ def expand_runs(batch: EventBatch) -> EventBatch:
     )
 
 
+def unfold_loops(batch: EventBatch) -> EventBatch:
+    """The batch with each loop superop replaced by the ``k`` pairs of
+    run rows it stands for (vectorised); a batch with no loop is
+    returned as is."""
+    ops = _np.frombuffer(batch.ops, dtype=_np.int8)
+    loops = _IS_LOOP.take(ops.view(_np.uint8))
+    if not loops.any():
+        return batch
+    costs = _np.frombuffer(batch.costs, dtype=_np.int64)
+    n, k = unpack_loop(costs)
+    reps = _np.where(loops, 2 * k, 1)
+    src = _np.repeat(_np.arange(len(ops)), reps)  # source row per output
+    ends = _np.cumsum(reps)
+    half = (_np.arange(ends[-1]) - (ends - reps)[src]) & 1
+    is_loop = loops[src]
+    pairs = _LOOP_PAIR.take(ops.view(_np.uint8), axis=0)[src, half]
+    threads = _np.frombuffer(batch.threads, dtype=_np.int64)[src]
+    return EventBatch(
+        array("b", _np.where(is_loop, pairs, ops[src]).tobytes()),
+        array("q", threads.tobytes()),
+        array("q", _np.frombuffer(batch.args, dtype=_np.int64)[src].tobytes()),
+        array("q", _np.where(is_loop, n[src], costs[src]).tobytes()),
+        names=batch.names,
+    )
+
+
 def count_superops(batch: EventBatch) -> Tuple[int, int]:
-    """``(runs, events_covered)`` for the run superops in ``batch`` —
-    the observability hook behind the ``kernel.superops_fused`` gauge."""
-    runs = _run_mask(batch.ops)
-    covered = _np.frombuffer(batch.costs, dtype=_np.int64)[runs].sum()
-    return int(runs.sum()), int(covered)
+    """``(superops, events_covered)`` for the run and loop superops in
+    ``batch`` — the observability hook behind the
+    ``kernel.superops_fused`` gauge."""
+    weights, superops = _row_weights(batch)
+    return int(superops.sum()), int(weights[superops].sum())
 
 
 def write_rows(
@@ -918,10 +1112,9 @@ def write_rows(
         name_parts.append(raw)
     names_payload = b"".join(name_parts)
     n_rows = len(rows.ops)
-    # logical events before each row (a run weighs its length)
-    weights = _np.where(
-        _run_mask(rows.ops), _np.frombuffer(rows.costs, dtype=_np.int64), 1
-    )
+    # logical events before each row (a run weighs its length, a loop
+    # ``2 * n * k``)
+    weights = _row_weights(rows)[0]
     weight_sums = _np.concatenate(([0], _np.cumsum(weights)))
     parts = [
         _BATCH_MAGIC,
@@ -931,9 +1124,10 @@ def write_rows(
         struct.pack("<Q", int(weight_sums[-1])),
     ]
     # A section also ends once it holds ``_SECTION_WEIGHT`` times its
-    # row cap in events: fused rows stand for up to 64 events each, and
-    # sections are the cut points the partition planner balances by
-    # events, so a section must bound replay work as well as rows.
+    # row cap in events: a run row stands for up to 64 events and a
+    # loop row for up to ``_LOOP_MAX_WEIGHT``, and sections are the cut
+    # points the partition planner balances by events, so a section
+    # must bound replay work as well as rows.
     event_cap = _SECTION_WEIGHT * section_rows
     cuts = sorted({int(b) for b in boundaries if 0 < int(b) < n_rows})
     seg_lo = 0

@@ -5,11 +5,13 @@ This is the one fast replay path beside the paper-faithful scalar
 :class:`~repro.core.events.EventBatch` columns, plain or carrying
 the three *run superops* (:data:`~repro.core.events.OP_READ_RUN`,
 :data:`~repro.core.events.OP_WRITE_RUN` and
-:data:`~repro.core.events.OP_KFILL_RUN`) produced by
+:data:`~repro.core.events.OP_KFILL_RUN`) and the *loop superop*
+(:data:`~repro.core.events.OP_FILL_READ_LOOP`) produced by
 :func:`~repro.core.events.fuse_batch`: a run of N same-thread stride-1
 reads, writes or kernel fills inside one shadow leaf costs one
 dispatch, one leaf probe and a handful of C-level ``array('q')`` slice
-operations instead of N of each.
+operations instead of N of each, and a loop of k fill-then-read pairs
+over one buffer costs the same as one run.
 
 Why fusion is safe (the Invariant 2 argument)
 ---------------------------------------------
@@ -40,6 +42,22 @@ cell so compaction happens at the same cell as in the scalar loop.
 The rms kernel, and drms with external input off, skip a fill run in
 one dispatch, as they skip a single ``kernelToUser``.
 ``userToKernel`` events are not fused.
+
+A **fill-read loop** (a syscall read loop: k times, the kernel fills
+buffer cells ``[a, a+n)`` and the thread then reads them) replays in
+one leaf segment.  Every read of the loop is a kernel-induced first
+read: the fill just before it stamps ``wts`` with the ramp
+``count+1 ... count+n``, and no per-thread stamp ever exceeds
+``count``.  So the loop adds ``n*k`` to the top activation's drms and
+to its kernel-induced counter, leaves ``wts`` holding the last pair's
+ramp (source 0) and the thread's stamps at ``count + n*k``, and
+advances ``count`` by ``n*k``.  When ``count + n*k`` reaches the
+counter limit the kernel replays the loop pair by pair through the
+fill-run and read-run paths instead, so renumbering happens at the
+exact cell.  Where fills are invisible (rms, and drms with external
+input off) a loop is one read run of its buffer: the first read
+classifies it and the k-1 later reads are pure re-reads at the same
+timestamp.
 
 Bulk fast paths
 ---------------
@@ -76,6 +94,7 @@ import numpy as _np
 
 from repro.core.events import (
     OP_CALL,
+    OP_FILL_READ_LOOP,
     OP_KERNEL_TO_USER,
     OP_KFILL_RUN,
     OP_LOCK_ACQUIRE,
@@ -88,6 +107,8 @@ from repro.core.events import (
     OP_WRITE,
     OP_WRITE_RUN,
     EventBatch,
+    unfold_loops,
+    unpack_loop,
 )
 from repro.core.shadow import ShadowMemory
 from repro.core.shadow_stack import ShadowStack, StackEntry
@@ -197,7 +218,12 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
     ramp = array("q")
 
     for op, tid, arg, cost in zip(ops, batch.threads, batch.args, batch.costs):
-        if op <= OP_WRITE or op == OP_READ_RUN or op == OP_WRITE_RUN:
+        if (
+            op <= OP_WRITE
+            or op == OP_READ_RUN
+            or op == OP_WRITE_RUN
+            or op == OP_FILL_READ_LOOP
+        ):
             if tid != cur:
                 state = states.get(tid)
                 if state is None:
@@ -347,13 +373,19 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                         wts_tag = tag
                     wts_chunk[off] = count
                     src_chunk[off] = tid + 1
-            elif op == OP_READ_RUN:
+            elif op == OP_READ_RUN or (
+                op == OP_FILL_READ_LOOP and not external_input
+            ):
+                # (A loop whose fills are invisible is one read run of
+                # its buffer: see the module docstring.)
                 runs_consumed += 1
                 if stamp_count != count:
                     stamp_leaf = array("q", [count]) * leaf_size
                     stamp_count = count
                 a = arg
-                end = arg + cost
+                end = arg + (
+                    cost if op == OP_READ_RUN else unpack_loop(cost)[0]
+                )
                 while a < end:
                     tag = a >> leaf_bits
                     off = a & leaf_mask
@@ -564,6 +596,77 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                             src_leaf if m == leaf_size else src_leaf[:m]
                         )
                     a += m
+            elif op == OP_FILL_READ_LOOP:
+                runs_consumed += 1
+                n, k = unpack_loop(cost)
+                total = n * k
+                if count + total < limit_v:
+                    # Every read of the loop is induced by the fill just
+                    # before it (the fill stamps ``count+1...``, above
+                    # every per-thread stamp), so the loop is n*k kernel-
+                    # induced first-reads; what it leaves behind is the
+                    # last pair's fill ramp and read stamp.
+                    if top is not None:
+                        top_drms += total
+                        if top_counters is None:
+                            counters = rc_get(top.rtn)
+                            if counters is None:
+                                counters = [0, 0, 0]
+                                read_counters[top.rtn] = counters
+                            top_counters = counters
+                        c_kernel += total
+                    # (The buffer lies in one leaf: the writer and the
+                    # decoder guarantee it.)
+                    tag = arg >> leaf_bits
+                    off = arg & leaf_mask
+                    if tag != wts_tag:
+                        wts_chunk = wts.leaf_create(arg)
+                        src_chunk = wsrc.leaf_create(arg)
+                        wts_tag = tag
+                    last = count + total - n + 1  # the last fill's ramp
+                    end_off = off + n
+                    wts_chunk[off:end_off] = array("q", range(last, last + n))
+                    src_chunk[off:end_off] = zero_leaf[:n]
+                    count += total
+                    if tag != ts_tag:
+                        table = ts_top_get(tag >> mid_bits)
+                        ts_chunk = (
+                            table[tag & mid_mask] if table is not None else None
+                        )
+                        if ts_chunk is None:
+                            ts_chunk = cur_mem.leaf_create(arg)
+                        ts_tag = tag
+                    if stamp_count != count:
+                        stamp_leaf = array("q", [count]) * leaf_size
+                        stamp_count = count
+                    ts_chunk[off:end_off] = stamp_leaf[:n]
+                else:
+                    # Renumbering lands inside the loop: settle the
+                    # pending sums and replay the loop's pairs through
+                    # the fill-run and read-run paths, so compaction
+                    # happens at the exact cell.
+                    if top_drms:
+                        top.drms += top_drms
+                        top_drms = 0
+                    if c_plain or c_thread or c_kernel:
+                        top_counters[0] += c_plain
+                        top_counters[1] += c_thread
+                        top_counters[2] += c_kernel
+                        c_plain = c_thread = c_kernel = 0
+                    prof.count = count
+                    consume_columnar_drms(
+                        prof,
+                        unfold_loops(
+                            EventBatch(
+                                array("b", [op]),
+                                array("q", [tid]),
+                                array("q", [arg]),
+                                array("q", [cost]),
+                                names,
+                            )
+                        ),
+                    )
+                    count = prof.count
             elif op == OP_CALL:
                 count += 1
                 if count >= limit_v:
@@ -745,7 +848,12 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
     for op, tid, arg, cost in zip(
         batch.ops, batch.threads, batch.args, batch.costs
     ):
-        if op <= OP_WRITE or op == OP_READ_RUN or op == OP_WRITE_RUN:
+        if (
+            op <= OP_WRITE
+            or op == OP_READ_RUN
+            or op == OP_WRITE_RUN
+            or op == OP_FILL_READ_LOOP
+        ):
             if tid != cur:
                 state = states.get(tid)
                 if state is None:
@@ -828,13 +936,17 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
                         ts_chunk = cur_mem.leaf_create(arg)
                     ts_tag = tag
                 ts_chunk[arg & leaf_mask] = count
-            elif op == OP_READ_RUN:
+            elif op == OP_READ_RUN or op == OP_FILL_READ_LOOP:
+                # (Fills are invisible to rms, so a loop is one read run
+                # of its buffer: see the module docstring.)
                 runs_consumed += 1
                 if stamp_count != count:
                     stamp_leaf = array("q", [count]) * leaf_size
                     stamp_count = count
                 a = arg
-                end = arg + cost
+                end = arg + (
+                    cost if op == OP_READ_RUN else unpack_loop(cost)[0]
+                )
                 while a < end:
                     tag = a >> leaf_bits
                     off = a & leaf_mask

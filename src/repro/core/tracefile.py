@@ -53,7 +53,9 @@ from repro.core.events import (
     _BATCH_MAGIC,
     _BATCH_MAGICS,
     _EVENT_BYTES,
+    _IS_LOOP,
     _LEAF_BITS,
+    _LOOP_MAX_WEIGHT,
     KIND_BY_OPCODE,
     OP_CALL,
     OP_RETURN,
@@ -75,6 +77,7 @@ from repro.core.events import (
     Write,
     encode_events,
     scan_batch_bytes,
+    unpack_loop,
 )
 
 __all__ = [
@@ -357,12 +360,16 @@ def _read_section_header(
     return rows, events, flags, calls, rets, payload_size, header_size
 
 
-#: the opcodes are dense: the plain ones from 0, then the run superops
-#: up to the last opcode a writer stores
+#: the opcodes are dense: the plain ones from 0, then the run and loop
+#: superops up to the last opcode a writer stores
 _FIRST_RUN_OPCODE = min(SUPEROP_NAMES)
 _LAST_OPCODE = max(SUPEROP_NAMES)
 assert sorted(KIND_BY_OPCODE) + sorted(SUPEROP_NAMES) == list(
     range(_LAST_OPCODE + 1)
+)
+_LOOP_ERROR = (
+    "loop superop of fewer than two pairs, over a buffer outside one "
+    "shadow leaf or over its weight cap"
 )
 
 
@@ -370,28 +377,48 @@ def _check_rows(
     ops: array, args: array, costs: array, events: int, pos: int
 ) -> None:
     """Reject decoded rows no writer produces: an unknown opcode, a run
-    superop shorter than one cell or crossing a shadow leaf, or rows
-    whose summed weights (a run weighs its length) differ from the
-    section header's event count.  The columnar kernel trusts all
-    three."""
+    superop shorter than one cell or crossing a shadow leaf, a loop
+    superop of fewer than two pairs, over a buffer of 0 or more than 64
+    cells or crossing a leaf, or outweighing ``_LOOP_MAX_WEIGHT``, or
+    rows whose summed weights (a run weighs its length, a loop
+    ``2 * n * k``) differ from the section header's event count.  The
+    columnar kernel trusts all of them."""
     op_u8 = _np.frombuffer(ops, dtype=_np.uint8)
     if op_u8.max() > _LAST_OPCODE:
         raise TraceFormatError("unknown opcode in section", pos)
-    runs = op_u8 >= _FIRST_RUN_OPCODE
-    spans = _np.frombuffer(costs, dtype=_np.int64)[runs] - 1
+    superops = op_u8 >= _FIRST_RUN_OPCODE
     weight = len(ops)
-    if len(spans):
-        # a run covers ``base .. base + span`` with ``0 <= span < 64``
-        # in one leaf; int64 wraps, but a wrap flips the sign bit, so
-        # the leaf test still fails
-        bases = _np.frombuffer(args, dtype=_np.int64)[runs]
-        moved = (bases ^ (bases + spans)) >> _LEAF_BITS
-        if ((spans >> _LEAF_BITS) | moved).any():
+    if superops.any():
+        # per superop: the cells it covers from ``base``, and how many
+        # times (1 for a run, ``2 * k`` for a loop)
+        cells = _np.frombuffer(costs, dtype=_np.int64)[superops]
+        bases = _np.frombuffer(args, dtype=_np.int64)[superops]
+        loops = _IS_LOOP.take(op_u8[superops])
+        times = 1
+        if loops.any():
+            n, k = unpack_loop(cells)
+            # ``k`` is bounded before it multiplies, so no weight wraps
+            if (loops & ((k < 2) | (k > _LOOP_MAX_WEIGHT // 2))).any():
+                raise TraceFormatError(_LOOP_ERROR, pos)
+            cells = _np.where(loops, n, cells)
+            times = _np.where(loops, 2 * k, 1)
+        # every superop covers ``base .. base + span`` with ``0 <= span
+        # < 64`` in one leaf; int64 wraps, but a wrap flips the sign
+        # bit, so the leaf test still fails
+        spans = cells - 1
+        outside = (spans | (bases ^ (bases + spans))) >> _LEAF_BITS
+        if outside.any():
             raise TraceFormatError(
-                "run superop shorter than one cell or crossing a shadow leaf",
+                _LOOP_ERROR
+                if (outside.astype(bool) & loops).any()
+                else "run superop shorter than one cell or crossing a "
+                "shadow leaf",
                 pos,
             )
-        weight += int(spans.sum())
+        weights = cells * times
+        if (weights > _LOOP_MAX_WEIGHT).any():
+            raise TraceFormatError(_LOOP_ERROR, pos)
+        weight += int(weights.sum()) - len(weights)
     if weight != events:
         raise TraceFormatError(
             f"section rows weigh {weight} events, header says {events}", pos

@@ -73,6 +73,7 @@ from repro.tools.pool import (
     pool_stats,
     share_trace,
     supervise,
+    usable_cpus,
 )
 from repro.tools.runner import DEFAULT_ENGINE, check_engine
 
@@ -87,13 +88,14 @@ __all__ = [
 
 def resolve_partitions(partitions: Optional[int]) -> Optional[int]:
     """Normalise a ``--partitions`` value: ``None`` stays off, ``0``
-    means auto (one partition per CPU), anything else passes through."""
+    means auto (one partition per usable CPU), anything else passes
+    through."""
     if partitions is None:
         return None
     if partitions < 0:
         raise ValueError("partitions must be >= 0")
     if partitions == 0:
-        return os.cpu_count() or 1
+        return usable_cpus()
     return partitions
 
 
@@ -780,7 +782,8 @@ def replay_partitioned(
                 carry_aware=carry_aware,
             )
 
-    pool_workers = min(len(parts), workers or os.cpu_count() or 1)
+    cpus = usable_cpus()
+    pool_workers = min(len(parts), workers or cpus)
     kill_active = os.environ.get(_KILL_ENV) is not None
     # On a box that cannot express parallelism at all, worker processes
     # can only lose to their own scheduling contention (measured ~5-7%
@@ -792,7 +795,7 @@ def replay_partitioned(
     # replay that is itself running in a pool worker (a parallel sweep
     # cell) replays inline too: pools do not nest.
     single_cpu = (
-        (os.cpu_count() or 1) < 2
+        cpus < 2
         and not kill_active
         and not os.environ.get("REPRO_PARTITION_FORCE_POOL")
     )
@@ -910,6 +913,11 @@ def replay_partitioned(
                 reclassified
             )
         for row in rows:
+            # every shard of a partition carries the one shared decode
+            # pass's time: observe it once per partition, not per kind
+            metrics.histogram(
+                "partition.decode_stall_us", {"label": label}
+            ).observe(int(row[0].decode_stall_s * 1e6))
             for shard in row:
                 slabels = {
                     "label": label,
@@ -920,9 +928,6 @@ def replay_partitioned(
                     max(1, int(shard.elapsed * 1e6))
                 )
                 metrics.gauge("partition.events", slabels).set(shard.events)
-                metrics.histogram(
-                    "partition.decode_stall_us", {"label": label}
-                ).observe(int(shard.decode_stall_s * 1e6))
                 metrics.histogram(
                     "partition.backpressure_us", {"label": label}
                 ).observe(int(shard.backpressure_s * 1e6))

@@ -97,6 +97,7 @@ __all__ = [
     "shm_available",
     "shutdown_pool",
     "supervise",
+    "usable_cpus",
 ]
 
 #: segment name prefix; the embedded creator pid is what makes stale
@@ -381,6 +382,16 @@ def in_pool_worker() -> bool:
     worker's exit, and with it the parent's.  Callers that would fan
     out take their inline path instead."""
     return _IN_WORKER
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, which taskset
+    and cpusets narrow, falling back to ``os.cpu_count()`` where the
+    platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 class WorkerPool:

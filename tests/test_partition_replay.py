@@ -451,3 +451,60 @@ def test_partition_metrics_published():
         assert registry.gauge("partition.replay_us", slabels).value >= 1
         assert registry.gauge("partition.events", slabels).value > 0
     assert registry.histogram("partition.decode_stall_us", labels).count == 3
+
+
+def test_decode_stall_observed_once_per_partition_for_every_kind():
+    """drms and rms share one decode pass per partition, so the stall
+    histogram counts partitions, not shards."""
+    from repro.obs import MetricsRegistry
+
+    _batch, payload = _three_part_payload()
+    registry = MetricsRegistry()
+    rep = replay_partitioned(
+        payload, partitions=3, kinds=("drms", "rms"), workers=1,
+        metrics=registry, label="test",
+    )
+    assert len(rep.plan.partitions) == 3
+    assert all(len(row) == 2 for row in rep.shards)
+    stall = registry.histogram("partition.decode_stall_us", {"label": "test"})
+    assert stall.count == 3
+
+
+def test_partitions_follow_the_affinity_mask(monkeypatch):
+    """Auto partitioning and the single-CPU inline degrade count the CPUs
+    this process may run on, not the CPUs the host has."""
+    import os
+
+    from repro.tools import partition, pool
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.delenv("REPRO_PARTITION_FORCE_POOL", raising=False)
+    monkeypatch.delenv(_KILL_ENV, raising=False)
+    assert pool.usable_cpus() == 1
+    assert resolve_partitions(0) == 1
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-CPU replay submitted a pool task")
+
+    monkeypatch.setattr(partition, "supervise", no_pool)
+    batch, payload = _three_part_payload()
+    rep = replay_partitioned(payload, partitions=2, kinds=("drms",), workers=2)
+    assert len(rep.plan.partitions) == 2
+    assert not rep.degradations
+    serial_drms, _serial_rms = serial_profilers(batch)
+    assert rep.profilers["drms"].metrics_snapshot() == (
+        serial_drms.metrics_snapshot()
+    )
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    import os
+
+    from repro.tools import pool
+
+    def unsupported(pid):
+        raise OSError("no affinity here")
+
+    monkeypatch.setattr(os, "sched_getaffinity", unsupported, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert pool.usable_cpus() == 3

@@ -6,7 +6,9 @@
 * **size** — the Figure 4 ``mysql_select`` run ×16 stores in at most
   0.05 bytes per event;
 * **a validating decoder** — a run row of length < 1, a run crossing a
-  shadow leaf, an unknown opcode, or a section whose row weights differ
+  shadow leaf, a loop row of fewer than two pairs, over a buffer of 0 or
+  more than 64 cells or one crossing a leaf, or with an overflowing
+  packed cost, an unknown opcode, or a section whose row weights differ
   from its header's event count is a :class:`TraceFormatError`;
 * **a structured fuzz** — random lane tags, widths, zlib flags, section
   counts, opcodes and run rows make ``iter_section_batches``,
@@ -30,6 +32,7 @@ from repro.core.codec import (
 )
 from repro.core.events import (
     OP_CALL,
+    OP_FILL_READ_LOOP,
     OP_KFILL_RUN,
     OP_READ,
     OP_READ_RUN,
@@ -47,6 +50,7 @@ from repro.core.events import (
     encode_events,
     expand_runs,
     fuse_batch,
+    pack_loop,
     scan_batch_bytes,
     write_rows,
 )
@@ -208,8 +212,8 @@ def _trace(rows, declared_delta=0, events_delta=0):
         ([(OP_WRITE_RUN, 1, 60, 10)], (0, 0), "crossing a shadow leaf"),
         # a kernel-fill run longer than a leaf
         ([(OP_KFILL_RUN, 1, 0, 65)], (0, 0), "crossing a shadow leaf"),
-        # opcode 14 is past the last run superop
-        ([(OP_READ, 1, 0, 0), (14, 1, 0, 0)], (0, 0), "unknown opcode"),
+        # opcode 15 is past the last superop
+        ([(OP_READ, 1, 0, 0), (15, 1, 0, 0)], (0, 0), "unknown opcode"),
         ([(OP_READ, 1, 0, 0), (-1, 1, 0, 0)], (0, 0), "unknown opcode"),
         # the header claims one event more than the rows weigh
         (
@@ -229,6 +233,97 @@ def test_decoder_rejects_malformed_run_rows(rows, deltas, match):
     assert scan.sections_valid == 0 and scan.error_section == 0
     with pytest.raises(TraceIntegrityError):
         EventBatch.from_bytes(data)
+
+
+def _section(rows, events):
+    """One v4 section of ``(op, thread, arg, cost)`` rows whose header
+    states ``events`` logical events (written by hand: the writer
+    cannot weigh a malformed loop row)."""
+    flags, payload = encode_section_payload(
+        array("b", [r[0] for r in rows]).tobytes(),
+        array("q", [r[1] for r in rows]),
+        array("q", [r[2] for r in rows]),
+        array("q", [r[3] for r in rows]),
+    )
+    head = b"RPRB\x04" + struct.pack("<I", 4) + struct.pack("<I", 0)
+    head += struct.pack("<I", zlib.crc32(struct.pack("<I", 0)))
+    return (
+        head
+        + struct.pack("<Q", events)
+        + SECTION_HEADER.pack(len(rows), events, flags, 0, 0, len(payload))
+        + payload
+        + struct.pack("<I", zlib.crc32(payload))
+    )
+
+
+_LOOP_ERROR = "loop superop"
+
+
+@pytest.mark.parametrize(
+    "rows,events,match",
+    [
+        # one pair is not a loop (k < 2)
+        ([(OP_FILL_READ_LOOP, 1, 0, pack_loop(4, 1))], 8, _LOOP_ERROR),
+        ([(OP_FILL_READ_LOOP, 1, 0, pack_loop(4, 0))], 1, _LOOP_ERROR),
+        # an empty buffer, and one longer than a leaf
+        ([(OP_FILL_READ_LOOP, 1, 0, pack_loop(0, 3))], 1, _LOOP_ERROR),
+        ([(OP_FILL_READ_LOOP, 1, 0, pack_loop(65, 2))], 260, _LOOP_ERROR),
+        ([(OP_FILL_READ_LOOP, 1, 0, pack_loop(127, 2))], 508, _LOOP_ERROR),
+        # a buffer from cell 60 to 67 crosses the 64-cell leaf
+        ([(OP_FILL_READ_LOOP, 1, 60, pack_loop(8, 2))], 32, _LOOP_ERROR),
+        # a buffer at INT64_MAX wraps
+        (
+            [(OP_FILL_READ_LOOP, 1, (1 << 63) - 2, pack_loop(4, 2))],
+            16,
+            _LOOP_ERROR,
+        ),
+        # packed costs that overflow: a negative cost, the largest k
+        # (its weight is just under 2**63), a weight that wraps int64,
+        # a k past the weight cap
+        ([(OP_FILL_READ_LOOP, 1, 0, -1)], 1, _LOOP_ERROR),
+        ([(OP_FILL_READ_LOOP, 1, 0, pack_loop(64, (1 << 56) - 1))], 1,
+         _LOOP_ERROR),
+        ([(OP_FILL_READ_LOOP, 1, 0, pack_loop(127, (1 << 56) - 1))], 1,
+         _LOOP_ERROR),
+        ([(OP_FILL_READ_LOOP, 1, 0, pack_loop(64, 33))], 4224, _LOOP_ERROR),
+        # the header states one event more, or fewer, than the rows weigh
+        (
+            [(OP_CALL, 1, 0, 0), (OP_FILL_READ_LOOP, 1, 0x40, pack_loop(8, 3)),
+             (OP_RETURN, 1, 0, 0)],
+            51,
+            "weigh 50 events, header says 51",
+        ),
+        (
+            [(OP_FILL_READ_LOOP, 1, 0x40, pack_loop(8, 3))],
+            47,
+            "weigh 48 events, header says 47",
+        ),
+    ],
+)
+def test_decoder_rejects_malformed_loop_rows(rows, events, match):
+    data = _section(rows, events)
+    with pytest.raises(TraceFormatError, match=match):
+        list(iter_section_batches(data))
+    scan = scan_batch_bytes(data)
+    assert not scan.intact and match in str(scan.error)
+    assert scan.sections_valid == 0 and scan.error_section == 0
+    with pytest.raises(TraceIntegrityError):
+        EventBatch.from_bytes(data)
+    for partitions in (1, 2):
+        try:
+            plan_partitions(data, partitions)
+        except (TraceFormatError, TraceIntegrityError):
+            pass
+
+
+def test_decoder_accepts_loops_at_the_limits():
+    rows = [
+        (OP_FILL_READ_LOOP, 1, 0x40, pack_loop(64, 32)),
+        (OP_FILL_READ_LOOP, 2, 0x83, pack_loop(1, 2048)),
+    ]
+    (section,) = iter_section_batches(_section(rows, 2 * 4096))
+    assert section.event_count() == 2 * 4096
+    assert len(list(section.iter_events())) == 2 * 4096
 
 
 def test_decoder_accepts_a_full_leaf_run():
@@ -274,7 +369,7 @@ def fuzzed_trace(draw):
         rows = draw(st.integers(1, 6))
         ops = draw(
             st.lists(
-                st.sampled_from(range(14)) | st.integers(-128, 127),
+                st.sampled_from(range(15)) | st.integers(-128, 127),
                 min_size=rows,
                 max_size=rows,
             )
@@ -291,12 +386,18 @@ def fuzzed_trace(draw):
         )
         costs = draw(
             st.lists(
-                st.integers(-2, 70) | _INT64, min_size=rows, max_size=rows
+                st.integers(-2, 70)
+                | _INT64
+                | st.builds(pack_loop, st.integers(0, 70), st.integers(-1, 40)),
+                min_size=rows,
+                max_size=rows,
             )
         )
         ops_b = array("b", ops).tobytes()
         weight = sum(
-            c if op in (OP_READ_RUN, OP_WRITE_RUN, OP_KFILL_RUN) else 1
+            c if op in (OP_READ_RUN, OP_WRITE_RUN, OP_KFILL_RUN)
+            else 2 * (c & 127) * (c >> 7) if op == OP_FILL_READ_LOOP
+            else 1
             for op, c in zip(ops, costs)
         )
         events = draw(
