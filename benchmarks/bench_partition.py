@@ -25,7 +25,8 @@ the whole point of warm workers over shm is that the overhead is gone.
 The artifact also carries a ``components`` decomposition of where a
 partitioned replay's time goes: ``dispatch`` (warm-pool task
 round-trip), ``transfer`` (shm segment create + attach), ``decode``
-(bytes to the stored fused sections), ``replay`` (sections to profile), and
+(bytes to the replay batches of stored fused sections), ``replay``
+(batches to profile), and
 ``merge`` (shard fold), so a regression in any one layer is visible in
 isolation rather than smeared across the curve.
 
@@ -56,9 +57,8 @@ from pathlib import Path
 
 from repro.core import DrmsProfiler, FULL_POLICY
 from repro.core.events import Call, Return, SwitchThread, encode_events
-from repro.core.tracefile import iter_section_batches
 from repro.core.tracing import with_switches
-from repro.tools.partition import replay_partitioned
+from repro.tools.partition import iter_replay_batches, replay_partitioned
 from repro.workloads.registry import get_workload
 
 WORKLOAD = "mysql_select"  # the Figure 4 workload
@@ -123,13 +123,13 @@ def build_payload(runs, monolithic=False):
 
 
 def serial_replay(payload):
-    """Bytes-to-profile streaming replay — the same section decoder
-    and inline columnar kernel each partition worker runs, minus the
-    partitioning.  The stored sections already carry their run
-    superops, so nothing is fused here."""
+    """Bytes-to-profile streaming replay — the same section decoder,
+    replay batches and inline columnar kernel each partition worker
+    runs, minus the partitioning.  The stored sections already carry
+    their run superops, so nothing is fused here."""
     profiler = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)
-    for section in iter_section_batches(payload):
-        profiler.consume_columnar(section)
+    for batch in iter_replay_batches(payload):
+        profiler.consume_columnar(batch)
     profiler.begin_trace()
     return profiler
 
@@ -198,21 +198,21 @@ def decompose(payload, repeats, merge_time):
     comps["transfer"] = _median(transfer, repeats)
 
     def decode():
-        for _section in iter_section_batches(payload):
+        for _batch in iter_replay_batches(payload):
             pass
 
     comps["decode"] = _median(decode, repeats)
 
-    fused = list(iter_section_batches(payload))
+    batches = list(iter_replay_batches(payload))
 
     def replay():
         profiler = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)
-        for section in fused:
-            profiler.consume_columnar(section)
+        for batch in batches:
+            profiler.consume_columnar(batch)
         profiler.begin_trace()
 
     comps["replay"] = _median(replay, repeats)
-    del fused
+    del batches
     gc.collect()
     comps["merge"] = merge_time
     return comps

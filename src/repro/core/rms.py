@@ -36,6 +36,7 @@ from repro.core.events import (
     UserToKernel,
     Write,
 )
+from repro.core.kernel import consume_columnar_rms
 from repro.core.profiles import ProfileSet
 from repro.core.shadow import ShadowMemory
 from repro.core.shadow_stack import ShadowStack
@@ -175,8 +176,6 @@ class RmsProfiler:
         to scalar :meth:`consume` over ``batch.iter_events()``
         (property-tested); kernel fills and syscall reads are invisible,
         as in :meth:`consume`."""
-        from repro.core.kernel import consume_columnar_rms
-
         consume_columnar_rms(self, batch)
 
     def run_batch(self, batch: EventBatch) -> ProfileSet:

@@ -45,6 +45,7 @@ from repro.core.events import (
     UserToKernel,
     Write,
 )
+from repro.core.kernel import consume_columnar_drms
 from repro.core.policy import FULL_POLICY, InputPolicy
 from repro.core.profiles import ProfileSet
 from repro.core.renumber import renumber_state
@@ -337,8 +338,6 @@ class DrmsProfiler:
         the scalar loop and the naive oracle.  State is carried across
         calls, so a trace may be fed in slices.
         """
-        from repro.core.kernel import consume_columnar_drms
-
         consume_columnar_drms(self, batch)
 
     def run_batch(self, batch: EventBatch) -> ProfileSet:

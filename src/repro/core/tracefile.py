@@ -56,6 +56,7 @@ from repro.core.events import (
     _IS_LOOP,
     _LEAF_BITS,
     _LOOP_MAX_WEIGHT,
+    _SECTION_ROWS,
     KIND_BY_OPCODE,
     OP_CALL,
     OP_RETURN,
@@ -255,7 +256,8 @@ def scan_trace(stream: IO[bytes]) -> TraceScan:
 # ``memoryview`` slices of the CRC-checked section payload (no per-event
 # object, no intermediate byte copies beyond the column buffers
 # themselves).  The batches are the stored rows — fused by the writer —
-# so replay loops feed each section to every profiler inline, as is:
+# so replay loops feed them to every profiler inline, as is (partition
+# replay joins consecutive sections into one kernel batch first):
 # decode is GIL-bound, so a reader thread could not overlap it with the
 # kernels anyway.  ``_decode_section`` is the one section parser: the
 # scanner (``scan_batch_bytes``), the ranged replay iterator and the
@@ -367,27 +369,35 @@ _LAST_OPCODE = max(SUPEROP_NAMES)
 assert sorted(KIND_BY_OPCODE) + sorted(SUPEROP_NAMES) == list(
     range(_LAST_OPCODE + 1)
 )
+#: rows one read-ahead group of sections may hold: the unit of the
+#: decoder's row check and of a partition worker's kernel call
+_GROUP_ROWS = 64 * _SECTION_ROWS
 _LOOP_ERROR = (
     "loop superop of fewer than two pairs, over a buffer outside one "
     "shadow leaf or over its weight cap"
 )
 
 
-def _check_rows(
-    ops: array, args: array, costs: array, events: int, pos: int
-) -> None:
+def _check_rows(ops, args, costs, events, pos: int, starts=None) -> None:
     """Reject decoded rows no writer produces: an unknown opcode, a run
     superop shorter than one cell or crossing a shadow leaf, a loop
     superop of fewer than two pairs, over a buffer of 0 or more than 64
     cells or crossing a leaf, or outweighing ``_LOOP_MAX_WEIGHT``, or
     rows whose summed weights (a run weighs its length, a loop
     ``2 * n * k``) differ from the section header's event count.  The
-    columnar kernel trusts all of them."""
+    columnar kernel trusts all of them.
+
+    With ``starts`` the lanes are several sections concatenated:
+    ``starts`` holds each section's first row and ``events`` each
+    section's header count, and every section must weigh its own count
+    (so two miscounts cannot cancel out).  The error then names ``pos``
+    only; :func:`iter_section_batches` re-checks section by section to
+    find the exact one."""
     op_u8 = _np.frombuffer(ops, dtype=_np.uint8)
     if op_u8.max() > _LAST_OPCODE:
         raise TraceFormatError("unknown opcode in section", pos)
     superops = op_u8 >= _FIRST_RUN_OPCODE
-    weight = len(ops)
+    weights = None
     if superops.any():
         # per superop: the cells it covers from ``base``, and how many
         # times (1 for a run, ``2 * k`` for a loop)
@@ -418,6 +428,17 @@ def _check_rows(
         weights = cells * times
         if (weights > _LOOP_MAX_WEIGHT).any():
             raise TraceFormatError(_LOOP_ERROR, pos)
+    if starts is not None:
+        row_weights = _np.ones(len(op_u8), dtype=_np.int64)
+        if weights is not None:
+            row_weights[superops] = weights
+        if (_np.add.reduceat(row_weights, starts) != events).any():
+            raise TraceFormatError(
+                "section rows weigh other than their headers say", pos
+            )
+        return
+    weight = len(op_u8)
+    if weights is not None:
         weight += int(weights.sum()) - len(weights)
     if weight != events:
         raise TraceFormatError(
@@ -431,6 +452,7 @@ def _decode_section(
     version: int,
     remaining: Optional[int] = None,
     verify: bool = True,
+    check: bool = True,
 ) -> Tuple[int, array, array, array, array, int]:
     """Decode the section at ``pos`` into its four lane arrays; returns
     ``(events, ops, threads, args, costs, next_pos)`` where ``events``
@@ -438,8 +460,9 @@ def _decode_section(
     bounds the plausible event count (see :func:`_read_section_header`).
     ``verify`` checks the payload CRC first (ranged replay must; the
     planner's carry snapshots may skip it and let the workers' checked
-    decode fail later).  Raises :class:`TraceFormatError` at the point
-    of damage.
+    decode fail later).  ``check`` runs :func:`_check_rows` on the
+    decoded rows; a caller that skips it must check them itself.
+    Raises :class:`TraceFormatError` at the point of damage.
     """
     rows, events, flags, _calls, _rets, payload_size, header_size = (
         _read_section_header(data, pos, version, remaining)
@@ -471,9 +494,35 @@ def _decode_section(
             raise TraceFormatError(
                 f"corrupt section encoding: {exc}", pos
             ) from exc
-    _check_rows(ops, args, costs, events, pos)
+    if check:
+        _check_rows(ops, args, costs, events, pos)
     next_pos = pos + header_size + payload_size + 4
     return events, ops, threads, args, costs, next_pos
+
+
+def _group_rows_ok(group: List[tuple]) -> bool:
+    """Check a read-ahead group's rows in one :func:`_check_rows` pass
+    over its concatenated lanes; ``False`` when some section fails.
+    ``group`` holds ``(pos, events, ops, threads, args, costs)`` per
+    section."""
+    positions, events, ops, _threads, args, costs = zip(*group)
+
+    def joined(lanes, dtype):
+        return _np.concatenate([_np.frombuffer(a, dtype=dtype) for a in lanes])
+
+    starts = _np.cumsum([0] + [len(lane) for lane in ops[:-1]])
+    try:
+        _check_rows(
+            joined(ops, _np.uint8),
+            joined(args, _np.int64),
+            joined(costs, _np.int64),
+            _np.array(events, dtype=_np.int64),
+            positions[0],
+            starts,
+        )
+    except TraceFormatError:
+        return False
+    return True
 
 
 def iter_section_batches(
@@ -486,12 +535,16 @@ def iter_section_batches(
 
     Each batch holds the section's stored rows, run superops included
     (:func:`repro.core.events.expand_runs` gives the plain rows).
-    Sections are the CRC granularity (at most 1024 rows as written),
-    so the first batch is ready after touching a few KB regardless of
-    trace size.  The shared intern table is decoded once and referenced
-    by every yielded batch.  Raises :class:`TraceFormatError` at the
-    point of damage (events of previously yielded sections stand — the
-    longest-valid-prefix contract of the scanner, streamed).
+    Sections are the CRC and damage granularity (at most 1024 rows as
+    written).  Decoding reads ahead a group of consecutive sections of
+    at most ``_GROUP_ROWS`` rows and checks the group's rows in one
+    pass, so the first batch is ready after one group.  The shared
+    intern table is decoded once and referenced by every yielded batch.
+    Raises :class:`TraceFormatError` at the point of damage, after
+    yielding every section before it (events of previously yielded
+    sections stand — the longest-valid-prefix contract of the scanner,
+    streamed): a group that fails its check is re-checked section by
+    section, and a section that fails to decode ends its group.
 
     ``start``/``end`` restrict decoding to the byte range of a
     :class:`TracePartition` (section-header to past-final-CRC offsets
@@ -511,12 +564,38 @@ def iter_section_batches(
     # a sub-range ends at ``stop``: decode as if the data did too
     view = memoryview(data)[:stop]
     loaded = 0
-    while pos < stop and (ranged or loaded < declared):
-        events, ops, threads, args, costs, pos = _decode_section(
-            view, pos, version, declared if ranged else declared - loaded
-        )
-        loaded += events
-        yield EventBatch(ops, threads, args, costs, names=names)
+    error: Optional[TraceFormatError] = None
+    while error is None and pos < stop and (ranged or loaded < declared):
+        # ``(pos, events, ops, threads, args, costs)`` per section
+        group: List[tuple] = []
+        rows = 0
+        while (
+            pos < stop
+            and (ranged or loaded < declared)
+            and rows + _SECTION_ROWS <= _GROUP_ROWS
+        ):
+            try:
+                events, *lanes, next_pos = _decode_section(
+                    view,
+                    pos,
+                    version,
+                    declared if ranged else declared - loaded,
+                    check=False,
+                )
+            except TraceFormatError as exc:
+                error = exc
+                break
+            group.append((pos, events, *lanes))
+            loaded += events
+            rows += len(lanes[0])
+            pos = next_pos
+        one_by_one = len(group) < 2 or not _group_rows_ok(group)
+        for sec_pos, events, ops, threads, args, costs in group:
+            if one_by_one:
+                _check_rows(ops, args, costs, events, sec_pos)
+            yield EventBatch(ops, threads, args, costs, names=names)
+    if error is not None:
+        raise error
     if not ranged and loaded < declared:
         raise TraceFormatError(
             f"trace truncated: {loaded} of {declared} events recovered", pos

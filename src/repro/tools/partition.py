@@ -9,8 +9,10 @@ parallel job:
    with per-thread carry-in summaries — into byte ranges with balanced
    event counts;
 2. each partition replays its range through the normal engines
-   (columnar by default; each section is decoded once, inline, and its
-   stored rows — run superops included — fed to every profiler kind)
+   (columnar by default; each section is decoded once, inline, and
+   consecutive sections' stored rows — run superops included — are
+   fed to every profiler kind as one batch per decoder read-ahead
+   group)
    in a supervised process pool — a worker that times out or dies is
    retried with backoff and, failing that, that partition alone falls
    back to an inline replay in the parent;
@@ -39,19 +41,22 @@ from __future__ import annotations
 
 import os
 import time
+from array import array
 # unused here since the pool supervisor took over the waiting; kept so
 # perfbench's layer hook on ``partition.futures_wait`` still resolves
 from concurrent.futures import wait as futures_wait  # noqa: F401
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 # unused here since the writer stores fused rows; kept so perfbench's
 # layer hook on ``partition.fuse_batch`` still resolves
 from repro.core.events import fuse_batch  # noqa: F401
+from repro.core.events import EventBatch
 from repro.core.policy import FULL_POLICY
 from repro.core.rms import RmsProfiler
 from repro.core.timestamping import DrmsProfiler
 from repro.core.tracefile import (
+    _GROUP_ROWS,
     PartitionPlan,
     TracePartition,
     iter_section_batches,
@@ -80,6 +85,7 @@ from repro.tools.runner import DEFAULT_ENGINE, check_engine
 __all__ = [
     "PartitionShard",
     "PartitionedReplay",
+    "iter_replay_batches",
     "replay_partition",
     "replay_partitioned",
     "merge_partition_shards",
@@ -97,6 +103,51 @@ def resolve_partitions(partitions: Optional[int]) -> Optional[int]:
     if partitions == 0:
         return usable_cpus()
     return partitions
+
+
+#: most rows one kernel call replays: consecutive sections are joined
+#: up to the decoder's read-ahead group, so a partition of small
+#: sections costs one call per kind per group, not one per section
+_BATCH_ROWS = _GROUP_ROWS
+
+
+def _join_sections(sections: List[EventBatch]) -> EventBatch:
+    """One batch of the consecutive ``sections``' rows, in order."""
+    if len(sections) == 1:
+        return sections[0]
+    first = sections[0]
+    lanes = [
+        array(col.typecode)
+        for col in (first.ops, first.threads, first.args, first.costs)
+    ]
+    for section in sections:
+        lanes[0] += section.ops
+        lanes[1] += section.threads
+        lanes[2] += section.args
+        lanes[3] += section.costs
+    return EventBatch(*lanes, names=first.names)
+
+
+def iter_replay_batches(
+    payload: bytes, start: Optional[int] = None, end: Optional[int] = None
+) -> Iterator[EventBatch]:
+    """The sections of ``payload[start:end]`` (as
+    :func:`~repro.core.tracefile.iter_section_batches` yields them)
+    joined into replay batches: consecutive sections up to
+    ``_BATCH_ROWS`` rows, a larger section alone.  The profilers carry
+    their state across batches, so any cut of the stream into batches
+    replays to the same profiles; fewer, larger batches pay the
+    kernel's per-call setup fewer times."""
+    pending: List[EventBatch] = []
+    rows = 0
+    for section in iter_section_batches(payload, start, end):
+        if pending and rows + len(section) > _BATCH_ROWS:
+            yield _join_sections(pending)
+            pending, rows = [], 0
+        pending.append(section)
+        rows += len(section)
+    if pending:
+        yield _join_sections(pending)
 
 
 def _make_profiler(kind: str, counter_limit: Optional[int] = None):
@@ -133,6 +184,9 @@ class PartitionShard:
     cold_reads: list = field(default_factory=list)
     last_write: dict = field(default_factory=dict)
     last_access: dict = field(default_factory=dict)
+    #: wall time the replay spent pulling batches rather than in the
+    #: kernels: section decode, the row check, and joining sections
+    #: into replay batches
     decode_stall_s: float = 0.0
     backpressure_s: float = 0.0
     queue_depth_hwm: int = 0
@@ -161,13 +215,16 @@ def replay_partition(
 ) -> List[PartitionShard]:
     """Replay one partition's byte range under each profiler kind.
 
-    One pass over the range serves every kind: each section is decoded
-    once and its stored rows (fused by the writer) are handed inline,
-    unchanged, to every kind's columnar kernel before the next section
-    is pulled.  ``scalar`` replays the same sections, expanded into
-    events, through the reference ``consume`` loop for the equivalence
-    suite.  Each shard reports the pass's wall time as ``elapsed`` and
-    its decode share as ``decode_stall_s``.
+    One pass over the range serves every kind: the range's sections
+    are decoded once and joined into batches of consecutive sections
+    (:func:`iter_replay_batches`), and each batch's stored rows (fused
+    by the writer) are handed inline, unchanged, to every kind's
+    columnar kernel — one kernel call per kind per batch — before the
+    next batch is pulled.  ``scalar`` replays the same batches,
+    expanded into events, through the reference ``consume`` loop for
+    the equivalence suite.  Each shard reports the pass's wall time as
+    ``elapsed`` and its decode share (decode, row check and joining
+    sections) as ``decode_stall_s``.
 
     A partition with a nonempty ``carry_in`` starts mid-activation:
     the profilers are seeded with placeholder frames for the carried
@@ -192,21 +249,21 @@ def replay_partition(
     now = time.perf_counter
     decode_s = 0.0
     start = now()
-    sections = iter_section_batches(payload, part.start, part.end)
+    batches = iter_replay_batches(payload, part.start, part.end)
     while True:
         mark = now()
-        section = next(sections, None)
-        if section is None:
+        batch = next(batches, None)
+        if batch is None:
             break
         if engine == "scalar":
-            section = list(section.iter_events())
+            batch = list(batch.iter_events())
         decode_s += now() - mark
         for prof in profs:
             if engine == "scalar":
-                for event in section:
+                for event in batch:
                     prof.consume(event)
             else:
-                prof.consume_columnar(section)
+                prof.consume_columnar(batch)
     elapsed = now() - start
     shards: List[PartitionShard] = []
     for kind, prof in zip(kinds, profs):

@@ -12,6 +12,8 @@ discipline (retry, then an inline fallback for that partition only) with
 the result still exact.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from repro.core.events import (
     Read,
     Return,
     SwitchThread,
+    ThreadExit,
     UserToKernel,
     Write,
     encode_events,
@@ -44,6 +47,7 @@ from repro.tools.partition import (
 )
 from repro.tools.runner import measure_workload
 from repro.workloads.registry import REGISTRY, get_workload
+from tests.test_columnar_kernel import syscall_trace
 from tests.test_oracle_property import random_trace
 
 
@@ -357,6 +361,149 @@ def test_replay_partition_decodes_each_section_once_and_never_fuses(
         merged["drms"].metrics_snapshot() == serial_drms.metrics_snapshot()
     )
     assert merged["rms"].metrics_snapshot() == serial_rms.metrics_snapshot()
+
+
+# -- coalesced replay batches -------------------------------------------------
+
+
+def closed_sessions(events):
+    """A syscall-shaped run with the activations each thread left open
+    returned just before its exit, so the run is complete."""
+    depth = {}
+    out = []
+    for event in events:
+        if isinstance(event, Call):
+            depth[event.thread] = depth.get(event.thread, 0) + 1
+        elif isinstance(event, Return):
+            depth[event.thread] -= 1
+        elif isinstance(event, ThreadExit):
+            open_calls = depth.pop(event.thread, 0)
+            out.extend(Return(event.thread) for _ in range(open_calls))
+        out.append(event)
+    return out
+
+
+@st.composite
+def read_loop_run(draw):
+    """One stream-read run: per stretch, an activation that lets the
+    kernel fill an ``n``-cell buffer inside one leaf and reads it back,
+    ``k >= 2`` times (stored as ``fillReadLoop`` rows), with a foreign
+    write to the buffer between some stretches."""
+    events = []
+    for s in range(draw(st.integers(1, 4))):
+        thread = draw(st.sampled_from([1, 2]))
+        n = draw(st.integers(1, 16))
+        base = draw(st.integers(0, 3)) * 64 + draw(st.integers(0, 64 - n))
+        events.append(Call(thread, f"r{s % 2}", s))
+        for _ in range(draw(st.integers(2, 6))):
+            events.extend(KernelToUser(thread, base + i) for i in range(n))
+            events.extend(Read(thread, base + i) for i in range(n))
+        if draw(st.booleans()):
+            events.append(Write(3 - thread, base))
+        events.append(Return(thread, s + 1))
+    return with_switches(events)
+
+
+@st.composite
+def coalescing_trace(draw):
+    """A multi-run trace to replay at several row budgets: random runs,
+    syscall-shaped runs (fill runs inside each thread's ``session``
+    activation, so cuts inside a run carry) or stream-read runs.  Any
+    of them either cuts at run starts or, wrapped in one outer
+    activation, only mid-activation.  Returns ``(events, boundaries,
+    section_rows)``."""
+    shape = draw(st.sampled_from([random_trace, syscall_trace, read_loop_run]))
+    if shape is random_trace:
+        shape = random_trace(max_threads=3, max_ops=60)
+    elif shape is syscall_trace:
+        shape = syscall_trace(max_syscalls=3).map(closed_sessions)
+    else:
+        shape = read_loop_run()
+    events, bounds = concat_runs(draw(st.lists(shape, min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        raw = [e for e in events if not isinstance(e, SwitchThread)]
+        events = with_switches([Call(1, "outer", 3)] + raw + [Return(1, 6)])
+        bounds = []
+    return events, bounds, draw(st.integers(2, 16))
+
+
+@given(
+    coalescing_trace(),
+    st.integers(1, 4),
+    st.sampled_from([None, 7, 64]),
+    st.integers(2, 40),
+)
+@settings(max_examples=40, deadline=None)
+def test_any_replay_batch_size_equals_serial_and_oracle(
+    trace, n_parts, counter_limit, few_rows
+):
+    """How a partition's sections are joined into kernel batches is
+    invisible: one section per call (a 1-row budget), a few sections
+    per call, and the default budget all merge to the same profiles,
+    read attribution and telemetry snapshots as the serial scalar loop
+    and the naive oracle."""
+    import repro.tools.partition as partition
+
+    events, bounds, section_rows = trace
+    batch = encode_events(events)
+    payload = batch.to_bytes(section_events=section_rows, boundaries=bounds)
+    plan = plan_partitions(payload, n_parts)
+    serial_drms, serial_rms = serial_profilers(batch, counter_limit)
+    oracle = NaiveDrmsProfiler(policy=FULL_POLICY)
+    oracle.run(events)
+    snapshots = set()
+    for budget in (1, few_rows, partition._BATCH_ROWS):
+        with mock.patch.object(partition, "_BATCH_ROWS", budget):
+            rep = replay_partitioned(
+                payload, plan=plan, kinds=("drms", "rms"), workers=1,
+                counter_limit=counter_limit,
+            )
+        assert not rep.degradations
+        drms, rms = rep.profilers["drms"], rep.profilers["rms"]
+        for state in (serial_drms, oracle):
+            assert profile_state(drms.profiles) == profile_state(
+                state.profiles
+            )
+            assert read_counts(drms) == read_counts(state)
+        assert profile_state(rms.profiles) == profile_state(
+            serial_rms.profiles
+        )
+        assert rms.metrics_snapshot() == serial_rms.metrics_snapshot()
+        snapshot = drms.metrics_snapshot()
+        # per-partition counters restart at zero, so renumbering pass
+        # counts match the serial replay's only without a limit or cut
+        if counter_limit is None or len(plan.partitions) == 1:
+            assert snapshot == serial_drms.metrics_snapshot()
+        snapshots.add(repr(sorted(snapshot.items())))
+    assert len(snapshots) == 1
+
+
+def test_fig4_partition_makes_one_kernel_call_per_kind(monkeypatch):
+    """A fig-4 ``mysql_select`` ×16 partition (dozens of ~10-row
+    sections) replays as one batch: each kind's kernel is called once."""
+    from repro.vm.machine import Machine
+    from repro.vm.scheduler import RandomScheduler
+    from repro.workloads.mysql import select_sweep
+
+    machine = select_sweep(machine=Machine(scheduler=RandomScheduler(7)))
+    machine.run()
+    events, bounds = concat_runs([with_switches(machine.trace)] * 16)
+    payload = encode_events(events).to_bytes(boundaries=bounds)
+    plan = plan_partitions(payload, 2)
+    calls = {"drms": 0, "rms": 0}
+    for kind, cls in (("drms", DrmsProfiler), ("rms", RmsProfiler)):
+        real = cls.consume_columnar
+
+        def counting(self, batch, real=real, kind=kind):
+            calls[kind] += 1
+            real(self, batch)
+
+        monkeypatch.setattr(cls, "consume_columnar", counting)
+    for part in plan.partitions:
+        assert part.sections > 16
+        calls["drms"] = calls["rms"] = 0
+        replay_partition(payload, part, ("drms", "rms"), 2)
+        assert calls == {"drms": 1, "rms": 1}
 
 
 def test_resolve_partitions():

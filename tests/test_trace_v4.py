@@ -334,6 +334,128 @@ def test_decoder_accepts_a_full_leaf_run():
     assert addrs == list(range(64, 128)) + [200]
 
 
+# -- damage inside a read-ahead group -----------------------------------------
+#
+# The decoder checks a group of consecutive sections at once; damage in
+# the middle of a group must still surface section by section: the same
+# valid prefix, then the same error at the same offset as a decode that
+# checks one section at a time (``scan_batch_bytes`` does).
+
+
+def _group_rows(i):
+    """Section ``i``'s rows: a call wrapping a read run and a loop,
+    weighing 34 events."""
+    return [
+        (OP_CALL, 1, 0, i),
+        (OP_READ_RUN, 1, 0x40 * (i + 1), 8),
+        (OP_FILL_READ_LOOP, 1, 0x40 * (i + 1) + 8, pack_loop(4, 3)),
+        (OP_RETURN, 1, 0, i + 1),
+    ]
+
+
+def _group_trace(damage, sections=8):
+    """A v4 trace of ``sections`` uncompressed sections of
+    :func:`_group_rows`, with ``damage`` applied; returns ``(data,
+    section_offsets, body_start)``."""
+    blobs = []
+    total = 0
+    for i in range(sections):
+        rows = _group_rows(i)
+        if damage == "loop" and i == 4:
+            rows[2] = (OP_FILL_READ_LOOP, 1, 0x40 * 5 + 8, pack_loop(4, 1))
+        flags, payload = encode_section_payload(
+            array("b", [r[0] for r in rows]).tobytes(),
+            array("q", [r[1] for r in rows]),
+            array("q", [r[2] for r in rows]),
+            array("q", [r[3] for r in rows]),
+            compress=False,
+        )
+        if damage == "tag" and i == 4:
+            payload = payload[: len(rows)] + b"\xff" + payload[len(rows) + 1 :]
+        events = 34 + {("miscount", 2): 1, ("miscount", 5): -1}.get(
+            (damage, i), 0
+        )
+        crc = zlib.crc32(payload) ^ (damage == "crc" and i == 4)
+        blobs.append(
+            SECTION_HEADER.pack(len(rows), events, flags, 1, 1, len(payload))
+            + payload
+            + struct.pack("<I", crc)
+        )
+        total += events
+    names = struct.pack("<I", 1) + struct.pack("<I", 1) + b"f"
+    head = (
+        b"RPRB\x04"
+        + struct.pack("<I", len(names))
+        + names
+        + struct.pack("<I", zlib.crc32(names))
+        + struct.pack("<Q", total)
+    )
+    offsets, pos = [], len(head)
+    for blob in blobs:
+        offsets.append(pos)
+        pos += len(blob)
+    return head + b"".join(blobs), offsets, len(head)
+
+
+def _decode_until_error(*args):
+    sections = []
+    with pytest.raises(TraceFormatError) as info:
+        for section in iter_section_batches(*args):
+            sections.append(section)
+    return sections, info.value
+
+
+@pytest.mark.parametrize(
+    "damage,bad,message",
+    [
+        ("crc", 4, "section CRC mismatch"),
+        ("tag", 4, "corrupt section encoding: bad threads lane tag 0xff"),
+        (
+            "loop",
+            4,
+            "loop superop of fewer than two pairs, over a buffer outside "
+            "one shadow leaf or over its weight cap",
+        ),
+        # +1 in one section and -1 in a later one: the group's total
+        # still matches, each section's does not
+        ("miscount", 2, "section rows weigh 34 events, header says 35"),
+    ],
+)
+def test_damage_inside_a_group_stops_at_the_damaged_section(
+    damage, bad, message
+):
+    from repro.core.tracefile import TracePartition
+    from repro.tools.partition import replay_partition
+
+    data, offsets, body_start = _group_trace(damage)
+    intact, _offsets, _body = _group_trace(None)
+    expected = list(iter_section_batches(intact))
+    assert len(expected) == 8
+
+    sections, error = _decode_until_error(data)
+    assert (str(error), error.offset) == (message, offsets[bad])
+    assert [_lanes(s) for s in sections] == [
+        _lanes(s) for s in expected[:bad]
+    ]
+
+    # the section-at-a-time scanner agrees on prefix, message and offset
+    scan = scan_batch_bytes(data)
+    assert scan.sections_valid == scan.error_section == bad
+    assert scan.section_events == [34] * bad
+    assert str(scan.error) == f"{message} (at byte {offsets[bad]})"
+
+    # ranged decode from the second section, and ranged replay
+    sections, error = _decode_until_error(data, offsets[1], len(data))
+    assert (str(error), error.offset) == (message, offsets[bad])
+    assert [_lanes(s) for s in sections] == [
+        _lanes(s) for s in expected[1:bad]
+    ]
+    part = TracePartition(0, body_start, len(data), 8, 8 * 34)
+    with pytest.raises(TraceFormatError) as info:
+        replay_partition(data, part, ("drms", "rms"), 1)
+    assert (str(info.value), info.value.offset) == (message, offsets[bad])
+
+
 # -- structured fuzz ----------------------------------------------------------
 
 _INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
