@@ -15,19 +15,18 @@ per-thread mid-activation carry — the plan must still go multi-way
 merged profile byte-exact, and at 2 workers it must beat serial where
 the cores exist.
 
-Then the zero-copy claims.  With the compact encoding the payload
-must stay at or under **8 bytes/event**; with shared-memory
-residency and the persistent warm pool, the 2-worker replay must be
-at least **1.0x**
-serial *even on a single-CPU box* — the historical failure mode was
-fork + pickle overhead making parallel replay a net loss there, and
-the whole point of warm workers over shm is that the overhead is gone.
-The artifact also carries a ``components`` decomposition of where a
-partitioned replay's time goes: ``dispatch`` (warm-pool task
-round-trip), ``transfer`` (shm segment create + attach), ``decode``
-(bytes to the replay batches of stored fused sections), ``replay``
-(batches to profile), and
-``merge`` (shard fold), so a regression in any one layer is visible in
+Then the transfer claims.  With the compact encoding the payload
+must stay at or under **8 bytes/event**; with the persistent warm
+pool, the 2-worker replay must be at least **1.0x** serial *even on
+a single-CPU box* — the historical failure mode was fork + pickle
+overhead making parallel replay a net loss there, and the whole
+point of warm workers shipping compact byte ranges is that the
+overhead is gone.  The artifact also carries a ``components``
+decomposition of where a partitioned replay's time goes:
+``dispatch`` (warm-pool task round-trip), ``transfer`` (each
+partition's shipped subrange, sliced and pickled there and back),
+``decode`` (bytes to the replay batches of stored fused sections),
+``replay`` (batches to profile), and ``merge`` (shard fold), so a regression in any one layer is visible in
 isolation rather than smeared across the curve.
 
 The remaining speedup gates need real cores: with one CPU the pool
@@ -49,6 +48,7 @@ directly: ``PYTHONPATH=src python benchmarks/bench_partition.py``
 import gc
 import json
 import os
+import pickle
 import platform
 import statistics
 import sys
@@ -66,11 +66,11 @@ RUNS = 512
 QUICK_RUNS = 128
 WORKER_COUNTS = (1, 2, 4, 8)
 MIN_SPEEDUP_AT_2 = 1.4
-#: warm pool + shm residency: 2-worker partitioned replay must never
-#: lose to serial, even on a single-CPU box — enforced unconditionally,
-#: within the suite's MONOTONE_TOLERANCE noise band (on one CPU the
-#: engine replays partitions inline, so the true ratio is ~1.0 and the
-#: tolerance absorbs scheduler noise, not a real regression)
+#: warm pool: 2-worker partitioned replay must never lose to serial,
+#: even on a single-CPU box — enforced unconditionally, within the
+#: suite's MONOTONE_TOLERANCE noise band (on one CPU the engine replays
+#: partitions inline, so the true ratio is ~1.0 and the tolerance
+#: absorbs scheduler noise, not a real regression)
 MIN_WARM_SPEEDUP_AT_2 = 1.0
 #: and must show real speedup wherever a second core exists (the
 #: boundary-cut curve's 1.4x gate above subsumes this, but the floor is
@@ -175,7 +175,9 @@ def decompose(payload, repeats, merge_time):
     ``merge`` is not re-measured — the 2-worker curve row already timed
     the real shard fold, and folding the same shards twice would merge
     into already-merged profilers."""
-    from repro.tools.pool import SharedTrace, attached_view, get_pool
+    from repro.core.tracefile import plan_partitions
+    from repro.tools.partition import _subrange_payload
+    from repro.tools.pool import get_pool
 
     comps = {}
     pool = get_pool()
@@ -189,11 +191,15 @@ def decompose(payload, repeats, merge_time):
 
     comps["dispatch"] = _median(dispatch, repeats)
 
+    parts = plan_partitions(payload, 2).partitions
+    body_start = parts[0].start
+
     def transfer():
-        # Segment create + payload copy-in + attach + zero-copy view.
-        with SharedTrace(payload) as shared:
-            view = attached_view(shared.name, shared.size)
-            view.release()
+        # What the 2-worker tasks ship: each partition's subrange
+        # (trace header + its sections) through a pickle round trip.
+        for part in parts:
+            shipped = _subrange_payload(payload, part, body_start)
+            pickle.loads(pickle.dumps(shipped, pickle.HIGHEST_PROTOCOL))
 
     comps["transfer"] = _median(transfer, repeats)
 
@@ -372,9 +378,9 @@ def check_gates(results):
         assert row["exact"], f"{row['workers']}-worker merge not exact"
         assert row["degradations"] == 0, row
         assert row["partitions"] == row["workers"], row
-    # zero-copy claims, enforced on every box including 1-CPU CI:
+    # transfer claims, enforced on every box including 1-CPU CI:
     # the compact encoding holds its byte budget, and the warm pool
-    # over shm keeps 2-worker replay from ever losing to serial
+    # keeps 2-worker replay from ever losing to serial
     assert results["bytes_per_event"] <= MAX_BYTES_PER_EVENT, (
         f"payload {results['bytes_per_event']:.2f} B/event exceeds "
         f"{MAX_BYTES_PER_EVENT} B/event budget"
@@ -436,7 +442,7 @@ def print_results(results):
     pool = results["pool"]
     print(
         f"pool: {pool['workers']} worker(s), {pool['tasks']} task(s), "
-        f"{pool['tasks_reused']} reused on warm executors"
+        f"{pool['tasks_reused']} reused on warm workers"
     )
     print(
         f"{'config':>10} {'time':>8} {'events/s':>12} {'speedup':>8} "

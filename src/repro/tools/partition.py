@@ -73,10 +73,8 @@ from repro.tools.pool import KILL_ENV as _KILL_ENV
 from repro.tools.pool import (
     Degradation,
     active_segments,
-    attached_view,
     in_pool_worker,
     pool_stats,
-    share_trace,
     supervise,
     usable_cpus,
 )
@@ -455,37 +453,6 @@ def _partition_worker(
             sidecar.close()
 
 
-def _partition_worker_shm(
-    segment: str,
-    size: int,
-    part: TracePartition,
-    kinds: Sequence[str],
-    total: int,
-    engine: str,
-    counter_limit: Optional[int],
-    trace: Optional[dict] = None,
-    carry_aware: bool = False,
-) -> List[PartitionShard]:
-    """Pool entry point for shared-memory residency: attach to the
-    trace segment (cached per worker across tasks) and decode this
-    partition's byte range through a zero-copy memoryview — the task
-    pickles only offsets, never payload bytes."""
-    view = attached_view(segment, size)
-    try:
-        return _partition_worker(
-            view,
-            part,
-            kinds,
-            total,
-            engine,
-            counter_limit,
-            trace,
-            carry_aware,
-        )
-    finally:
-        view.release()
-
-
 class _CarryState:
     """Strict-prefix fold of one profiler kind's shards: cold-read
     fix-ups, carried-activation ledgers, and the final reassembly.
@@ -844,11 +811,11 @@ def replay_partitioned(
     kill_active = os.environ.get(_KILL_ENV) is not None
     # On a box that cannot express parallelism at all, worker processes
     # can only lose to their own scheduling contention (measured ~5-7%
-    # at 2 workers on one core even with a warm pool over shm), so the
-    # engine degrades to replaying each partition inline — the merged
-    # profile is identical either way.  An active crash-injection spec
-    # or REPRO_PARTITION_FORCE_POOL keeps the pool path for tests that
-    # exercise worker supervision and shm residency specifically.  A
+    # at 2 workers on one core even with a warm pool), so the engine
+    # degrades to replaying each partition inline — the merged profile
+    # is identical either way.  An active crash-injection spec or
+    # REPRO_PARTITION_FORCE_POOL keeps the pool path for tests that
+    # exercise worker supervision and pooled replay specifically.  A
     # replay that is itself running in a pool worker (a parallel sweep
     # cell) replays inline too: pools do not nest.
     single_cpu = (
@@ -860,49 +827,38 @@ def replay_partitioned(
     if not (
         len(parts) <= 1 or pool_workers <= 1 or single_cpu or in_pool_worker()
     ):
-        # Trace residency: the payload goes into one shared-memory
-        # segment for the whole replay (all partitions, all retry
-        # rounds); tasks ship only byte offsets and workers decode
-        # their ranges through zero-copy attached views.  Platforms
-        # without working shm fall back to pickled subrange payloads.
-        shared = share_trace(payload)
-        # Partitions tile the body from its first byte, so the first
-        # planned partition's start is the header/body split.
+        # Each task ships its own byte range pickled: the trace header
+        # plus this partition's sections (``_subrange_payload``), so a
+        # task carries O(trace/partitions) bytes and no worker needs
+        # anything but its pipe.  Partitions tile the body from its
+        # first byte, so the first planned partition's start is the
+        # header/body split.
         body_start = all_parts[0].start
         args = (kinds, total, engine, counter_limit, trace, carry_aware)
-        tasks = {}
-        for part in parts:
-            if shared is not None:
-                source = (shared.name, shared.size, part)
-                fn = _partition_worker_shm
-            else:
-                source = _subrange_payload(payload, part, body_start)
-                fn = _partition_worker
-            tasks[part.index] = (fn, (*source, *args))
-        try:
-            with tracer.span(
-                "partition-pool",
-                track="partition",
-                label=label,
-                partitions=total,
+        tasks = {
+            part.index: (
+                _partition_worker,
+                (*_subrange_payload(payload, part, body_start), *args),
+            )
+            for part in parts
+        }
+        with tracer.span(
+            "partition-pool",
+            track="partition",
+            label=label,
+            partitions=total,
+            workers=pool_workers,
+        ):
+            left, _attempts, degradations = supervise(
+                tasks,
+                stage="partition-replay",
                 workers=pool_workers,
-                residency="shm" if shared is not None else "pickle",
-            ):
-                left, _attempts, degradations = supervise(
-                    tasks,
-                    stage="partition-replay",
-                    workers=pool_workers,
-                    timeout=timeout,
-                    max_retries=max_retries,
-                    backoff_base=backoff_base,
-                    on_result=results.__setitem__,
-                    unit=lambda index: f"{label}:p{index}",
-                )
-        finally:
-            # Unlink on every path out — success, degradation, or an
-            # exception — so no /dev/shm segment outlives the replay.
-            if shared is not None:
-                shared.unlink()
+                timeout=timeout,
+                max_retries=max_retries,
+                backoff_base=backoff_base,
+                on_result=results.__setitem__,
+                unit=lambda index: f"{label}:p{index}",
+            )
         unfinished = [p for p in parts if p.index in left]
     for part in unfinished:
         results[part.index] = inline(part)
@@ -959,7 +915,7 @@ def replay_partitioned(
         metrics.gauge("pool.workers", labels).set(pstats["workers"])
         metrics.gauge("pool.tasks", labels).set(pstats["tasks"])
         metrics.gauge("pool.tasks_reused", labels).set(pstats["tasks_reused"])
-        # Sampled after the unlink above: a nonzero reading here IS a
+        # No replay creates a segment: a nonzero reading here IS a
         # leak, which is exactly what the gauge exists to catch.
         metrics.gauge("shm.segments_active", labels).set(active_segments())
         if merge:

@@ -1,51 +1,41 @@
-"""Zero-copy trace residency and persistent warm worker pools.
+"""Persistent warm worker pool and the one round supervisor.
 
-Before this module, every parallel stage paid two fixed costs per use:
-a fresh ``ProcessPoolExecutor`` (fork + import + teardown) per
-measure/sweep-cell/retry-round, and a pickled copy of the trace payload
-per submitted task.  Both costs scale with ``trace x workers x cells``
-and are what made 2-worker partitioned replay *slower* than serial.
+:class:`WorkerPool` keeps N forked worker processes alive for the whole
+process — partitions, tools, sweep cells and retry rounds all reuse the
+same warm workers instead of respawning.  Each worker owns one duplex
+``multiprocessing`` pipe: a task is ``(fn, args)`` pickled straight
+into an idle worker's pipe, and the reply ``(ok, value)`` comes back on
+the same pipe.  The calling thread does both ends itself — one
+``send`` to dispatch, one :func:`multiprocessing.connection.wait` over
+the busy workers' pipes and process sentinels to collect — so there is
+no management thread, no queue-feeder thread and no future hop between
+a task and its worker.  ``tasks_reused`` counts tasks that rode an
+already-used worker — the figure the sweep report and ``repro stats``
+surface.
 
-Two pieces remove them:
-
-* :class:`SharedTrace` places the serialised trace in a POSIX
-  shared-memory segment **once**; workers attach by name and decode
-  their partition's byte range through a zero-copy ``memoryview``.
-  Cleanup is belt-and-braces: explicit ``unlink()`` on every exit path
-  of the supervisor, an ``atexit`` hook for anything still registered,
-  and creator-pid-stamped segment names (``repro-shm-<pid>-<seq>``) so
-  any process can reap segments whose creator died without unlinking
-  (SIGKILL, power loss) — :func:`reap_stale_segments` runs on every
-  ``SharedTrace`` creation, so one surviving run cleans up after any
-  number of killed ones.
-
-* :class:`WorkerPool` keeps one supervised ``ProcessPoolExecutor``
-  alive for the whole process: partitions, tools, sweep cells and
-  retry rounds all reuse the same warm workers instead of respawning.
-  The pool only ever grows; a broken executor (a worker died) or an
-  explicit :meth:`WorkerPool.terminate` (a worker wedged) respawns it
-  lazily on the next :meth:`WorkerPool.ensure`.  ``tasks_reused``
-  counts submissions that rode an already-warm pool — the figure the
-  sweep report and ``repro stats`` surface.
+Failures stay with one worker.  A worker that dies (its sentinel turns
+ready, or its pipe hits EOF) fails only the task it was running, and
+only that worker is respawned (``respawns_broken``); a worker that
+misses a round's deadline is killed and respawned alone.  The other
+workers stay warm.
 
 One supervisor, :func:`supervise`, runs every round on that pool — tool
 replays, trace partitions and sweep cells alike — with one retry,
 fallback and kill-hook policy, recording each decision as a
 :class:`Degradation`.
 
-Worker processes keep an **attach cache** keyed by segment name
-(:func:`attached_view`): the same trace is mapped once per worker, not
-once per task, and the cache is LRU-capped so long-lived workers do
-not accumulate mappings.  Workers map segments read-only and never
-register them with a ``resource_tracker``: only the creator registers
-and unlinks, so the books balance whatever the fork order — no
-per-worker tracker processes, no spurious tracker unlinks or leak
-warnings at exit.
+Tasks carry their trace bytes pickled: a partition task ships its
+subrange (trace header plus its own sections), a tool task the whole
+payload.  Stored traces are fused and small (the fig-4 x16 trace is
+~3 KB), so the pickle costs less than the shared-memory segment that
+used to hold them.
+:class:`SharedTrace`, :func:`shm_available`, :func:`active_segments`
+and :func:`reap_stale_segments` remain for the crash-cleanup backstop
+and the benchmark hooks that still name them; no replay creates a
+segment any more.
 
-Everything degrades: platforms without working shared memory fall back
-to the pickled-subrange path (callers probe :func:`shm_available`),
-and a forked child inheriting this module's globals can neither unlink
-the parent's segments nor reuse its executor — both are guarded by
+A forked child inheriting this module's globals can neither unlink the
+parent's segments nor reuse its workers — both are guarded by
 creator-pid checks.
 """
 
@@ -53,22 +43,20 @@ from __future__ import annotations
 
 import atexit
 import itertools
-import mmap
 import multiprocessing
 import os
+import pickle
 import random
 import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing import connection
 from typing import (
     Any,
     Callable,
     Dict,
     Hashable,
+    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -85,15 +73,14 @@ __all__ = [
     "Degradation",
     "SharedTrace",
     "Supervised",
+    "Task",
+    "WorkerDied",
     "WorkerPool",
     "active_segments",
-    "attached_view",
-    "detach_all",
     "get_pool",
     "in_pool_worker",
     "pool_stats",
     "reap_stale_segments",
-    "share_trace",
     "shm_available",
     "shutdown_pool",
     "supervise",
@@ -105,7 +92,7 @@ __all__ = [
 _SHM_PREFIX = "repro-shm"
 
 #: where POSIX shared memory surfaces as files on Linux (reaping scans
-#: it directly; attach/create never need it)
+#: it directly)
 _SHM_DIR = "/dev/shm"
 
 _seq = itertools.count()
@@ -178,14 +165,11 @@ def reap_stale_segments() -> List[str]:
 
 
 class SharedTrace:
-    """One trace payload resident in a shared-memory segment.
+    """One payload resident in a pid-stamped shared-memory segment.
 
-    Created by the supervising parent; workers attach by ``name`` via
-    :func:`attached_view` and read ``size`` bytes zero-copy.  The
-    segment outlives worker crashes (the parent owns it) and is
-    unlinked exactly once — by :meth:`unlink`, the ``atexit`` sweep, or
-    a later run's :func:`reap_stale_segments` if this process was
-    SIGKILLed first.  Usable as a context manager.
+    The segment is unlinked exactly once — by :meth:`unlink`, the
+    ``atexit`` sweep, or a later run's :func:`reap_stale_segments` if
+    this process was SIGKILLed first.
     """
 
     def __init__(self, payload) -> None:
@@ -215,12 +199,6 @@ class SharedTrace:
         with _lock:
             _LIVE[self.name] = self
 
-    def view(self) -> memoryview:
-        """Creator-side zero-copy view (workers use attached_view)."""
-        if self._shm is None:
-            raise ValueError("segment already unlinked")
-        return self._shm.buf[: self.size]
-
     def unlink(self) -> None:
         """Close and remove the segment; idempotent, never raises.
 
@@ -241,144 +219,26 @@ class SharedTrace:
         except Exception:  # pragma: no cover - already reaped
             pass
 
-    def __enter__(self) -> "SharedTrace":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.unlink()
-
-
-def share_trace(payload) -> Optional[SharedTrace]:
-    """``payload`` resident in a new segment, or ``None`` where shared
-    memory does not work (callers then ship pickled bytes)."""
-    if not shm_available():
-        return None
-    try:
-        return SharedTrace(payload)
-    except Exception:
-        return None
-
 
 def active_segments() -> int:
     """Segments this process created and has not yet unlinked — the
-    ``shm.segments_active`` gauge (0 after every clean replay)."""
+    ``shm.segments_active`` gauge (0 whenever nothing leaked)."""
     own = os.getpid()
     with _lock:
         return sum(1 for t in _LIVE.values() if t._owner == own)
 
 
-# -- worker-side attach cache -------------------------------------------------
-
-#: name -> mapping (``_Mapping`` or ``SharedMemory``), LRU order;
-#: per-process (each pool worker gets its own after fork)
-_ATTACHED: "OrderedDict[str, object]" = OrderedDict()
-_ATTACH_CAP = 4
-_attach_hits = 0
-_attach_misses = 0
-
-
-class _Mapping:
-    """A read-only view of one segment that no resource tracker knows
-    about (``buf``/``close`` like ``SharedMemory``)."""
-
-    def __init__(self, name: str) -> None:
-        fd = os.open(os.path.join(_SHM_DIR, name), os.O_RDONLY)
-        try:
-            self._mmap = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-        finally:
-            os.close(fd)
-        self.buf = memoryview(self._mmap)
-
-    def close(self) -> None:
-        self.buf.release()
-        self._mmap.close()
-
-
-def _map_segment(name: str):
-    """Map segment ``name`` for reading without registering it.
-
-    ``SharedMemory(name=...)`` registers every attach with a resource
-    tracker (unconditionally before Python 3.13).  A worker forked
-    before the creator's tracker started would start a tracker of its
-    own, and that tracker's exit-time sweep warns about segments the
-    creator has long unlinked.  Where segments are files under
-    ``/dev/shm`` they are mapped directly instead; elsewhere the
-    registering attach is the fallback.
-    """
-    try:
-        return _Mapping(name)
-    except FileNotFoundError:  # pragma: no cover - shm lives elsewhere
-        return shared_memory.SharedMemory(name=name)
-
-
-def attached_view(name: str, size: int) -> memoryview:
-    """Attach to segment ``name`` (cached) and return ``size`` bytes.
-
-    The cache keys by segment name, so a worker replaying many
-    partitions — or many tasks across sweep cells — of the same trace
-    maps it exactly once.  Capped LRU: attaching an evicted segment
-    again is just another open + ``mmap``.
-    """
-    global _attach_hits, _attach_misses
-    if shared_memory is None:
-        raise RuntimeError("shared memory is not available")
-    with _lock:
-        shm = _ATTACHED.get(name)
-        if shm is not None:
-            _ATTACHED.move_to_end(name)
-            _attach_hits += 1
-            return shm.buf[:size]
-        _attach_misses += 1
-    shm = _map_segment(name)
-    with _lock:
-        _ATTACHED[name] = shm
-        while len(_ATTACHED) > _ATTACH_CAP:
-            _old, old_shm = _ATTACHED.popitem(last=False)
-            try:
-                old_shm.close()
-            except BufferError:  # pragma: no cover - view still exported
-                pass
-    return shm.buf[:size]
-
-
-def attach_stats() -> Dict[str, int]:
-    """Hit/miss counters of this process's attach cache."""
-    with _lock:
-        return {
-            "attached": len(_ATTACHED),
-            "hits": _attach_hits,
-            "misses": _attach_misses,
-        }
-
-
-def detach_all() -> None:
-    """Drop every cached attachment (tests; also safe mid-run)."""
-    with _lock:
-        items = list(_ATTACHED.items())
-        _ATTACHED.clear()
-    for _name, shm in items:
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover
-            pass
-
-
 # -- persistent warm worker pool ----------------------------------------------
 
-#: set by the executor initializer in every :class:`WorkerPool` worker
+#: set in every :class:`WorkerPool` worker as it starts
 _IN_WORKER = False
-
-
-def _mark_worker() -> None:
-    global _IN_WORKER
-    _IN_WORKER = True
 
 
 def in_pool_worker() -> bool:
     """True inside a :class:`WorkerPool` worker process.
 
     Work running in a pool worker (a sweep cell, say) must not build a
-    pool of its own: a nested executor forked from a worker wedges the
+    pool of its own: a nested pool forked from a worker wedges the
     worker's exit, and with it the parent's.  Callers that would fan
     out take their inline path instead."""
     return _IN_WORKER
@@ -394,22 +254,134 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class WorkerPool:
-    """A supervised ``ProcessPoolExecutor`` that survives between uses.
+#: seconds :meth:`WorkerPool.shutdown` and a respawn wait for a worker
+#: to exit before killing it
+_EXIT_GRACE = 5.0
 
-    Callers bracket each round of submissions with
-    :meth:`ensure` (grow/heal to at least N workers) and leave the pool
-    running afterwards; only a wedged worker forces :meth:`terminate`.
-    The executor is replaced — never resized in place — when it must
-    grow, is broken, or was terminated; ``spawns`` counts those
-    replacements and ``tasks_reused`` the submissions that rode an
-    already-used executor (the warm-pool win).
+
+def _worker_main(conn, inherited) -> None:
+    """A worker's whole life: run ``(fn, args)`` tasks off ``conn`` and
+    send back ``(True, value)`` or ``(False, exception)`` until the
+    parent closes its end."""
+    global _IN_WORKER, _lock
+    _IN_WORKER = True
+    _lock = threading.RLock()  # the parent may have forked holding it
+    # Drop the parent-side pipe ends this fork copied — its own and its
+    # siblings' — so each pipe has exactly two ends and a parent that
+    # dies reads as EOF here.
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            data = conn.recv_bytes()
+        except (EOFError, OSError):
+            return
+        try:
+            fn, args = pickle.loads(data)
+            reply = (True, fn(*args))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the parent closed its end mid-task
+            return
+        except Exception as exc:  # the value or exception would not pickle
+            conn.send(
+                (
+                    False,
+                    RuntimeError(
+                        f"unpicklable reply: {type(exc).__name__}: {exc}"
+                    ),
+                )
+            )
+
+
+class WorkerDied(RuntimeError):
+    """The worker running a task exited before replying."""
+
+
+class Task:
+    """One task in flight on one worker; :meth:`result` waits for it."""
+
+    __slots__ = ("_pool", "_worker", "_outcome")
+
+    def __init__(self, pool: "WorkerPool", worker: "_Worker") -> None:
+        self._pool = pool
+        self._worker = worker
+        #: ``None`` in flight, then the raw reply bytes (unpickled on
+        #: first :meth:`result`) or a decoded ``(ok, value)``
+        self._outcome: Any = None
+
+    def result(self) -> Any:
+        """The task's value, or its exception raised here
+        (:class:`WorkerDied` if its worker exited first)."""
+        if self._outcome is None:
+            with _lock:
+                self._pool._collect(self)
+        if isinstance(self._outcome, bytes):
+            try:
+                self._outcome = pickle.loads(self._outcome)
+            except Exception as exc:  # the reply would not unpickle
+                self._outcome = (False, exc)
+        ok, value = self._outcome
+        if ok:
+            return value
+        raise value
+
+
+class _Worker:
+    """One forked worker process and the parent's end of its pipe; a
+    respawn restarts the same object, so tasks keep their reference."""
+
+    __slots__ = ("process", "conn", "task", "used")
+
+    def start(self, ctx, siblings: Iterable["_Worker"]) -> None:
+        conn, child = ctx.Pipe(duplex=True)
+        inherited = [conn] + [w.conn for w in siblings if w is not self]
+        process = ctx.Process(
+            target=_worker_main, args=(child, inherited), name="repro-pool"
+        )
+        try:
+            process.start()
+        finally:
+            child.close()
+        self.process = process
+        self.conn = conn
+        self.task: Optional[Task] = None
+        self.used = False
+
+    def stop(self, kill: bool) -> None:
+        """Close the pipe (an idle worker exits on the EOF); with
+        ``kill``, or if it has not exited within the grace period,
+        signal it.  Never hangs."""
+        self.conn.close()
+        process = self.process
+        if kill and process.is_alive():
+            process.terminate()
+        process.join(_EXIT_GRACE)
+        if process.is_alive():  # pragma: no cover - ignored SIGTERM
+            process.kill()
+            process.join(_EXIT_GRACE)
+        try:
+            process.close()  # its sentinel fd, now rather than at GC
+        except ValueError:  # pragma: no cover - unkillable
+            pass
+
+
+class WorkerPool:
+    """N warm forked workers, one duplex pipe each, that survive between
+    uses.
+
+    Callers bracket each round of submissions with :meth:`ensure`
+    (grow to at least N workers, replacing any that died while idle)
+    and leave the pool running afterwards.  ``spawns`` counts worker
+    processes started, ``respawns_broken`` the dead workers replaced,
+    ``tasks`` the tasks sent and ``tasks_reused`` those that went to a
+    worker that had run one before (the warm-pool win).
     """
 
     def __init__(self) -> None:
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._workers = 0
-        self._used = False
+        self._workers: List[_Worker] = []
         self._pid = os.getpid()
         self.spawns = 0
         self.respawns_broken = 0
@@ -418,88 +390,138 @@ class WorkerPool:
 
     @property
     def workers(self) -> int:
-        return self._workers
+        return len(self._workers)
 
-    def _broken(self) -> bool:
-        return bool(getattr(self._executor, "_broken", False))
-
-    def _respawn(self, workers: int) -> None:
-        old = self._executor
-        if old is not None:
-            if self._broken():
-                self.respawns_broken += 1
-            old.shutdown(wait=False, cancel_futures=True)
-        self._executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=_mark_worker
-        )
-        self._workers = workers
-        self._used = False
+    def _start(self, worker: _Worker) -> None:
+        # raises ValueError where fork does not exist: pool unavailable
+        worker.start(multiprocessing.get_context("fork"), self._workers)
         self.spawns += 1
+
+    def _respawn(self, worker: _Worker, broken: bool) -> None:
+        """Restart ``worker`` (dead, or wedged: it is killed first)."""
+        worker.stop(kill=True)
+        self._start(worker)
+        if broken:
+            self.respawns_broken += 1
 
     def ensure(self, workers: int) -> "WorkerPool":
         """Make the pool usable with at least ``workers`` workers.
 
-        Grows (never shrinks — idle workers are the warmth), and heals
-        a broken or terminated executor.  Raises whatever executor
-        construction raises (no fork available) — callers already
-        treat that as pool-unavailable and fall back to serial.
+        Grows (never shrinks — idle workers are the warmth) and
+        restarts idle workers that died since the last round.  Raises
+        whatever forking raises — callers already treat that as
+        pool-unavailable and fall back to serial.
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
         with _lock:
-            if (
-                self._executor is None
-                or self._broken()
-                or self._workers < workers
-            ):
-                self._respawn(max(workers, self._workers))
+            for worker in self._workers:
+                if worker.task is None and not worker.process.is_alive():
+                    self._respawn(worker, broken=True)
+            while len(self._workers) < workers:
+                worker = _Worker()
+                self._start(worker)
+                self._workers.append(worker)
         return self
 
-    def submit(self, fn, *args, **kwargs) -> Future:
-        """Submit one task; heals a just-broken executor once."""
+    def submit(self, fn: Callable, *args) -> Task:
+        """Send ``fn(*args)`` to the first idle worker and return its
+        :class:`Task`.  With every worker busy, first waits for one to
+        reply (the reply is kept for its own task's ``result()``).  A
+        task that will not pickle raises here, before anything is
+        sent."""
         with _lock:
-            if self._executor is None:
+            if not self._workers:
                 raise RuntimeError("WorkerPool.ensure() before submit()")
-            warm = self._used
+            idle = [w for w in self._workers if w.task is None]
+            if not idle:
+                busy = [w.task for w in self._workers]
+                idle = [task._worker for task in self.collect(busy, None)]
+            worker = idle[0]
+            data = pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL)
             try:
-                future = self._executor.submit(fn, *args, **kwargs)
-            except (BrokenProcessPool, RuntimeError):
-                self._respawn(self._workers)
-                warm = False
-                future = self._executor.submit(fn, *args, **kwargs)
-            self._used = True
+                worker.conn.send_bytes(data)
+            except OSError:  # it died while idle
+                self._respawn(worker, broken=True)
+                worker.conn.send_bytes(data)
+            task = worker.task = Task(self, worker)
             self.tasks += 1
-            if warm:
+            if worker.used:
                 self.tasks_reused += 1
-            return future
+            worker.used = True
+            return task
 
-    def terminate(self) -> None:
-        """Kill the workers outright (a task wedged past its deadline);
-        the next :meth:`ensure` respawns.  Never hangs."""
-        with _lock:
-            executor, self._executor = self._executor, None
-            self._used = False  # _workers survives so regrow keeps size
-        if executor is None:
+    def _collect(self, task: Task, ready=None) -> None:
+        """Block until ``task``'s worker replies or dies and settle the
+        task (``ready``: what a :func:`connection.wait` already saw
+        ready).  The reply is kept as bytes, so the worker is free for
+        its next task before the parent unpickles anything.  A dead
+        worker fails the task with :class:`WorkerDied` and is
+        restarted."""
+        worker = task._worker
+        if worker.task is not task:  # settled already
             return
-        processes = list(getattr(executor, "_processes", {}).values())
-        executor.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join(timeout=5)
+        worker.task = None
+        if ready is None:
+            ready = connection.wait([worker.conn, worker.process.sentinel])
+        try:
+            if worker.conn not in ready:
+                raise EOFError
+            data = worker.conn.recv_bytes()
+        except (EOFError, OSError):
+            worker.process.join(_EXIT_GRACE)
+            task._outcome = (
+                False,
+                WorkerDied(
+                    f"worker pool broke: worker {worker.process.pid} "
+                    f"exited with code {worker.process.exitcode}"
+                ),
+            )
+            self._respawn(worker, broken=True)
+            return
+        task._outcome = data
+
+    def collect(
+        self, tasks: List[Task], timeout: Optional[float]
+    ) -> List[Task]:
+        """Wait up to ``timeout`` seconds (``None``: until one is) for
+        replies among ``tasks``; returns the tasks settled, in
+        ``tasks`` order.  Their ``result()`` then returns at once."""
+        if all(task._outcome is None for task in tasks):
+            waits: Dict[Any, Task] = {}
+            for task in tasks:
+                worker = task._worker
+                waits[worker.conn] = waits[worker.process.sentinel] = task
+            ready = connection.wait(list(waits), timeout)
+            with _lock:
+                for obj in ready:
+                    self._collect(waits[obj], ready)
+        return [task for task in tasks if task._outcome is not None]
+
+    def kill(self, task: Task) -> None:
+        """Kill the worker running ``task`` (it missed its deadline) and
+        restart it; the other workers stay warm."""
+        with _lock:
+            worker = task._worker
+            if worker.task is task:
+                worker.task = None
+                task._outcome = (False, WorkerDied("killed past deadline"))
+                self._respawn(worker, broken=False)
 
     def shutdown(self) -> None:
-        """Graceful teardown (atexit, tests)."""
+        """Stop every worker: close all pipes first so they exit
+        together, then reap them (killing any still busy after the
+        grace period).  Never hangs."""
         with _lock:
-            executor, self._executor = self._executor, None
-            self._used = False
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+            workers, self._workers = self._workers, []
+        for worker in workers:
+            worker.conn.close()
+        for worker in workers:
+            worker.stop(kill=False)
 
     def stats(self) -> Dict[str, int]:
         return {
-            "workers": self._workers,
+            "workers": len(self._workers),
             "spawns": self.spawns,
             "respawns_broken": self.respawns_broken,
             "tasks": self.tasks,
@@ -516,8 +538,8 @@ def get_pool() -> WorkerPool:
     One pool per process is what hoists pool lifetime to measure/sweep/
     service-job scope with no plumbing: every :func:`supervise` round in
     this process — tools, partitions, sweep cells — shares it.  A
-    forked child gets a fresh pool (executors do not survive fork), so
-    nested parallelism stays safe.
+    forked child gets a fresh pool (workers belong to the process that
+    forked them), so nested parallelism stays safe.
     """
     global _GLOBAL_POOL
     with _lock:
@@ -540,17 +562,14 @@ def pool_stats() -> Dict[str, int]:
         return _GLOBAL_POOL.stats()
 
 
-def shutdown_pool(terminate: bool = False) -> None:
+def shutdown_pool() -> None:
     """Tear down the process-wide pool (tests, worker loops between
     jobs).  The next :func:`get_pool` starts cold."""
     global _GLOBAL_POOL
     with _lock:
         pool, _GLOBAL_POOL = _GLOBAL_POOL, None
     if pool is not None and pool._pid == os.getpid():
-        if terminate:
-            pool.terminate()
-        else:
-            pool.shutdown()
+        pool.shutdown()
 
 
 # -- the supervisor -----------------------------------------------------------
@@ -620,7 +639,7 @@ def _kill_keys() -> frozenset:
 
 def _run_task(fn: Callable, args: tuple, kill: bool):
     """Pool-side wrapper of every supervised task."""
-    if kill and multiprocessing.parent_process() is not None:
+    if kill and _IN_WORKER:
         os._exit(13)
     return fn(*args)
 
@@ -638,27 +657,31 @@ def supervise(
 ) -> Supervised:
     """Run ``tasks`` (``{key: (fn, args)}``) on the warm pool in rounds.
 
-    Each round submits every pending task and collects results in
-    completion order against one shared deadline — ``timeout`` per wave
-    of ``workers`` tasks — handing each to ``on_result(key, value)`` as
-    it arrives.  The policy, the same for every stage:
+    A round keeps up to ``workers`` tasks in flight: it writes each
+    pending task into an idle worker's pipe, and when tasks outnumber
+    workers the next one goes to the first worker that replies, before
+    the parent unpickles that reply.
+    Results are collected in completion order against one shared
+    deadline — ``timeout`` per wave of ``workers`` tasks — and handed to
+    ``on_result(key, value)`` as they arrive.  The policy, the same for
+    every stage:
 
-    * a task that misses the deadline, or whose worker died
-      (``BrokenProcessPool``), is retried next round after a capped,
-      jittered exponential backoff, and becomes ``serial-fallback`` once
-      it has failed ``max_retries + 1`` times;
-    * any other exception is deterministic — a process retry cannot
-      help — and goes straight to ``serial-fallback``;
-    * a round in which a task timed out ends with
-      :meth:`WorkerPool.terminate` (a wedged worker cannot stay warm);
+    * a task that misses the deadline, or whose worker died, is retried
+      next round after a capped, jittered exponential backoff, and
+      becomes ``serial-fallback`` once it has failed ``max_retries + 1``
+      times;
+    * any other exception (a task that would not pickle included) is
+      deterministic — a process retry cannot help — and goes straight
+      to ``serial-fallback``;
+    * a worker that died is respawned alone, and at the deadline only
+      the workers still running a task are killed and respawned; the
+      others stay warm;
     * a pool that cannot start marks every pending key
       ``serial-fallback``.
 
-    The parent only waits: the executor's dispatch threads need the GIL
-    to hand each task to a worker, and work the parent ran meanwhile in
-    pure Python would hold it for whole switch intervals at every
-    hand-off.  Degradations name the key as ``unit(key)`` under
-    ``stage``, with ``attempt`` = tries so far.
+    The parent only waits while a round runs.  Degradations name the
+    key as ``unit(key)`` under ``stage``, with ``attempt`` = tries so
+    far.
 
     Never raises on worker trouble and never hangs; exceptions from
     ``on_result`` propagate.  The caller runs the returned
@@ -671,11 +694,7 @@ def supervise(
     degradations: List[Degradation] = []
     kill = _kill_keys()
     pool = get_pool()
-
-    def deliver(key: Hashable, value: Any) -> None:
-        pending.pop(key, None)
-        finished.add(key)
-        on_result(key, value)
+    width = max(1, workers)
 
     def fail(key: Hashable, reason: str, retry: bool) -> None:
         attempts[key] += 1
@@ -692,6 +711,18 @@ def supervise(
             )
         )
 
+    def fill(queue: List[Hashable], running: Dict[Task, Hashable]) -> None:
+        """Dispatch keys off the end of ``queue`` until ``width`` run."""
+        while queue and len(running) < width:
+            key = queue.pop()
+            fn, args = pending[key]
+            try:
+                task = pool.submit(_run_task, fn, args, str(key) in kill)
+            except Exception as exc:  # the task would not pickle
+                fail(key, f"{type(exc).__name__}: {exc}", False)
+            else:
+                running[task] = key
+
     round_no = 0
     while pending and round_no <= max_retries:
         round_no += 1
@@ -700,41 +731,44 @@ def supervise(
             time.sleep(
                 min(delay + _jitter_rng.uniform(0, backoff_base), _MAX_BACKOFF)
             )
-        futures: Dict[Future, Hashable] = {}
         try:
-            pool.ensure(min(workers, len(pending)))
-            for key, (fn, args) in pending.items():
-                future = pool.submit(_run_task, fn, args, str(key) in kill)
-                futures[future] = key
-        except Exception as exc:  # no fork/spawn available at all
-            futures = {}
+            pool.ensure(min(width, len(pending)))
+        except Exception as exc:  # no fork available at all
             reason = f"pool unavailable: {type(exc).__name__}: {exc}"
             for key in list(pending):
                 fail(key, reason, False)
-        waves = -(-len(futures) // max(1, workers))
-        deadline = time.monotonic() + timeout * max(1, waves)
-        not_done = set(futures)
-        while not_done:
+            continue
+        queue = list(pending)
+        queue.reverse()  # pop() from the end takes keys in task order
+        deadline = time.monotonic() + timeout * -(-len(queue) // width)
+        running: Dict[Task, Hashable] = {}
+        fill(queue, running)
+        while running:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
-            done, not_done = futures_wait(
-                not_done, timeout=remaining, return_when=FIRST_COMPLETED
-            )
-            for future in done:
-                key = futures[future]
+            settled = [
+                (task, running.pop(task))
+                for task in pool.collect(list(running), remaining)
+            ]
+            # freed workers get their next task before any reply unpickles
+            fill(queue, running)
+            for task, key in settled:
                 try:
-                    value = future.result()
-                except BrokenProcessPool as exc:
-                    fail(key, f"worker pool broke: {exc}", True)
+                    value = task.result()
+                except WorkerDied as exc:
+                    fail(key, str(exc), True)
                 except Exception as exc:
                     fail(key, f"{type(exc).__name__}: {exc}", False)
                 else:
-                    deliver(key, value)
-        for future in not_done:
-            fail(futures[future], f"exceeded {timeout:g}s timeout", True)
-        if not_done:
-            pool.terminate()
+                    pending.pop(key)
+                    finished.add(key)
+                    on_result(key, value)
+        for task, key in running.items():
+            fail(key, f"exceeded {timeout:g}s timeout", True)
+            pool.kill(task)
+        for key in reversed(queue):  # never started before the deadline
+            fail(key, f"exceeded {timeout:g}s timeout", True)
     unfinished = [key for key in order if key not in finished]
     return Supervised(unfinished, attempts, degradations)
 
@@ -743,14 +777,14 @@ def supervise(
 def _cleanup_at_exit() -> None:  # pragma: no cover - exercised via subprocess
     """Last-chance cleanup: unlink owned segments, stop the pool.
 
-    Runs in every process that imported this module — the owner-pid
-    guards inside ``unlink()``/``shutdown_pool()`` make it a no-op in
-    forked children, so a pool worker exiting cannot unlink a segment
-    its parent still serves to siblings.
+    Registered after :mod:`multiprocessing`'s own exit hook (imported
+    above), so it runs first: the workers are told to exit before
+    multiprocessing joins its children.  The owner-pid guards inside
+    ``unlink()``/``shutdown_pool()`` make it a no-op in forked
+    children.
     """
     with _lock:
         traces = list(_LIVE.values())
     for trace in traces:
         trace.unlink()
     shutdown_pool()
-    detach_all()

@@ -62,12 +62,7 @@ from repro.core.events import (
 # unused here since workers decode with ``EventBatch.from_bytes``; kept
 # so perfbench's layer hook on ``runner.iter_section_batches`` resolves
 from repro.core.tracefile import iter_section_batches  # noqa: F401
-from repro.tools.pool import (
-    Degradation,
-    attached_view,
-    share_trace,
-    supervise,
-)
+from repro.tools.pool import Degradation, supervise
 from repro.tools.aprof import AprofTool
 from repro.tools.aprof_drms import AprofDrmsTool
 from repro.tools.base import AnalysisTool
@@ -250,25 +245,6 @@ def _replay_worker(
     return replay_tool(factory, EventBatch.from_bytes(payload), repeats, engine)
 
 
-def _replay_worker_shm(
-    factory: Callable[[], AnalysisTool],
-    segment: str,
-    size: int,
-    repeats: int,
-    engine: str = DEFAULT_ENGINE,
-) -> Tuple[float, int]:
-    """Pool entry point for shared-memory residency: the task pickles a
-    factory and a segment name; the trace bytes never cross the pipe.
-    The rows decode straight off the attached view, which is released
-    before the replay starts."""
-    view = attached_view(segment, size)
-    try:
-        rows = EventBatch.from_bytes(view)
-    finally:
-        view.release()
-    return replay_tool(factory, rows, repeats, engine)
-
-
 def measure_workload(
     name: str,
     build: Callable[[], Machine],
@@ -384,8 +360,7 @@ def measure_workload(
 
     supervised = parallel is not None and parallel > 1
     if supervised and payload is None:
-        # One serialisation serves every supervised round (and, with
-        # shm, every worker attaches the same copy).
+        # One serialisation serves every supervised round.
         payload = write_rows(rows, row_bounds)
     replays: Dict[str, Tuple[float, int]] = {}
     degradations: List[Degradation] = []
@@ -397,35 +372,23 @@ def measure_workload(
     ):
         attempts: Dict[str, int] = {}
         if supervised:
-            # The trace lives in one shared-memory segment for every
-            # tool and retry round; tasks pickle a factory and the
-            # segment name (or, without shm, the payload itself).
-            shared = share_trace(payload)
+            # Every task pickles a factory and the payload itself: a
+            # stored trace is fused and small, so the copy costs less
+            # than placing it in shared memory did.
             tasks = {
-                tool_name: (
-                    (_replay_worker, (factory, payload, repeats, engine))
-                    if shared is None
-                    else (
-                        _replay_worker_shm,
-                        (factory, shared.name, shared.size, repeats, engine),
-                    )
-                )
+                tool_name: (_replay_worker, (factory, payload, repeats, engine))
                 for tool_name, factory in tools.items()
                 if tool_name not in partition_tools
             }
-            try:
-                _unfinished, attempts, degradations = supervise(
-                    tasks,
-                    stage="parallel-replay",
-                    workers=parallel,
-                    timeout=replay_timeout,
-                    max_retries=max_retries,
-                    backoff_base=backoff_base,
-                    on_result=replays.__setitem__,
-                )
-            finally:
-                if shared is not None:
-                    shared.unlink()
+            _unfinished, attempts, degradations = supervise(
+                tasks,
+                stage="parallel-replay",
+                workers=parallel,
+                timeout=replay_timeout,
+                max_retries=max_retries,
+                backoff_base=backoff_base,
+                on_result=replays.__setitem__,
+            )
         if partition_tools:
             from repro.tools.partition import replay_partitioned
         for tool_name, kind in partition_tools.items():

@@ -548,6 +548,38 @@ def test_worker_kill_retries_then_partition_fallback(monkeypatch):
     assert [row[0].index for row in rep.shards] == [0, 1, 2]
 
 
+def test_killed_partition_worker_is_respawned_alone(monkeypatch):
+    """Killing the worker of partition 1 fails only partition 1: exactly
+    one worker is respawned, partition 0 records nothing, and the merged
+    profile is still the serial one."""
+    from repro.tools.pool import pool_stats
+
+    batch, payload = _three_part_payload()
+    plan = plan_partitions(payload, 2)
+    assert len(plan.partitions) == 2
+    monkeypatch.setenv(_KILL_ENV, "1")
+    before = pool_stats()["respawns_broken"]
+    rep = replay_partitioned(
+        payload,
+        plan=plan,
+        kinds=("drms",),
+        workers=2,
+        timeout=60.0,
+        max_retries=0,
+        backoff_base=0.01,
+    )
+    assert pool_stats()["respawns_broken"] == before + 1
+    assert [(d.tool, d.action) for d in rep.degradations] == [
+        ("partition:p1", "serial-fallback")
+    ]
+    assert not any(d.tool.endswith(":p0") for d in rep.degradations)
+    serial, _ = serial_profilers(batch)
+    assert rep.profilers["drms"].metrics_snapshot() == serial.metrics_snapshot()
+    assert profile_state(rep.profilers["drms"].profiles) == profile_state(
+        serial.profiles
+    )
+
+
 # -- runner wiring ------------------------------------------------------------
 
 
