@@ -29,6 +29,11 @@ partition's shipped subrange, sliced and pickled there and back),
 ``replay`` (batches to profile), and ``merge`` (shard fold), so a regression in any one layer is visible in
 isolation rather than smeared across the curve.
 
+A row's ``workers`` is the round's slot count, not its process count:
+the parent replays one partition itself, so ``N`` workers means the
+parent plus ``N - 1`` pool processes (the artifact's ``pool`` block
+reports 7 workers after the 8-worker row).
+
 The remaining speedup gates need real cores: with one CPU the pool
 serialises onto one core and pure speedup cannot exceed ~1.  The suite
 therefore always records the full 1/2/4/8-worker curve but enforces
@@ -341,6 +346,7 @@ def run_suite(quick=False):
         "quick": quick,
         "repeats": repeats,
         "timing": "median of repeats after one untimed warm-up",
+        "workers_note": "N workers = the parent plus N - 1 pool processes",
         "cpu_count": cpus,
         "gated": cpus >= 2,
         "min_required_speedup_at_2": MIN_SPEEDUP_AT_2,

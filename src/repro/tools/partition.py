@@ -13,9 +13,10 @@ parallel job:
    consecutive sections' stored rows — run superops included — are
    fed to every profiler kind as one batch per decoder read-ahead
    group)
-   in a supervised process pool — a worker that times out or dies is
-   retried with backoff and, failing that, that partition alone falls
-   back to an inline replay in the parent;
+   in a supervised process pool, the parent replaying one share itself
+   — a worker that times out or dies is retried with backoff and,
+   failing that, that partition alone falls back to an inline replay
+   in the parent;
 3. once every partition is in, the per-partition profiler shards fold
    once, in partition-index order, through the exact associative
    ``merge()`` (:func:`merge_partition_shards`).
@@ -729,13 +730,14 @@ def replay_partitioned(
     timing the replay plan outside the timed region) or a ``partitions``
     request (``None``/``0`` = one per CPU).  Single-partition plans —
     requested or degraded-to — replay inline, no pool.  The pool round
-    runs under :func:`repro.tools.pool.supervise` while the parent
-    waits (see there for why it replays no share itself): a dead or
+    runs under :func:`repro.tools.pool.supervise` with the parent as
+    its last slot: ``workers - 1`` partitions go to pool workers while
+    the parent replays one itself (span mode ``parent``).  A dead or
     wedged worker is retried with jittered backoff, then *that
-    partition only* falls back to an inline replay, every decision
-    recorded as a :class:`Degradation` (stage ``partition-replay``).
-    Never hangs; raises only if a partition fails even inline (a
-    genuinely unreplayable trace).
+    partition only* falls back to an inline replay (span mode
+    ``inline``), every decision recorded as a :class:`Degradation`
+    (stage ``partition-replay``).  Never hangs; raises only if a
+    partition fails even inline (a genuinely unreplayable trace).
 
     ``only`` restricts replay to the listed partition indices and
     ``merge=False`` skips the merge stage (``.profilers`` comes back
@@ -788,13 +790,15 @@ def replay_partitioned(
     results: Dict[int, List[PartitionShard]] = {}
     start_all = time.perf_counter()
 
-    def inline(part: TracePartition) -> List[PartitionShard]:
+    def inline(
+        part: TracePartition, mode: str = "inline"
+    ) -> List[PartitionShard]:
         with tracer.span(
             "partition-replay",
             track="partition",
             label=label,
             partition=part.index,
-            mode="inline",
+            mode=mode,
         ):
             return replay_partition(
                 payload,
@@ -835,12 +839,13 @@ def replay_partitioned(
         # header/body split.
         body_start = all_parts[0].start
         args = (kinds, total, engine, counter_limit, trace, carry_aware)
+        by_index = {part.index: part for part in parts}
         tasks = {
-            part.index: (
+            index: (
                 _partition_worker,
                 (*_subrange_payload(payload, part, body_start), *args),
             )
-            for part in parts
+            for index, part in by_index.items()
         }
         with tracer.span(
             "partition-pool",
@@ -858,6 +863,7 @@ def replay_partitioned(
                 backoff_base=backoff_base,
                 on_result=results.__setitem__,
                 unit=lambda index: f"{label}:p{index}",
+                inline=lambda index: inline(by_index[index], "parent"),
             )
         unfinished = [p for p in parts if p.index in left]
     for part in unfinished:

@@ -22,7 +22,12 @@ workers stay warm.
 One supervisor, :func:`supervise`, runs every round on that pool — tool
 replays, trace partitions and sweep cells alike — with one retry,
 fallback and kill-hook policy, recording each decision as a
-:class:`Degradation`.
+:class:`Degradation`.  A partition round also gives the parent one
+slot (``inline=``): it replays one partition itself between dispatch
+and collection, so the round needs one worker fewer.  Tool and sweep
+rounds stay all-pool: their fault tools fault only inside a worker,
+and a sweep cell run in the parent would open a nested round on this
+pool.
 
 Tasks carry their trace bytes pickled: a partition task ships its
 subrange (trace header plus its own sections), a tool task the whole
@@ -589,7 +594,8 @@ _jitter_rng = random.Random()
 #: set — and shipped with each task; a pool worker running a named task
 #: exits hard (``os._exit``) before starting it, simulating an
 #: OOM-killed worker.  Never honoured in the parent, so the caller's
-#: inline fallback survives.
+#: inline fallback survives; a round's parent slot never takes a named
+#: key, so the kill always happens.
 KILL_ENV = "REPRO_POOL_TEST_KILL"
 
 
@@ -654,6 +660,7 @@ def supervise(
     backoff_base: float,
     on_result: Callable[[Hashable, Any], None],
     unit: Callable[[Hashable], str] = str,
+    inline: Optional[Callable[[Hashable], Any]] = None,
 ) -> Supervised:
     """Run ``tasks`` (``{key: (fn, args)}``) on the warm pool in rounds.
 
@@ -663,25 +670,33 @@ def supervise(
     the parent unpickles that reply.
     Results are collected in completion order against one shared
     deadline — ``timeout`` per wave of ``workers`` tasks — and handed to
-    ``on_result(key, value)`` as they arrive.  The policy, the same for
-    every stage:
+    ``on_result(key, value)`` as they arrive.
+
+    ``inline`` is the caller's own in-process run of one key.  Given it
+    and ``workers >= 2``, the parent is the last of the ``workers``
+    slots: a round keeps ``workers - 1`` tasks in the pool, then the
+    parent runs one pending key as ``inline(key)``, then it collects;
+    while keys remain it refills the freed workers and takes another
+    key itself.  A key named in ``REPRO_POOL_TEST_KILL`` always goes to
+    a worker.  The policy, the same for every stage:
 
     * a task that misses the deadline, or whose worker died, is retried
       next round after a capped, jittered exponential backoff, and
       becomes ``serial-fallback`` once it has failed ``max_retries + 1``
       times;
-    * any other exception (a task that would not pickle included) is
-      deterministic — a process retry cannot help — and goes straight
-      to ``serial-fallback``;
+    * any other exception (a task that would not pickle, or an
+      ``inline`` call that raised, included) is deterministic — a
+      process retry cannot help — and goes straight to
+      ``serial-fallback``;
     * a worker that died is respawned alone, and at the deadline only
       the workers still running a task are killed and respawned; the
-      others stay warm;
+      others stay warm — a reply that arrived while the parent ran its
+      own share past the deadline still counts;
     * a pool that cannot start marks every pending key
       ``serial-fallback``.
 
-    The parent only waits while a round runs.  Degradations name the
-    key as ``unit(key)`` under ``stage``, with ``attempt`` = tries so
-    far.
+    Degradations name the key as ``unit(key)`` under ``stage``, with
+    ``attempt`` = tries so far.
 
     Never raises on worker trouble and never hangs; exceptions from
     ``on_result`` propagate.  The caller runs the returned
@@ -695,6 +710,8 @@ def supervise(
     kill = _kill_keys()
     pool = get_pool()
     width = max(1, workers)
+    # pool slots per round: with ``inline`` the parent is the last one
+    slots = width - 1 if inline is not None and width >= 2 else width
 
     def fail(key: Hashable, reason: str, retry: bool) -> None:
         attempts[key] += 1
@@ -711,9 +728,14 @@ def supervise(
             )
         )
 
+    def done(key: Hashable, value: Any) -> None:
+        pending.pop(key)
+        finished.add(key)
+        on_result(key, value)
+
     def fill(queue: List[Hashable], running: Dict[Task, Hashable]) -> None:
-        """Dispatch keys off the end of ``queue`` until ``width`` run."""
-        while queue and len(running) < width:
+        """Dispatch keys off the end of ``queue`` until ``slots`` run."""
+        while queue and len(running) < slots:
             key = queue.pop()
             fn, args = pending[key]
             try:
@@ -722,6 +744,44 @@ def supervise(
                 fail(key, f"{type(exc).__name__}: {exc}", False)
             else:
                 running[task] = key
+
+    def reap(
+        running: Dict[Task, Hashable], wait: float
+    ) -> List[Tuple[Task, Hashable]]:
+        """Take the tasks that reply within ``wait`` seconds out of
+        ``running``."""
+        return [
+            (task, running.pop(task))
+            for task in pool.collect(list(running), wait)
+        ]
+
+    def settle(settled: List[Tuple[Task, Hashable]]) -> None:
+        for task, key in settled:
+            try:
+                value = task.result()
+            except WorkerDied as exc:
+                fail(key, str(exc), True)
+            except Exception as exc:
+                fail(key, f"{type(exc).__name__}: {exc}", False)
+            else:
+                done(key, value)
+
+    def share(queue: List[Hashable]) -> bool:
+        """Run the next queued key that no kill spec names in the
+        parent; False if there is none."""
+        for key in reversed(queue):
+            if str(key) not in kill:
+                break
+        else:
+            return False
+        queue.remove(key)
+        try:
+            value = inline(key)
+        except Exception as exc:
+            fail(key, f"{type(exc).__name__}: {exc}", False)
+        else:
+            done(key, value)
+        return True
 
     round_no = 0
     while pending and round_no <= max_retries:
@@ -732,7 +792,7 @@ def supervise(
                 min(delay + _jitter_rng.uniform(0, backoff_base), _MAX_BACKOFF)
             )
         try:
-            pool.ensure(min(width, len(pending)))
+            pool.ensure(min(slots, len(pending)))
         except Exception as exc:  # no fork available at all
             reason = f"pool unavailable: {type(exc).__name__}: {exc}"
             for key in list(pending):
@@ -744,26 +804,18 @@ def supervise(
         running: Dict[Task, Hashable] = {}
         fill(queue, running)
         while running:
+            shared = (
+                slots < width and time.monotonic() < deadline and share(queue)
+            )
             remaining = deadline - time.monotonic()
             if remaining <= 0:
+                if shared:  # replies that landed while the parent ran
+                    settle(reap(running, 0))
                 break
-            settled = [
-                (task, running.pop(task))
-                for task in pool.collect(list(running), remaining)
-            ]
+            settled = reap(running, remaining)
             # freed workers get their next task before any reply unpickles
             fill(queue, running)
-            for task, key in settled:
-                try:
-                    value = task.result()
-                except WorkerDied as exc:
-                    fail(key, str(exc), True)
-                except Exception as exc:
-                    fail(key, f"{type(exc).__name__}: {exc}", False)
-                else:
-                    pending.pop(key)
-                    finished.add(key)
-                    on_result(key, value)
+            settle(settled)
         for task, key in running.items():
             fail(key, f"exceeded {timeout:g}s timeout", True)
             pool.kill(task)

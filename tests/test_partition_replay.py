@@ -12,6 +12,7 @@ discipline (retry, then an inline fallback for that partition only) with
 the result still exact.
 """
 
+import functools
 from unittest import mock
 
 import pytest
@@ -580,6 +581,137 @@ def test_killed_partition_worker_is_respawned_alone(monkeypatch):
     )
 
 
+def test_killed_partition_worker_beside_the_parent_share_is_respawned_alone(
+    monkeypatch,
+):
+    """Three partitions on three workers: partitions 0 and 1 go to two
+    pool workers and the parent replays partition 2.  Killing partition
+    1's worker respawns that worker alone; partition 0 records nothing,
+    and partition 1 falls back to an inline replay in the parent."""
+    from repro.obs import SpanTracer
+    from repro.tools.pool import get_pool, pool_stats
+
+    batch, payload = _three_part_payload()
+    plan = plan_partitions(payload, 3)
+    assert len(plan.partitions) == 3
+    monkeypatch.setenv("REPRO_PARTITION_FORCE_POOL", "1")
+    monkeypatch.setenv(_KILL_ENV, "1")
+    get_pool().ensure(2)
+    before = pool_stats()
+    tracer = SpanTracer()
+    rep = replay_partitioned(
+        payload,
+        plan=plan,
+        kinds=("drms",),
+        workers=3,
+        timeout=60.0,
+        max_retries=0,
+        backoff_base=0.01,
+        tracer=tracer,
+    )
+    after = pool_stats()
+    assert after["respawns_broken"] == before["respawns_broken"] + 1
+    assert after["spawns"] == before["spawns"] + 1
+    assert after["tasks"] == before["tasks"] + 2
+    assert [(d.tool, d.action) for d in rep.degradations] == [
+        ("partition:p1", "serial-fallback")
+    ]
+    assert [
+        (e["args"]["partition"], e["args"]["mode"])
+        for e in tracer.events
+        if e["name"] == "partition-replay"
+    ] == [(2, "parent"), (1, "inline")]
+    serial, _ = serial_profilers(batch)
+    assert rep.profilers["drms"].metrics_snapshot() == serial.metrics_snapshot()
+    assert profile_state(rep.profilers["drms"].profiles) == profile_state(
+        serial.profiles
+    )
+
+
+# -- pooled replay with the parent's share ------------------------------------
+
+
+@functools.lru_cache(maxsize=2)
+def _fig4_case(carried):
+    """Figure 4's ``mysql_select`` run: ×4 with run boundaries, or one
+    run alone cut mid-activation (``carried``); plus the naive oracle
+    and the serial replay per counter limit."""
+    machine = get_workload("mysql_select").build(threads=4, scale=1)
+    machine.run()
+    run = with_switches(machine.trace)
+    if carried:
+        events, batch = run, encode_events(run)
+        payload = batch.to_bytes(section_events=512)
+    else:
+        events, bounds = concat_runs([run] * 4)
+        batch = encode_events(events)
+        payload = batch.to_bytes(boundaries=bounds)
+    oracle = NaiveDrmsProfiler(policy=FULL_POLICY)
+    oracle.run(events)
+    serial = {limit: serial_profilers(batch, limit) for limit in (None, 7)}
+    return payload, oracle, serial
+
+
+@functools.lru_cache(maxsize=None)
+def _inline_snapshot(carried, n_parts, counter_limit):
+    """Renumbering passes count per partition, so the drms snapshot a
+    pooled replay must reproduce is that of the same plan replayed
+    inline."""
+    payload = _fig4_case(carried)[0]
+    rep = replay_partitioned(
+        payload, partitions=n_parts, kinds=("drms",), workers=1,
+        counter_limit=counter_limit,
+    )
+    return rep.profilers["drms"].metrics_snapshot()
+
+
+@pytest.mark.parametrize("counter_limit", [None, 7])
+@pytest.mark.parametrize("engine", ["scalar", "columnar"])
+@pytest.mark.parametrize("carried", [False, True], ids=["runs", "carried"])
+def test_pooled_replay_with_parent_share_equals_serial_and_oracle(
+    monkeypatch, carried, engine, counter_limit
+):
+    """Pool workers and the parent's own share merge to the serial
+    replay and the oracle, with one pool task fewer than partitions."""
+    from repro.tools.pool import pool_stats
+
+    monkeypatch.setenv("REPRO_PARTITION_FORCE_POOL", "1")
+    monkeypatch.delenv(_KILL_ENV, raising=False)
+    payload, oracle, serial = _fig4_case(carried)
+    serial_drms, serial_rms = serial[counter_limit]
+    for n_parts in (2, 3, 4):
+        plan = plan_partitions(payload, n_parts)
+        assert len(plan.partitions) == n_parts
+        assert (plan.carried > 0) == carried
+        for workers in (2, 3):
+            tasks = pool_stats()["tasks"]
+            rep = replay_partitioned(
+                payload, plan=plan, kinds=("drms", "rms"), engine=engine,
+                workers=workers, counter_limit=counter_limit, timeout=120.0,
+            )
+            assert rep.degradations == []
+            if n_parts <= workers:
+                assert pool_stats()["tasks"] == tasks + n_parts - 1
+            drms, rms = rep.profilers["drms"], rep.profilers["rms"]
+            for merged, want in ((drms, serial_drms), (rms, serial_rms)):
+                assert profile_state(merged.profiles) == profile_state(
+                    want.profiles
+                )
+            assert profile_state(drms.profiles) == profile_state(
+                oracle.profiles
+            )
+            assert read_counts(drms) == read_counts(serial_drms)
+            assert read_counts(drms) == read_counts(oracle)
+            assert rms.metrics_snapshot() == serial_rms.metrics_snapshot()
+            assert drms.metrics_snapshot() == _inline_snapshot(
+                carried, n_parts, counter_limit
+            )
+            if counter_limit is None:
+                assert drms.metrics_snapshot() == (
+                    serial_drms.metrics_snapshot()
+                )
+
+
 # -- runner wiring ------------------------------------------------------------
 
 
@@ -611,14 +743,15 @@ def test_measure_workload_without_partitions_reports_none():
 # -- telemetry ----------------------------------------------------------------
 
 
-def test_partition_metrics_published():
-    from repro.obs import MetricsRegistry
+def test_partition_metrics_published(monkeypatch):
+    from repro.obs import MetricsRegistry, SpanTracer
 
     _batch, payload = _three_part_payload()
     registry = MetricsRegistry()
+    tracer = SpanTracer()
     rep = replay_partitioned(
         payload, partitions=3, kinds=("drms",), workers=1, metrics=registry,
-        label="test",
+        label="test", tracer=tracer,
     )
     assert len(rep.plan.partitions) == 3
     labels = {"label": "test"}
@@ -630,6 +763,31 @@ def test_partition_metrics_published():
         assert registry.gauge("partition.replay_us", slabels).value >= 1
         assert registry.gauge("partition.events", slabels).value > 0
     assert registry.histogram("partition.decode_stall_us", labels).count == 3
+
+    def modes(tracer):
+        return [
+            (e["args"]["partition"], e["args"]["mode"])
+            for e in tracer.events
+            if e["name"] == "partition-replay"
+        ]
+
+    assert modes(tracer) == [(0, "inline"), (1, "inline"), (2, "inline")]
+    # a pooled round: the parent's own share is span mode "parent" and
+    # publishes the same per-shard gauges as the pooled shards
+    monkeypatch.setenv("REPRO_PARTITION_FORCE_POOL", "1")
+    monkeypatch.delenv(_KILL_ENV, raising=False)
+    registry = MetricsRegistry()
+    tracer = SpanTracer()
+    rep = replay_partitioned(
+        payload, partitions=3, kinds=("drms",), workers=3, metrics=registry,
+        label="test", tracer=tracer,
+    )
+    assert not rep.degradations
+    assert modes(tracer) == [(2, "parent")]
+    for i in range(3):
+        slabels = {"label": "test", "kind": "drms", "partition": str(i)}
+        assert registry.gauge("partition.replay_us", slabels).value >= 1
+        assert registry.gauge("partition.events", slabels).value > 0
 
 
 def test_decode_stall_observed_once_per_partition_for_every_kind():

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.tools.pool import (
+    KILL_ENV,
     WorkerDied,
     get_pool,
     in_pool_worker,
@@ -146,6 +147,88 @@ def test_more_tasks_than_workers_all_run_on_the_pool():
     assert not sup.degradations
     assert sorted(results) == list(range(7))
     assert len(set(results.values())) <= get_pool().workers
+
+
+# -- the parent slot ----------------------------------------------------------
+
+
+def _parent_pid(key):
+    return os.getpid()
+
+
+def test_parent_slot_runs_one_key_per_wave_and_adds_no_thread():
+    """With ``inline`` the parent is the last of the round's slots: on
+    two workers it takes every second key, while one pool worker runs
+    the others, and no helper thread appears."""
+    get_pool().ensure(2)
+    threads = threading.active_count()
+    stats = pool_stats()
+    results, sup = _run({k: (_pid, ()) for k in range(4)}, inline=_parent_pid)
+    assert threading.active_count() == threads
+    assert not sup.degradations and sup.unfinished == []
+    parent = os.getpid()
+    assert sorted(k for k, pid in results.items() if pid == parent) == [1, 3]
+    assert parent not in (results[0], results[2])
+    assert pool_stats()["tasks"] == stats["tasks"] + 2
+
+    stats = pool_stats()
+    results, sup = _run({"a": (_pid, ()), "b": (_pid, ())}, inline=_parent_pid)
+    assert not sup.degradations
+    assert results["b"] == parent != results["a"]
+    assert pool_stats()["tasks"] == stats["tasks"] + 1
+
+
+def test_parent_slot_never_runs_a_kill_key(monkeypatch):
+    monkeypatch.setenv(KILL_ENV, "b")
+    ran = []
+
+    def inline(key):
+        ran.append(key)
+        return os.getpid()
+
+    results, sup = _run(
+        {"a": (_pid, ()), "b": (_pid, ()), "c": (_pid, ())}, inline=inline
+    )
+    assert ran == ["c"]  # the parent skipped over the kill key
+    assert set(results) == {"a", "c"}
+    assert sup.unfinished == ["b"]
+    [row] = sup.degradations
+    assert (row.tool, row.action) == ("b", "serial-fallback")
+    assert "code 13" in row.reason
+
+
+def test_parent_slot_error_is_deterministic():
+    def inline(key):
+        raise ValueError("broken by design")
+
+    results, sup = _run(
+        {"a": (_pid, ()), "b": (_pid, ())}, max_retries=3, inline=inline
+    )
+    assert set(results) == {"a"}
+    assert sup.unfinished == ["b"]
+    assert [(d.tool, d.attempt, d.action) for d in sup.degradations] == [
+        ("b", 1, "serial-fallback")
+    ]
+    assert "ValueError: broken by design" in sup.degradations[0].reason
+
+
+def test_reply_during_an_overrunning_parent_share_is_not_a_timeout():
+    """The parent's share runs past the round deadline; the worker had
+    replied long before, so its key finishes and nothing is killed."""
+
+    def slow(key):
+        time.sleep(1.0)
+        return os.getpid()
+
+    get_pool().ensure(1)
+    stats = pool_stats()
+    results, sup = _run(
+        {"a": (_pid, ()), "b": (_pid, ())}, timeout=0.3, inline=slow
+    )
+    assert sup.degradations == []
+    assert sup.unfinished == []
+    assert results["b"] == os.getpid() != results["a"]
+    assert pool_stats()["spawns"] == stats["spawns"]
 
 
 def test_submit_handles_wait_for_their_own_reply():

@@ -194,6 +194,19 @@ class TestSupervision:
         assert parallel.degradations == []
         assert parallel.trends == serial.trends
 
+    def test_parallel_cells_all_run_on_pool_workers(self, tmp_path):
+        """Sweep rounds give the parent no share: a cell run in the
+        parent would open its partitioned replay as a nested round on
+        the same pool, so every cell is one pool task."""
+        from repro.tools.pool import pool_stats
+
+        cfg = config(tmp_path, parallel=2)
+        before = pool_stats()["tasks"]
+        result = run_sweep(cfg)
+        assert result.degradations == []
+        assert pool_stats()["tasks"] == before + len(cfg.cells())
+        assert {cell["completed_by"] for cell in result.cells} == {"pool"}
+
     def test_killed_cell_worker_retries_then_runs_inline(
         self, tmp_path, monkeypatch
     ):
