@@ -62,8 +62,9 @@ from pathlib import Path
 
 from repro.core import DrmsProfiler, FULL_POLICY
 from repro.core.events import Call, Return, SwitchThread, encode_events
+from repro.core.tracefile import iter_section_batches
 from repro.core.tracing import with_switches
-from repro.tools.partition import iter_replay_batches, replay_partitioned
+from repro.tools.partition import replay_partitioned
 from repro.workloads.registry import get_workload
 
 WORKLOAD = "mysql_select"  # the Figure 4 workload
@@ -129,11 +130,11 @@ def build_payload(runs, monolithic=False):
 
 def serial_replay(payload):
     """Bytes-to-profile streaming replay — the same section decoder,
-    replay batches and inline columnar kernel each partition worker
-    runs, minus the partitioning.  The stored sections already carry
-    their run superops, so nothing is fused here."""
+    read-ahead group batches and inline columnar kernel each partition
+    worker runs, minus the partitioning.  The stored sections already
+    carry their run superops, so nothing is fused here."""
     profiler = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)
-    for batch in iter_replay_batches(payload):
+    for batch in iter_section_batches(payload):
         profiler.consume_columnar(batch)
     profiler.begin_trace()
     return profiler
@@ -209,12 +210,12 @@ def decompose(payload, repeats, merge_time):
     comps["transfer"] = _median(transfer, repeats)
 
     def decode():
-        for _batch in iter_replay_batches(payload):
+        for _batch in iter_section_batches(payload):
             pass
 
     comps["decode"] = _median(decode, repeats)
 
-    batches = list(iter_replay_batches(payload))
+    batches = list(iter_section_batches(payload))
 
     def replay():
         profiler = DrmsProfiler(policy=FULL_POLICY, keep_activations=False)

@@ -1168,7 +1168,8 @@ def write_rows(
 def scan_batch_bytes(data: bytes) -> TraceScan:
     """Scan a binary trace, recovering its longest valid prefix.
 
-    A fold over the section decoder of :mod:`repro.core.tracefile`:
+    A fold over the section decode loop of :mod:`repro.core.tracefile`
+    (the one :func:`~repro.core.tracefile.iter_section_batches` streams):
     every section that decodes and verifies is kept, in order, and the
     first that does not ends the scan.  Never raises on malformed
     input: the verdict — including the first
@@ -1176,7 +1177,7 @@ def scan_batch_bytes(data: bytes) -> TraceScan:
     :class:`TraceScan`.  ``repro doctor`` is a thin CLI over this."""
     from repro.core.tracefile import (
         TraceFormatError,
-        _decode_section,
+        _decode_groups,
         _parse_batch_header,
     )
 
@@ -1190,32 +1191,21 @@ def scan_batch_bytes(data: bytes) -> TraceScan:
             TraceIntegrityError(str(exc), exc.offset),
         )
     arrays = (array("b"), array("q"), array("q"), array("q"))
-    loaded = 0
     section_events: List[int] = []
     error: Optional[TraceIntegrityError] = None
-    total = len(data)
-    while pos < total and loaded < declared:
-        try:
-            events, *columns, next_pos = _decode_section(
-                data, pos, version, declared - loaded
-            )
-        except TraceFormatError as exc:
-            error = TraceIntegrityError(str(exc), exc.offset)
-            break
-        for arr, col in zip(arrays, columns):
-            arr.extend(col)
-        loaded += events
-        section_events.append(events)
-        pos = next_pos
-    if error is None and loaded < declared:
-        error = TraceIntegrityError(
-            f"trace truncated: {loaded} of {declared} events recovered", pos
-        )
-    if error is None and pos != total:
-        error = TraceIntegrityError("trailing bytes after final section", pos)
+    try:
+        # ``pos`` ends one past the last section kept
+        for lanes, counts, pos in _decode_groups(
+            data, version, declared, pos, len(data), False
+        ):
+            for arr, lane in zip(arrays, lanes):
+                arr += lane
+            section_events += counts
+    except TraceFormatError as exc:
+        error = TraceIntegrityError(str(exc), exc.offset)
     return TraceScan(
-        EventBatch(*arrays, names=names), version, declared, loaded,
-        len(section_events), pos, error,
+        EventBatch(*arrays, names=names), version, declared,
+        sum(section_events), len(section_events), pos, error,
         section_events=section_events,
         error_section=len(section_events) if error is not None else None,
     )

@@ -252,16 +252,18 @@ def scan_trace(stream: IO[bytes]) -> TraceScan:
 #
 # ``load_batch`` materialises the whole trace before the first event is
 # profiled.  ``iter_section_batches`` instead turns a trace into a
-# stream of per-section batches whose columns are decoded straight off
-# ``memoryview`` slices of the CRC-checked section payload (no per-event
-# object, no intermediate byte copies beyond the column buffers
-# themselves).  The batches are the stored rows — fused by the writer —
-# so replay loops feed them to every profiler inline, as is (partition
-# replay joins consecutive sections into one kernel batch first):
-# decode is GIL-bound, so a reader thread could not overlap it with the
-# kernels anyway.  ``_decode_section`` is the one section parser: the
-# scanner (``scan_batch_bytes``), the ranged replay iterator and the
-# planner's carry snapshots all go through it.
+# stream of read-ahead groups whose columns are decoded straight off
+# ``memoryview`` slices of the CRC-checked section payloads (no
+# per-event object; each section's lanes are copied once, into its
+# group's).  A group's batch holds the stored rows — fused by the
+# writer — of consecutive sections, so replay loops feed it to every
+# profiler inline, as is, one kernel call per kind per group: decode
+# is GIL-bound, so a reader thread could not overlap it with the
+# kernels anyway.  ``_decode_section`` is the one section parser and
+# ``_decode_groups`` the one loop over it: the scanner
+# (``scan_batch_bytes``) folds over that loop, the replay iterator
+# yields its groups, and only the planner's carry snapshots call the
+# parser directly.
 
 
 def _parse_batch_header(data) -> Tuple[int, List[str], int, int]:
@@ -369,8 +371,9 @@ _LAST_OPCODE = max(SUPEROP_NAMES)
 assert sorted(KIND_BY_OPCODE) + sorted(SUPEROP_NAMES) == list(
     range(_LAST_OPCODE + 1)
 )
-#: rows one read-ahead group of sections may hold: the unit of the
-#: decoder's row check and of a partition worker's kernel call
+#: a read-ahead group of sections takes sections until it holds this
+#: many rows: the unit of the decoder's row check and of a replay's
+#: kernel call
 _GROUP_ROWS = 64 * _SECTION_ROWS
 _LOOP_ERROR = (
     "loop superop of fewer than two pairs, over a buffer outside one "
@@ -391,8 +394,8 @@ def _check_rows(ops, args, costs, events, pos: int, starts=None) -> None:
     ``starts`` holds each section's first row and ``events`` each
     section's header count, and every section must weigh its own count
     (so two miscounts cannot cancel out).  The error then names ``pos``
-    only; :func:`iter_section_batches` re-checks section by section to
-    find the exact one."""
+    only; :func:`_decode_groups` re-checks section by section to find
+    the exact one."""
     op_u8 = _np.frombuffer(ops, dtype=_np.uint8)
     if op_u8.max() > _LAST_OPCODE:
         raise TraceFormatError("unknown opcode in section", pos)
@@ -500,29 +503,87 @@ def _decode_section(
     return events, ops, threads, args, costs, next_pos
 
 
-def _group_rows_ok(group: List[tuple]) -> bool:
-    """Check a read-ahead group's rows in one :func:`_check_rows` pass
-    over its concatenated lanes; ``False`` when some section fails.
-    ``group`` holds ``(pos, events, ops, threads, args, costs)`` per
-    section."""
-    positions, events, ops, _threads, args, costs = zip(*group)
+def _decode_groups(
+    view, version: int, declared: int, pos: int, stop: int, ranged: bool
+) -> Iterator[Tuple[Tuple[array, ...], List[int], int]]:
+    """The one section decode loop, from ``pos`` up to ``stop``.
 
-    def joined(lanes, dtype):
-        return _np.concatenate([_np.frombuffer(a, dtype=dtype) for a in lanes])
+    Reads ahead a group of consecutive sections — taking sections until
+    it holds ``_GROUP_ROWS`` rows, so always at least one — decoding
+    each section once and appending its lanes to the group's, then
+    checks the joined rows in one :func:`_check_rows` pass, each
+    section's weight against its own header count.  Yields ``(lanes,
+    section_events, end)`` per group: its four joined lanes, each
+    section's logical event count, and the offset one past its last
+    CRC.  A group that fails the check is re-checked section by
+    section to find the damaged one.  Raises :class:`TraceFormatError`
+    at the point of damage after yielding the checked sections before
+    it (a shortened group), so every earlier section stands.
 
-    starts = _np.cumsum([0] + [len(lane) for lane in ops[:-1]])
-    try:
-        _check_rows(
-            joined(ops, _np.uint8),
-            joined(args, _np.int64),
-            joined(costs, _np.int64),
-            _np.array(events, dtype=_np.int64),
-            positions[0],
-            starts,
+    Stop rules: ``ranged`` decoding reads every section up to ``stop``
+    and bounds each section's event count by ``declared``; otherwise
+    decoding stops once ``declared`` events are in, bounds each section
+    by the events still declared, and raises when fewer arrive.  Either
+    way bytes left before ``stop`` are an error."""
+    loaded = 0
+    while pos < stop and (ranged or loaded < declared):
+        lanes = (array("b"), array("q"), array("q"), array("q"))
+        positions: List[int] = []
+        counts: List[int] = []
+        starts: List[int] = []
+        error: Optional[TraceFormatError] = None
+        while (
+            pos < stop
+            and (ranged or loaded < declared)
+            and len(lanes[0]) < _GROUP_ROWS
+        ):
+            try:
+                events, *columns, next_pos = _decode_section(
+                    view,
+                    pos,
+                    version,
+                    declared if ranged else declared - loaded,
+                    check=False,
+                )
+            except TraceFormatError as exc:
+                error = exc
+                break
+            positions.append(pos)
+            counts.append(events)
+            starts.append(len(lanes[0]))
+            for lane, column in zip(lanes, columns):
+                lane += column
+            loaded += events
+            pos = next_pos
+        if counts:
+            ops, _threads, args, costs = lanes
+            try:
+                _check_rows(ops, args, costs, counts, positions[0], starts)
+            except TraceFormatError:
+                ends = starts[1:] + [len(ops)]
+                for i, (lo, hi) in enumerate(zip(starts, ends)):
+                    try:
+                        _check_rows(
+                            ops[lo:hi], args[lo:hi], costs[lo:hi],
+                            counts[i], positions[i],
+                        )
+                    except TraceFormatError:
+                        if i:
+                            yield (
+                                tuple(lane[:lo] for lane in lanes),
+                                counts[:i],
+                                positions[i],
+                            )
+                        raise
+            yield lanes, counts, pos
+        if error is not None:
+            raise error
+    if not ranged and loaded < declared:
+        raise TraceFormatError(
+            f"trace truncated: {loaded} of {declared} events recovered", pos
         )
-    except TraceFormatError:
-        return False
-    return True
+    if pos != stop:
+        raise TraceFormatError("trailing bytes after final section", pos)
 
 
 def iter_section_batches(
@@ -530,21 +591,22 @@ def iter_section_batches(
     start: Optional[int] = None,
     end: Optional[int] = None,
 ) -> Iterator[EventBatch]:
-    """Yield one :class:`EventBatch` per CRC-verified section of a
-    binary trace, decoding zero-copy off a ``memoryview``.
+    """Yield one :class:`EventBatch` per read-ahead group of
+    CRC-verified sections of a binary trace, decoding zero-copy off a
+    ``memoryview``.
 
-    Each batch holds the section's stored rows, run superops included
-    (:func:`repro.core.events.expand_runs` gives the plain rows).
+    Each batch holds the stored rows of consecutive sections, run
+    superops included (:func:`repro.core.events.expand_runs` gives the
+    plain rows), taken until the batch holds ``_GROUP_ROWS`` rows.
     Sections are the CRC and damage granularity (at most 1024 rows as
-    written).  Decoding reads ahead a group of consecutive sections of
-    at most ``_GROUP_ROWS`` rows and checks the group's rows in one
-    pass, so the first batch is ready after one group.  The shared
-    intern table is decoded once and referenced by every yielded batch.
-    Raises :class:`TraceFormatError` at the point of damage, after
-    yielding every section before it (events of previously yielded
-    sections stand — the longest-valid-prefix contract of the scanner,
-    streamed): a group that fails its check is re-checked section by
-    section, and a section that fails to decode ends its group.
+    written); a group's rows are checked in one pass, so the
+    first batch is ready after one group.  The profilers carry their
+    state across batches, so the grouping is invisible to replay.  The
+    shared intern table is decoded once and referenced by every
+    yielded batch.  Raises :class:`TraceFormatError` at the point of
+    damage, after yielding every section before it (events of
+    previously yielded sections stand — the longest-valid-prefix
+    contract of the scanner, streamed; see :func:`_decode_groups`).
 
     ``start``/``end`` restrict decoding to the byte range of a
     :class:`TracePartition` (section-header to past-final-CRC offsets
@@ -563,45 +625,10 @@ def iter_section_batches(
         )
     # a sub-range ends at ``stop``: decode as if the data did too
     view = memoryview(data)[:stop]
-    loaded = 0
-    error: Optional[TraceFormatError] = None
-    while error is None and pos < stop and (ranged or loaded < declared):
-        # ``(pos, events, ops, threads, args, costs)`` per section
-        group: List[tuple] = []
-        rows = 0
-        while (
-            pos < stop
-            and (ranged or loaded < declared)
-            and rows + _SECTION_ROWS <= _GROUP_ROWS
-        ):
-            try:
-                events, *lanes, next_pos = _decode_section(
-                    view,
-                    pos,
-                    version,
-                    declared if ranged else declared - loaded,
-                    check=False,
-                )
-            except TraceFormatError as exc:
-                error = exc
-                break
-            group.append((pos, events, *lanes))
-            loaded += events
-            rows += len(lanes[0])
-            pos = next_pos
-        one_by_one = len(group) < 2 or not _group_rows_ok(group)
-        for sec_pos, events, ops, threads, args, costs in group:
-            if one_by_one:
-                _check_rows(ops, args, costs, events, sec_pos)
-            yield EventBatch(ops, threads, args, costs, names=names)
-    if error is not None:
-        raise error
-    if not ranged and loaded < declared:
-        raise TraceFormatError(
-            f"trace truncated: {loaded} of {declared} events recovered", pos
-        )
-    if pos != stop:
-        raise TraceFormatError("trailing bytes after final section", pos)
+    for lanes, _counts, _end in _decode_groups(
+        view, version, declared, pos, stop, ranged
+    ):
+        yield EventBatch(*lanes, names=names)
 
 
 # -- partitioned replay planning ---------------------------------------------

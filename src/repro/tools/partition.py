@@ -9,10 +9,9 @@ parallel job:
    with per-thread carry-in summaries — into byte ranges with balanced
    event counts;
 2. each partition replays its range through the normal engines
-   (columnar by default; each section is decoded once, inline, and
-   consecutive sections' stored rows — run superops included — are
-   fed to every profiler kind as one batch per decoder read-ahead
-   group)
+   (columnar by default; the decoder yields each read-ahead group of
+   consecutive sections as one batch of stored rows — run superops
+   included — decoded once, inline, and fed to every profiler kind)
    in a supervised process pool, the parent replaying one share itself
    — a worker that times out or dies is retried with backoff and,
    failing that, that partition alone falls back to an inline replay
@@ -42,22 +41,19 @@ from __future__ import annotations
 
 import os
 import time
-from array import array
 # unused here since the pool supervisor took over the waiting; kept so
 # perfbench's layer hook on ``partition.futures_wait`` still resolves
 from concurrent.futures import wait as futures_wait  # noqa: F401
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 # unused here since the writer stores fused rows; kept so perfbench's
 # layer hook on ``partition.fuse_batch`` still resolves
 from repro.core.events import fuse_batch  # noqa: F401
-from repro.core.events import EventBatch
 from repro.core.policy import FULL_POLICY
 from repro.core.rms import RmsProfiler
 from repro.core.timestamping import DrmsProfiler
 from repro.core.tracefile import (
-    _GROUP_ROWS,
     PartitionPlan,
     TracePartition,
     iter_section_batches,
@@ -84,7 +80,6 @@ from repro.tools.runner import DEFAULT_ENGINE, check_engine
 __all__ = [
     "PartitionShard",
     "PartitionedReplay",
-    "iter_replay_batches",
     "replay_partition",
     "replay_partitioned",
     "merge_partition_shards",
@@ -102,51 +97,6 @@ def resolve_partitions(partitions: Optional[int]) -> Optional[int]:
     if partitions == 0:
         return usable_cpus()
     return partitions
-
-
-#: most rows one kernel call replays: consecutive sections are joined
-#: up to the decoder's read-ahead group, so a partition of small
-#: sections costs one call per kind per group, not one per section
-_BATCH_ROWS = _GROUP_ROWS
-
-
-def _join_sections(sections: List[EventBatch]) -> EventBatch:
-    """One batch of the consecutive ``sections``' rows, in order."""
-    if len(sections) == 1:
-        return sections[0]
-    first = sections[0]
-    lanes = [
-        array(col.typecode)
-        for col in (first.ops, first.threads, first.args, first.costs)
-    ]
-    for section in sections:
-        lanes[0] += section.ops
-        lanes[1] += section.threads
-        lanes[2] += section.args
-        lanes[3] += section.costs
-    return EventBatch(*lanes, names=first.names)
-
-
-def iter_replay_batches(
-    payload: bytes, start: Optional[int] = None, end: Optional[int] = None
-) -> Iterator[EventBatch]:
-    """The sections of ``payload[start:end]`` (as
-    :func:`~repro.core.tracefile.iter_section_batches` yields them)
-    joined into replay batches: consecutive sections up to
-    ``_BATCH_ROWS`` rows, a larger section alone.  The profilers carry
-    their state across batches, so any cut of the stream into batches
-    replays to the same profiles; fewer, larger batches pay the
-    kernel's per-call setup fewer times."""
-    pending: List[EventBatch] = []
-    rows = 0
-    for section in iter_section_batches(payload, start, end):
-        if pending and rows + len(section) > _BATCH_ROWS:
-            yield _join_sections(pending)
-            pending, rows = [], 0
-        pending.append(section)
-        rows += len(section)
-    if pending:
-        yield _join_sections(pending)
 
 
 def _make_profiler(kind: str, counter_limit: Optional[int] = None):
@@ -184,9 +134,10 @@ class PartitionShard:
     last_write: dict = field(default_factory=dict)
     last_access: dict = field(default_factory=dict)
     #: wall time the replay spent pulling batches rather than in the
-    #: kernels: section decode, the row check, and joining sections
-    #: into replay batches
+    #: kernels: section decode, the group join and its row check
     decode_stall_s: float = 0.0
+    #: 0 since decode runs inline, with no reader queue; kept because
+    #: perfbench reads ``backpressure_s``
     backpressure_s: float = 0.0
     queue_depth_hwm: int = 0
     #: planner carry the partition was seeded with: ``((thread, ((seq,
@@ -215,15 +166,15 @@ def replay_partition(
     """Replay one partition's byte range under each profiler kind.
 
     One pass over the range serves every kind: the range's sections
-    are decoded once and joined into batches of consecutive sections
-    (:func:`iter_replay_batches`), and each batch's stored rows (fused
-    by the writer) are handed inline, unchanged, to every kind's
-    columnar kernel — one kernel call per kind per batch — before the
-    next batch is pulled.  ``scalar`` replays the same batches,
-    expanded into events, through the reference ``consume`` loop for
-    the equivalence suite.  Each shard reports the pass's wall time as
-    ``elapsed`` and its decode share (decode, row check and joining
-    sections) as ``decode_stall_s``.
+    are decoded once, a read-ahead group of consecutive sections per
+    batch (:func:`~repro.core.tracefile.iter_section_batches`), and
+    each batch's stored rows (fused by the writer) are handed inline,
+    unchanged, to every kind's columnar kernel — one kernel call per
+    kind per batch — before the next batch is pulled.  ``scalar``
+    replays the same batches, expanded into events, through the
+    reference ``consume`` loop for the equivalence suite.  Each shard
+    reports the pass's wall time as ``elapsed`` and its decode share
+    (decode, group join and row check) as ``decode_stall_s``.
 
     A partition with a nonempty ``carry_in`` starts mid-activation:
     the profilers are seeded with placeholder frames for the carried
@@ -248,7 +199,7 @@ def replay_partition(
     now = time.perf_counter
     decode_s = 0.0
     start = now()
-    batches = iter_replay_batches(payload, part.start, part.end)
+    batches = iter_section_batches(payload, part.start, part.end)
     while True:
         mark = now()
         batch = next(batches, None)
@@ -390,25 +341,14 @@ def _open_partition_trace(
 
 
 def _emit_shard_counters(tracer, shards: List[PartitionShard]) -> None:
-    """Counter-track samples (Perfetto "C" events) of each shard's
-    inline decode time (the stall and queue-depth tracks keep
-    their names; with no reader thread they read 0)."""
-    if not getattr(tracer, "enabled", False):
-        return
-    for shard in shards:
-        track = f"p{shard.index}"
+    """One counter-track sample (a Perfetto "C" event) of one
+    partition's inline decode time.  Every shard of a partition carries
+    the one shared decode pass's time, so the first stands for all."""
+    if getattr(tracer, "enabled", False) and shards:
         tracer.counter(
             "partition.decode_stall_us",
-            int(shard.decode_stall_s * 1e6),
-            track=track,
-        )
-        tracer.counter(
-            "partition.backpressure_us",
-            int(shard.backpressure_s * 1e6),
-            track=track,
-        )
-        tracer.counter(
-            "partition.queue_depth_hwm", shard.queue_depth_hwm, track=track
+            int(shards[0].decode_stall_s * 1e6),
+            track=f"p{shards[0].index}",
         )
 
 
@@ -752,9 +692,10 @@ def replay_partitioned(
     (:meth:`~repro.obs.distributed.TraceContext.to_dict` form, as
     shipped inside a service lease).  When it names a spans directory,
     this process opens a crash-safe span sidecar of its own, every pool
-    worker opens one per partition, and decode-stall/backpressure
-    counter samples land on per-partition counter tracks — so the
-    per-job merged Perfetto view shows one track per worker/partition.
+    worker opens one per partition, and each partition's decode-stall
+    counter sample lands once, on its own counter track, written by
+    the process that replayed it — so the per-job merged Perfetto view
+    shows one track per worker/partition.
     """
     check_engine(engine)
     if tracer is None:
@@ -800,7 +741,7 @@ def replay_partitioned(
             partition=part.index,
             mode=mode,
         ):
-            return replay_partition(
+            shards = replay_partition(
                 payload,
                 part,
                 kinds,
@@ -809,6 +750,11 @@ def replay_partitioned(
                 counter_limit=counter_limit,
                 carry_aware=carry_aware,
             )
+        if own_sidecar is not None:
+            # pool workers write the samples of the partitions they
+            # replayed; this process writes those it replayed itself
+            _emit_shard_counters(tracer, shards)
+        return shards
 
     cpus = usable_cpus()
     pool_workers = min(len(parts), workers or cpus)
@@ -883,12 +829,6 @@ def replay_partitioned(
         )
 
     rows = [results[i] for i in sorted(results)]
-    if own_sidecar is not None:
-        # Counter samples for inline-replayed shards (pool workers emit
-        # their own); then the whole-replay summary below.
-        _emit_shard_counters(
-            tracer, [s for i in sorted(results) for s in results[i]]
-        )
     reclassified = 0
     merge_time = 0.0
     profilers: Dict[str, object] = {}
@@ -947,9 +887,6 @@ def replay_partitioned(
                     max(1, int(shard.elapsed * 1e6))
                 )
                 metrics.gauge("partition.events", slabels).set(shard.events)
-                metrics.histogram(
-                    "partition.backpressure_us", {"label": label}
-                ).observe(int(shard.backpressure_s * 1e6))
     if own_sidecar is not None:
         own_sidecar.close()
     return PartitionedReplay(

@@ -23,6 +23,7 @@ Three contracts:
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,7 @@ from repro.core.events import (
     encode_events,
     fuse_batch,
 )
+from repro.core import tracefile
 from repro.core.tracing import with_switches
 from repro.core.tracefile import TraceFormatError, iter_section_batches
 from repro.tools import DEFAULT_TOOLS, replay_tool
@@ -496,7 +498,9 @@ def _long_trace(n=2600):
 def test_section_batches_round_trip_multi_section():
     events = _long_trace()
     payload = encode_events(events).to_bytes()
-    sections = list(iter_section_batches(payload))
+    # a one-row group budget yields each section alone
+    with mock.patch.object(tracefile, "_GROUP_ROWS", 1):
+        sections = list(iter_section_batches(payload))
     assert len(sections) > 1
     decoded = [e for s in sections for e in s.iter_events()]
     assert decoded == events

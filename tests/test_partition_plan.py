@@ -11,9 +11,11 @@ exactly the original event stream.
 """
 
 import struct
+from unittest import mock
 
 import pytest
 
+from repro.core import tracefile
 from repro.core.events import (
     Call,
     EventBatch,
@@ -276,7 +278,9 @@ def test_to_bytes_boundaries_force_section_breaks():
     payload = encode_events(events).to_bytes(
         section_events=1024, boundaries=bounds
     )
-    sections = list(iter_section_batches(payload))
+    # a one-row group budget yields each section alone
+    with mock.patch.object(tracefile, "_GROUP_ROWS", 1):
+        sections = list(iter_section_batches(payload))
     # Without the boundary this small trace would be one section.
     assert len(sections) == 2
     assert sections[0].event_count() == bounds[0]

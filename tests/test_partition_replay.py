@@ -332,14 +332,14 @@ def test_replay_partition_decodes_each_section_once_and_never_fuses(
     batch, payload = _three_part_payload()
     plan = plan_partitions(payload, 1)
     (part,) = plan.partitions
-    calls = {"decode": 0, "sections": 0, "fuse": 0}
+    calls = {"decode": 0, "events": 0, "fuse": 0}
     real_iter = partition.iter_section_batches
 
     def counting_iter(*args, **kwargs):
         calls["decode"] += 1
-        for section in real_iter(*args, **kwargs):
-            calls["sections"] += 1
-            yield section
+        for batch in real_iter(*args, **kwargs):
+            calls["events"] += batch.event_count()
+            yield batch
 
     def counting_fuse(*args, **kwargs):
         calls["fuse"] += 1
@@ -351,7 +351,8 @@ def test_replay_partition_decodes_each_section_once_and_never_fuses(
     monkeypatch.setattr(events, "_fuse", counting_fuse)
     shards = replay_partition(payload, part, ("drms", "rms"), 1)
     assert calls["decode"] == 1
-    assert calls["sections"] == part.sections > 1
+    assert calls["events"] == part.events
+    assert part.sections > 1
     assert calls["fuse"] == 0
     assert [s.kind for s in shards] == ["drms", "rms"]
     assert shards[0].decode_stall_s == shards[1].decode_stall_s > 0.0
@@ -443,7 +444,7 @@ def test_any_replay_batch_size_equals_serial_and_oracle(
     per call, and the default budget all merge to the same profiles,
     read attribution and telemetry snapshots as the serial scalar loop
     and the naive oracle."""
-    import repro.tools.partition as partition
+    import repro.core.tracefile as tracefile
 
     events, bounds, section_rows = trace
     batch = encode_events(events)
@@ -453,8 +454,8 @@ def test_any_replay_batch_size_equals_serial_and_oracle(
     oracle = NaiveDrmsProfiler(policy=FULL_POLICY)
     oracle.run(events)
     snapshots = set()
-    for budget in (1, few_rows, partition._BATCH_ROWS):
-        with mock.patch.object(partition, "_BATCH_ROWS", budget):
+    for budget in (1, few_rows, tracefile._GROUP_ROWS):
+        with mock.patch.object(tracefile, "_GROUP_ROWS", budget):
             rep = replay_partitioned(
                 payload, plan=plan, kinds=("drms", "rms"), workers=1,
                 counter_limit=counter_limit,
@@ -805,6 +806,37 @@ def test_decode_stall_observed_once_per_partition_for_every_kind():
     assert all(len(row) == 2 for row in rep.shards)
     stall = registry.histogram("partition.decode_stall_us", {"label": "test"})
     assert stall.count == 3
+
+
+def test_decode_stall_sampled_once_per_partition_across_sidecars(
+    monkeypatch, tmp_path
+):
+    """With a span context (the service path) every partition's
+    decode-stall counter sample is written once, by the process that
+    replayed it — a pool worker, or the parent for its own share —
+    whatever the number of profiler kinds."""
+    from repro.obs.distributed import discover_sidecars, read_sidecar
+
+    monkeypatch.setenv("REPRO_PARTITION_FORCE_POOL", "1")
+    monkeypatch.delenv(_KILL_ENV, raising=False)
+    _batch, payload = _three_part_payload()
+    trace = {"trace_id": "t-stall", "job": "job", "spans_dir": str(tmp_path)}
+    rep = replay_partitioned(
+        payload, partitions=3, kinds=("drms", "rms"), workers=3, trace=trace
+    )
+    assert len(rep.plan.partitions) == 3
+    assert not rep.degradations
+    sidecars = discover_sidecars(str(tmp_path))
+    assert len(sidecars) == 3  # two pool partitions and the parent
+    samples = sorted(
+        (event["tid"], event["name"])
+        for path in sidecars
+        for event in read_sidecar(path).events
+        if event["ph"] == "C"
+    )
+    assert samples == [
+        (f"p{i}", "partition.decode_stall_us") for i in range(3)
+    ]
 
 
 def test_partitions_follow_the_affinity_mask(monkeypatch):

@@ -8,13 +8,15 @@ Three load-bearing properties:
   scans agree, and a torn tail at *every* byte offset salvages a clean
   section prefix, never raises, and replays (at ``counter_limit=64``)
   identically to the same prefix of the original trace.
-* **shm residency exactness** — partitioned replay over a shared-memory
-  segment with real pool workers produces profiles byte-identical to
-  the serial replay and the naive oracle for both profiler kinds at
-  1-8 partitions, and leaves zero live segments behind.
-* **crash cleanup** — a worker SIGKILLed mid-replay (and a whole
-  process SIGKILLed while owning a segment) leaves ``/dev/shm`` exactly
-  as it was found: no leaked segments, no orphan files.
+* **pooled exactness** — partitioned replay with real pool workers
+  (each shipped its byte range pickled) produces profiles
+  byte-identical to the serial replay and the naive oracle for both
+  profiler kinds at 1-8 partitions, and leaves zero live segments
+  behind.
+* **crash cleanup** — a worker SIGKILLed mid-replay degrades cleanly
+  and leaves ``/dev/shm`` exactly as it was found (as does a whole
+  process SIGKILLed while owning a shared-memory segment): no leaked
+  segments, no orphan files.
 """
 
 import functools
@@ -199,17 +201,16 @@ def test_v3_torn_tail_at_every_byte_offset(trace):
         assert prof.metrics_snapshot() == snapshot(loaded)
 
 
-# -- shm residency exactness --------------------------------------------------
+# -- pooled exactness ---------------------------------------------------------
 
 
 @pytest.fixture
 def force_pool(monkeypatch):
     """Pool workers even on a 1-CPU box (where the engine would
-    otherwise inline), so shm residency is actually exercised."""
+    otherwise inline), so the pooled replay is actually exercised."""
     monkeypatch.setenv("REPRO_PARTITION_FORCE_POOL", "1")
 
 
-@pytest.mark.skipif(not shm_available(), reason="no working shared memory")
 @pytest.mark.parametrize("n_parts", [1, 2, 3, 5, 8])
 def test_partitioned_over_shm_equals_serial_and_oracle(
     force_pool, n_parts
@@ -253,7 +254,7 @@ def test_partitioned_over_shm_equals_serial_and_oracle(
         oracle.profiles
     )
     assert read_counts(rep.profilers["drms"]) == read_counts(oracle)
-    # residency cleanup: nothing left mapped or on disk
+    # cleanup: no segment left mapped or on disk
     assert active_segments() == 0
     assert shm_listing() == before
 
@@ -278,7 +279,6 @@ def _mysql_select_x4():
     return payload, serial_drms, serial_rms, oracle
 
 
-@pytest.mark.skipif(not shm_available(), reason="no working shared memory")
 @pytest.mark.parametrize("engine", ["scalar", "columnar"])
 @pytest.mark.parametrize("n_parts", [2, 3, 4])
 def test_fill_heavy_trace_partitioned_equals_serial_and_oracle(
@@ -310,12 +310,10 @@ def test_fill_heavy_trace_partitioned_equals_serial_and_oracle(
 # -- crash cleanup ------------------------------------------------------------
 
 
-@pytest.mark.skipif(not shm_available(), reason="no working shared memory")
 def test_sigkill_mid_replay_leaves_no_segments_or_orphans(monkeypatch):
     """A worker SIGKILLed mid-partition degrades per the supervision
-    discipline, the merged profile stays exact, and /dev/shm is left
-    exactly as found — the segment unlink runs on the degradation path
-    too."""
+    discipline, the merged profile stays exact, and no segment is left
+    live or on disk afterwards, on the degradation path too."""
     from repro.core.tracing import with_switches
     from repro.workloads.registry import get_workload
 

@@ -19,11 +19,13 @@
 import struct
 import zlib
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import tracefile
 from repro.core.codec import (
     FLAG_ZLIB,
     SECTION_HEADER,
@@ -118,7 +120,9 @@ def test_v4_rows_are_fuse_batch_of_each_boundary_segment(
         fuse_batch(_rows(batch, lo, hi))
         for lo, hi in zip([0] + bounds, bounds + [len(batch)])
     )
-    sections = list(iter_section_batches(payload))
+    # a one-row group budget yields each section alone
+    with mock.patch.object(tracefile, "_GROUP_ROWS", 1):
+        sections = list(iter_section_batches(payload))
     assert _lanes(_concat(sections)) == _lanes(expected)
     # no section straddles a boundary; sections respect both caps
     starts, seen = set(), 0
@@ -339,7 +343,7 @@ def test_decoder_accepts_a_full_leaf_run():
 # The decoder checks a group of consecutive sections at once; damage in
 # the middle of a group must still surface section by section: the same
 # valid prefix, then the same error at the same offset as a decode that
-# checks one section at a time (``scan_batch_bytes`` does).
+# checks one section at a time.
 
 
 def _group_rows(i):
@@ -429,16 +433,15 @@ def test_damage_inside_a_group_stops_at_the_damaged_section(
 
     data, offsets, body_start = _group_trace(damage)
     intact, _offsets, _body = _group_trace(None)
-    expected = list(iter_section_batches(intact))
+    with mock.patch.object(tracefile, "_GROUP_ROWS", 1):
+        expected = list(iter_section_batches(intact))
     assert len(expected) == 8
 
     sections, error = _decode_until_error(data)
     assert (str(error), error.offset) == (message, offsets[bad])
-    assert [_lanes(s) for s in sections] == [
-        _lanes(s) for s in expected[:bad]
-    ]
+    assert _lanes(_concat(sections)) == _lanes(_concat(expected[:bad]))
 
-    # the section-at-a-time scanner agrees on prefix, message and offset
+    # the scanner agrees on prefix, message and offset
     scan = scan_batch_bytes(data)
     assert scan.sections_valid == scan.error_section == bad
     assert scan.section_events == [34] * bad
@@ -447,9 +450,7 @@ def test_damage_inside_a_group_stops_at_the_damaged_section(
     # ranged decode from the second section, and ranged replay
     sections, error = _decode_until_error(data, offsets[1], len(data))
     assert (str(error), error.offset) == (message, offsets[bad])
-    assert [_lanes(s) for s in sections] == [
-        _lanes(s) for s in expected[1:bad]
-    ]
+    assert _lanes(_concat(sections)) == _lanes(_concat(expected[1:bad]))
     part = TracePartition(0, body_start, len(data), 8, 8 * 34)
     with pytest.raises(TraceFormatError) as info:
         replay_partition(data, part, ("drms", "rms"), 1)
@@ -592,13 +593,20 @@ _INTEGRITY = (TraceFormatError, SectionCodecError, TraceIntegrityError)
 @given(fuzzed_trace())
 @settings(max_examples=300, deadline=None)
 def test_fuzzed_traces_raise_only_integrity_errors(data):
+    streamed, stream_error = [], None
     try:
-        for _section in iter_section_batches(data):
-            pass
-    except _INTEGRITY:
-        pass
+        for batch in iter_section_batches(data):
+            streamed.append(batch)
+    except _INTEGRITY as exc:
+        stream_error = exc
     scan = scan_batch_bytes(data)  # never raises
     assert scan.events_loaded == sum(scan.section_events)
+    # the scan folds over the stream's decode loop: the same prefix,
+    # and the same point of damage
+    assert _lanes(scan.batch) == _lanes(_concat(streamed))
+    assert (scan.error is None) == (stream_error is None)
+    if stream_error is not None:
+        assert scan.error.offset == stream_error.offset
     for partitions in (1, 2, 3):
         try:
             plan = plan_partitions(data, partitions)
