@@ -29,8 +29,16 @@ The codec encodes *rows*.  Since v4 the rows are the writer's fused
 ones, so a run superop is one row whose cost lane holds the run length;
 the section header records how many logical events the rows stand for.
 
-Lane transforms are numpy ``subtract``/``cumsum``/``astype`` C loops;
-numpy's int64 arithmetic wraps, which is the wraparound above.
+Lane transforms are numpy C loops, and numpy's int64 arithmetic
+wraps, which is the wraparound above.  Encoding is per section
+(``subtract``).  Decoding is split in two: :func:`split_section_payload`
+checks one section's payload (zlib, lane tags, column lengths, trailing
+bytes) and returns its lanes undecoded, so damage is still found
+section by section; :func:`decode_group_lanes` then decodes a whole
+read-ahead group of sections at once — per operand lane one
+``frombuffer`` per distinct width, one ``cumsum`` over the group, and
+one subtraction of each section's starting sum, which resets the delta
+chain at every section as the encoder did.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from __future__ import annotations
 import struct
 import zlib
 from array import array
-from typing import List, Tuple
+from typing import Sequence, Tuple
 
 import numpy as _np
 
@@ -48,7 +56,8 @@ __all__ = [
     "SECTION_HEADER_V3",
     "SectionCodecError",
     "encode_section_payload",
-    "decode_section_payload",
+    "split_section_payload",
+    "decode_group_lanes",
 ]
 
 #: v4 section header: ``u32 rows | u32 events | u8 flags | u32 calls |
@@ -155,57 +164,112 @@ def encode_section_payload(
 #: lane width in bytes -> its little-endian integer dtype
 _LANE_DTYPES = {w: _np.dtype(f"<i{w}") for w in (1, 2, 4, 8)}
 
+#: every valid lane tag -> its ``(mode, width)``
+_LANE_TAGS = {
+    mode | width: (mode, width)
+    for mode in (_MODE_RAW, _MODE_DELTA)
+    for width in _LANE_DTYPES
+}
 
-def _decode_lane(buf, n: int, mode: int, width: int) -> array:
-    col = _np.frombuffer(buf, dtype=_LANE_DTYPES[width], count=n)
-    # Both branches yield *native* int64, so the bytes below read
-    # correctly on any host endianness (free on little-endian + i64).
-    # Integer cumsum wraps silently, as the encoder's deltas did.
-    if mode == _MODE_DELTA:
-        col = col.cumsum(dtype=_np.int64)
-    else:
-        col = col.astype(_np.int64, copy=False)
-    return array("q", col.tobytes())
+#: one operand lane of one section, split but not decoded: ``(mode,
+#: width, column)`` with ``column`` the packed bytes (a memoryview)
+Lane = Tuple[int, int, memoryview]
 
 
-def decode_section_payload(
+def split_section_payload(
     payload, n: int, flags: int
-) -> Tuple[array, array, array, array]:
-    """Decode one v3/v4 section payload back into the four lane arrays
-    ``(ops 'b', threads 'q', args 'q', costs 'q')``.
+) -> Tuple[memoryview, Tuple[Lane, Lane, Lane]]:
+    """Validate one v3/v4 section payload and split it into its lanes
+    without decoding them: returns ``(ops, (threads, args, costs))``,
+    the ``n``-byte opcode lane and the three operand lanes as
+    :data:`Lane` triples, ready for :func:`decode_group_lanes`.
 
     ``payload`` is the stored (possibly compressed) bytes; ``n`` the
     row count from the section header.  Raises
-    :class:`SectionCodecError` on any malformation — callers translate
-    into their own integrity-error type with byte offsets.
+    :class:`SectionCodecError` on any malformation — zlib damage, a bad
+    lane tag, a truncated column, trailing bytes — so a caller can
+    locate damage at this section before decoding any lane; callers
+    translate it into their own integrity-error type with byte offsets.
     """
     if flags & FLAG_ZLIB:
         try:
-            payload = zlib.decompress(bytes(payload))
+            payload = zlib.decompress(payload)
         except zlib.error as exc:
             raise SectionCodecError(f"zlib damage: {exc}") from exc
-    view = memoryview(payload) if not isinstance(payload, memoryview) else payload
-    if len(view) < n:
+    view = memoryview(payload)
+    size = len(view)
+    if size < n:
         raise SectionCodecError("opcode lane truncated")
-    ops = array("b")
-    ops.frombytes(bytes(view[:n]))
     pos = n
-    lanes: List[array] = []
+    lanes = []
     for lane_name in ("threads", "args", "costs"):
-        if len(view) - pos < 1:
+        if pos >= size:
             raise SectionCodecError(f"{lane_name} lane tag missing")
         tag = view[pos]
-        pos += 1
-        mode = tag & 0xF0
-        width = tag & 0x0F
-        if mode not in (_MODE_RAW, _MODE_DELTA) or width not in (1, 2, 4, 8):
+        lane = _LANE_TAGS.get(tag)
+        if lane is None:
             raise SectionCodecError(f"bad {lane_name} lane tag 0x{tag:02x}")
-        size = n * width
-        if len(view) - pos < size:
+        mode, width = lane
+        pos += 1
+        end = pos + n * width
+        if end > size:
             raise SectionCodecError(f"{lane_name} lane truncated")
-        buf = view[pos : pos + size]
-        lanes.append(_decode_lane(buf, n, mode, width))
-        pos += size
-    if pos != len(view):
+        lanes.append((mode, width, view[pos:end]))
+        pos = end
+    if pos != size:
         raise SectionCodecError("trailing bytes after cost lane")
-    return ops, lanes[0], lanes[1], lanes[2]
+    return view[:n], tuple(lanes)
+
+
+def decode_group_lanes(
+    sections: Sequence[Tuple[Lane, Lane, Lane]], rows: Sequence[int]
+) -> Tuple[array, array, array]:
+    """Decode the operand lanes of a group of consecutive sections into
+    three ``array('q')`` lanes (threads, args, costs) over all their
+    rows, in order.
+
+    ``sections`` holds each section's three :data:`Lane` triples (from
+    :func:`split_section_payload`, or raw width-8 lanes for v2) and
+    ``rows`` each section's row count.  Per lane, the group's columns
+    are read with one ``frombuffer`` per distinct width and summed with
+    one ``cumsum``; each delta section then drops the running sum
+    before its first row, so its chain still starts from 0.  int64
+    arithmetic wraps, which is exactly the encoder's wraparound.  A
+    one-section group takes the short path: no join, base or repeat.
+    """
+    single = len(rows) == 1
+    if not single:
+        counts = _np.array(rows)
+        # the last row of every section but the group's last
+        last_rows = counts[:-1].cumsum() - 1
+    lanes = []
+    for modes, widths, columns in (zip(*lane) for lane in zip(*sections)):
+        width = widths[0]
+        if widths.count(width) == len(widths):
+            col = _np.frombuffer(
+                columns[0] if single else b"".join(columns),
+                dtype=_LANE_DTYPES[width],
+            )
+        else:
+            col = _np.empty(counts.sum(), dtype=_np.int64)
+            row_widths = _np.repeat(_np.array(widths, dtype=_np.int8), counts)
+            for width in set(widths):
+                col[row_widths == width] = _np.frombuffer(
+                    b"".join(
+                        [c for c, w in zip(columns, widths) if w == width]
+                    ),
+                    dtype=_LANE_DTYPES[width],
+                )
+        deltas = modes.count(_MODE_DELTA)
+        if deltas:
+            sums = col.cumsum(dtype=_np.int64)
+            if not single:
+                sums[rows[0] :] -= _np.repeat(sums[last_rows], counts[1:])
+            if deltas < len(modes):
+                is_delta = _np.array(modes, dtype=_np.int8) == _MODE_DELTA
+                sums = _np.where(_np.repeat(is_delta, counts), sums, col)
+            col = sums
+        elif col.dtype != _np.int64:
+            col = col.astype(_np.int64)
+        lanes.append(array("q", col.tobytes()))
+    return tuple(lanes)

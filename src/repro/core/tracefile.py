@@ -33,7 +33,6 @@ processes.  Both formats round-trip through each other
 from __future__ import annotations
 
 import struct
-import sys
 import urllib.parse
 import zlib
 from array import array
@@ -46,8 +45,11 @@ from repro.core.codec import (
     FLAG_ZLIB,
     SECTION_HEADER,
     SECTION_HEADER_V3,
+    _MODE_RAW,
+    Lane,
     SectionCodecError,
-    decode_section_payload,
+    decode_group_lanes,
+    split_section_payload,
 )
 from repro.core.events import (
     _BATCH_MAGIC,
@@ -254,16 +256,17 @@ def scan_trace(stream: IO[bytes]) -> TraceScan:
 # profiled.  ``iter_section_batches`` instead turns a trace into a
 # stream of read-ahead groups whose columns are decoded straight off
 # ``memoryview`` slices of the CRC-checked section payloads (no
-# per-event object; each section's lanes are copied once, into its
-# group's).  A group's batch holds the stored rows — fused by the
-# writer — of consecutive sections, so replay loops feed it to every
-# profiler inline, as is, one kernel call per kind per group: decode
-# is GIL-bound, so a reader thread could not overlap it with the
-# kernels anyway.  ``_decode_section`` is the one section parser and
-# ``_decode_groups`` the one loop over it: the scanner
-# (``scan_batch_bytes``) folds over that loop, the replay iterator
-# yields its groups, and only the planner's carry snapshots call the
-# parser directly.
+# per-event object; each section is checked alone, then the group's
+# lanes are decoded together, one numpy pass per lane).  A group's
+# batch holds the stored rows — fused by the writer — of consecutive
+# sections, so replay loops feed it to every profiler inline, as is,
+# one kernel call per kind per group: decode is GIL-bound, so a reader
+# thread could not overlap it with the kernels anyway.
+# ``_decode_section`` is the one section parser, ``_decode_groups`` the
+# one loop over it and ``codec.decode_group_lanes`` the one lane
+# decoder: the scanner (``scan_batch_bytes``) folds over that loop, the
+# replay iterator yields its groups, and only the planner's carry
+# snapshots call the parser and the lane decoder directly.
 
 
 def _parse_batch_header(data) -> Tuple[int, List[str], int, int]:
@@ -455,17 +458,19 @@ def _decode_section(
     version: int,
     remaining: Optional[int] = None,
     verify: bool = True,
-    check: bool = True,
-) -> Tuple[int, array, array, array, array, int]:
-    """Decode the section at ``pos`` into its four lane arrays; returns
-    ``(events, ops, threads, args, costs, next_pos)`` where ``events``
-    is the logical event count of the decoded rows.  ``remaining``
-    bounds the plausible event count (see :func:`_read_section_header`).
-    ``verify`` checks the payload CRC first (ranged replay must; the
-    planner's carry snapshots may skip it and let the workers' checked
-    decode fail later).  ``check`` runs :func:`_check_rows` on the
-    decoded rows; a caller that skips it must check them itself.
-    Raises :class:`TraceFormatError` at the point of damage.
+) -> Tuple[int, memoryview, Tuple[Lane, Lane, Lane], int]:
+    """Check and split the section at ``pos``; returns ``(events, ops,
+    lanes, next_pos)`` where ``events`` is the logical event count of
+    its rows, ``ops`` its opcode lane (one byte per row) and ``lanes``
+    its three operand lanes, split but not yet decoded (feed them to
+    :func:`~repro.core.codec.decode_group_lanes`; a v2 section's are
+    raw width-8 lanes).  ``remaining`` bounds the plausible event count
+    (see :func:`_read_section_header`).  ``verify`` checks the payload
+    CRC first (ranged replay must; the planner's carry snapshots may
+    skip it and let the workers' checked decode fail later).  Raises
+    :class:`TraceFormatError` at the point of damage: header, CRC,
+    zlib or lane encoding.  The rows themselves are checked by the
+    caller, after decoding (:func:`_check_rows`).
     """
     rows, events, flags, _calls, _rets, payload_size, header_size = (
         _read_section_header(data, pos, version, remaining)
@@ -477,30 +482,20 @@ def _decode_section(
         if zlib.crc32(payload) != crc:
             raise TraceFormatError("section CRC mismatch", pos)
     if version == 2:
-        columns: List[array] = []
-        off = 0
-        for typecode in ("b", "q", "q", "q"):
-            col = array(typecode)
-            width = col.itemsize
-            col.frombytes(payload[off : off + rows * width])
-            if sys.byteorder == "big":  # pragma: no cover - exotic hardware
-                col.byteswap()
-            columns.append(col)
-            off += rows * width
-        ops, threads, args, costs = columns
+        ops = payload[:rows]
+        lanes = tuple(
+            (_MODE_RAW, 8, payload[lo : lo + 8 * rows])
+            for lo in range(rows, 25 * rows, 8 * rows)
+        )
     else:
         try:
-            ops, threads, args, costs = decode_section_payload(
-                payload, rows, flags
-            )
+            ops, lanes = split_section_payload(payload, rows, flags)
         except SectionCodecError as exc:
             raise TraceFormatError(
                 f"corrupt section encoding: {exc}", pos
             ) from exc
-    if check:
-        _check_rows(ops, args, costs, events, pos)
     next_pos = pos + header_size + payload_size + 4
-    return events, ops, threads, args, costs, next_pos
+    return events, ops, lanes, next_pos
 
 
 def _decode_groups(
@@ -509,16 +504,19 @@ def _decode_groups(
     """The one section decode loop, from ``pos`` up to ``stop``.
 
     Reads ahead a group of consecutive sections — taking sections until
-    it holds ``_GROUP_ROWS`` rows, so always at least one — decoding
-    each section once and appending its lanes to the group's, then
-    checks the joined rows in one :func:`_check_rows` pass, each
-    section's weight against its own header count.  Yields ``(lanes,
-    section_events, end)`` per group: its four joined lanes, each
-    section's logical event count, and the offset one past its last
-    CRC.  A group that fails the check is re-checked section by
-    section to find the damaged one.  Raises :class:`TraceFormatError`
-    at the point of damage after yielding the checked sections before
-    it (a shortened group), so every earlier section stands.
+    it holds ``_GROUP_ROWS`` rows, so always at least one — checking
+    each section on its own (header, CRC, zlib, lane encoding:
+    :func:`_decode_section`) and keeping its lanes split but undecoded.
+    The group's lanes are then decoded together, once per lane
+    (:func:`~repro.core.codec.decode_group_lanes`), and its rows
+    checked in one :func:`_check_rows` pass, each section's weight
+    against its own header count.  Yields ``(lanes, section_events,
+    end)`` per group: its four lanes, each section's logical event
+    count, and the offset one past its last CRC.  A group that fails
+    the row check is re-checked section by section to find the damaged
+    one.  Raises :class:`TraceFormatError` at the point of damage after
+    yielding the checked sections before it (a shortened group), so
+    every earlier section stands.
 
     Stop rules: ``ranged`` decoding reads every section up to ``stop``
     and bounds each section's event count by ``declared``; otherwise
@@ -527,40 +525,52 @@ def _decode_groups(
     way bytes left before ``stop`` are an error."""
     loaded = 0
     while pos < stop and (ranged or loaded < declared):
-        lanes = (array("b"), array("q"), array("q"), array("q"))
         positions: List[int] = []
         counts: List[int] = []
         starts: List[int] = []
+        op_lanes: List[memoryview] = []
+        operand_lanes: List[Tuple[Lane, Lane, Lane]] = []
+        rows = 0
         error: Optional[TraceFormatError] = None
         while (
             pos < stop
             and (ranged or loaded < declared)
-            and len(lanes[0]) < _GROUP_ROWS
+            and rows < _GROUP_ROWS
         ):
             try:
-                events, *columns, next_pos = _decode_section(
+                events, ops, lanes, next_pos = _decode_section(
                     view,
                     pos,
                     version,
                     declared if ranged else declared - loaded,
-                    check=False,
                 )
             except TraceFormatError as exc:
                 error = exc
                 break
             positions.append(pos)
             counts.append(events)
-            starts.append(len(lanes[0]))
-            for lane, column in zip(lanes, columns):
-                lane += column
+            starts.append(rows)
+            op_lanes.append(ops)
+            operand_lanes.append(lanes)
+            rows += len(ops)
             loaded += events
             pos = next_pos
         if counts:
-            ops, _threads, args, costs = lanes
+            ops = array("b")
+            ops.frombytes(
+                op_lanes[0] if len(op_lanes) == 1 else b"".join(op_lanes)
+            )
+            threads, args, costs = decode_group_lanes(
+                operand_lanes, [len(lane) for lane in op_lanes]
+            )
+            group = (ops, threads, args, costs)
             try:
-                _check_rows(ops, args, costs, counts, positions[0], starts)
+                if len(counts) == 1:
+                    _check_rows(ops, args, costs, counts[0], positions[0])
+                else:
+                    _check_rows(ops, args, costs, counts, positions[0], starts)
             except TraceFormatError:
-                ends = starts[1:] + [len(ops)]
+                ends = starts[1:] + [rows]
                 for i, (lo, hi) in enumerate(zip(starts, ends)):
                     try:
                         _check_rows(
@@ -570,12 +580,12 @@ def _decode_groups(
                     except TraceFormatError:
                         if i:
                             yield (
-                                tuple(lane[:lo] for lane in lanes),
+                                tuple(lane[:lo] for lane in group),
                                 counts[:i],
                                 positions[i],
                             )
                         raise
-            yield lanes, counts, pos
+            yield group, counts, pos
         if error is not None:
             raise error
     if not ranged and loaded < declared:
@@ -599,11 +609,12 @@ def iter_section_batches(
     superops included (:func:`repro.core.events.expand_runs` gives the
     plain rows), taken until the batch holds ``_GROUP_ROWS`` rows.
     Sections are the CRC and damage granularity (at most 1024 rows as
-    written); a group's rows are checked in one pass, so the
-    first batch is ready after one group.  The profilers carry their
-    state across batches, so the grouping is invisible to replay.  The
-    shared intern table is decoded once and referenced by every
-    yielded batch.  Raises :class:`TraceFormatError` at the point of
+    written): each is checked on its own — header, CRC, zlib and lane
+    encoding — and then the group's lanes are decoded together and its
+    rows checked in one pass, so the first batch is ready after one
+    group.  The profilers carry their state across batches, so the
+    grouping is invisible to replay.  The shared intern table is
+    decoded once and referenced by every yielded batch.  Raises :class:`TraceFormatError` at the point of
     damage, after yielding every section before it (events of
     previously yielded sections stand — the longest-valid-prefix
     contract of the scanner, streamed; see :func:`_decode_groups`).
@@ -787,9 +798,11 @@ def _carry_snapshots(
         )
         if calls != 0 or rets != 0:
             try:
-                _n, ops, threads, args, costs, _next = _decode_section(
+                events, ops, lanes, _next = _decode_section(
                     data, pos, version, verify=False
                 )
+                threads, args, costs = decode_group_lanes([lanes], [len(ops)])
+                _check_rows(ops, args, costs, events, pos)
             except TraceFormatError:
                 return None
             for i, op in enumerate(ops):

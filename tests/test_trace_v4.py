@@ -10,6 +10,10 @@
   more than 64 cells or one crossing a leaf, or with an overflowing
   packed cost, an unknown opcode, or a section whose row weights differ
   from its header's event count is a :class:`TraceFormatError`;
+* **group lane decode** — a read-ahead group's lanes, decoded together,
+  equal its sections decoded alone for every mix of lane modes and
+  widths, and lane damage the CRC cannot see stops the decode at its
+  own section;
 * **a structured fuzz** — random lane tags, widths, zlib flags, section
   counts, opcodes and run rows make ``iter_section_batches``,
   ``scan_batch_bytes`` and ``plan_partitions`` raise only the trace
@@ -29,6 +33,7 @@ from repro.core import tracefile
 from repro.core.codec import (
     FLAG_ZLIB,
     SECTION_HEADER,
+    SECTION_HEADER_V3,
     SectionCodecError,
     encode_section_payload,
 )
@@ -455,6 +460,236 @@ def test_damage_inside_a_group_stops_at_the_damaged_section(
     with pytest.raises(TraceFormatError) as info:
         replay_partition(data, part, ("drms", "rms"), 1)
     assert (str(info.value), info.value.offset) == (message, offsets[bad])
+
+
+# -- group lane decode --------------------------------------------------------
+#
+# A group's operand lanes are decoded together, one column per lane
+# across every section; each section picks its own lane mode and
+# width, and each delta chain still starts from 0 at its section.
+
+
+def _wrap64(value):
+    return (value + (1 << 63)) % (1 << 64) - (1 << 63)
+
+
+def _lane_values(mode, width, column):
+    """What a stored column decodes to: itself (raw), or its running
+    sum wrapping at 64 bits (delta)."""
+    if mode == 0x00:
+        return list(column)
+    values, total = [], 0
+    for delta in column:
+        total = _wrap64(total + delta)
+        values.append(total)
+    return values
+
+
+@st.composite
+def _stored_lane(draw, rows):
+    """One operand lane as stored: ``(mode, width, column)``, the
+    column's values in range for its width, extremes included."""
+    mode = draw(st.sampled_from([0x00, 0x10]))
+    width = draw(st.sampled_from([1, 2, 4, 8]))
+    lo, hi = -(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1
+    column = draw(
+        st.lists(
+            st.integers(lo, hi) | st.sampled_from([lo, hi]),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    return mode, width, column
+
+
+@st.composite
+def _lane_group(draw):
+    """``(version, sections, compress)``: 1-12 sections of plain rows,
+    each operand lane with its own mode and width."""
+    sections = []
+    for _ in range(draw(st.integers(1, 12))):
+        rows = draw(st.integers(1, 8))
+        ops = draw(
+            st.lists(
+                st.sampled_from([OP_READ, OP_CALL, OP_RETURN]),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+        sections.append((ops, [draw(_stored_lane(rows)) for _ in range(3)]))
+    return draw(st.sampled_from([2, 3, 4])), sections, draw(st.booleans())
+
+
+def _lane_group_trace(version, sections, compress):
+    """Write ``sections`` by hand as a v2, v3 or v4 trace; returns
+    ``(data, lanes)`` with ``lanes`` the rows they must decode to.  v2
+    stores every operand lane raw at width 8."""
+    body = []
+    lanes = (array("b"), array("q"), array("q"), array("q"))
+    for ops, stored in sections:
+        rows = len(ops)
+        ops_b = array("b", ops).tobytes()
+        values = [_lane_values(*lane) for lane in stored]
+        if version == 2:
+            payload = ops_b + b"".join(array("q", v).tobytes() for v in values)
+            header = struct.pack("<Q", rows)
+        else:
+            payload = ops_b + b"".join(
+                bytes((mode | width,))
+                + b"".join(v.to_bytes(width, "little", signed=True) for v in col)
+                for mode, width, col in stored
+            )
+            flags = 0
+            if compress:
+                payload, flags = zlib.compress(payload), FLAG_ZLIB
+            calls, rets = ops_b.count(OP_CALL), ops_b.count(OP_RETURN)
+            if version == 3:
+                header = SECTION_HEADER_V3.pack(
+                    rows, flags, calls, rets, len(payload)
+                )
+            else:
+                header = SECTION_HEADER.pack(
+                    rows, rows, flags, calls, rets, len(payload)
+                )
+        body.append(header + payload + struct.pack("<I", zlib.crc32(payload)))
+        lanes[0].extend(ops)
+        for lane, column in zip(lanes[1:], values):
+            lane.extend(column)
+    names = struct.pack("<I", 0)
+    data = b"".join(
+        [
+            b"RPRB" + bytes((version,)),
+            struct.pack("<I", len(names)),
+            names,
+            struct.pack("<I", zlib.crc32(names)),
+            struct.pack("<Q", len(lanes[0])),
+        ]
+        + body
+    )
+    return data, lanes
+
+
+def _assert_group_decodes(version, sections, compress):
+    data, expected = _lane_group_trace(version, sections, compress)
+    (group,) = iter_section_batches(data)
+    # a one-row group budget decodes every section alone
+    with mock.patch.object(tracefile, "_GROUP_ROWS", 1):
+        alone = list(iter_section_batches(data))
+    assert len(alone) == len(sections)
+    assert _lanes(group) == _lanes(_concat(alone)) == expected
+    scan = scan_batch_bytes(data)
+    assert scan.intact and _lanes(scan.batch) == expected
+
+
+@given(_lane_group())
+@settings(max_examples=150, deadline=None)
+def test_group_lane_decode_equals_each_section_alone(group):
+    _assert_group_decodes(*group)
+
+
+@pytest.mark.parametrize("version", [3, 4])
+@pytest.mark.parametrize("middle", [0x00, 0x10])
+def test_group_lane_decode_wraps_int64_across_section_boundaries(
+    version, middle
+):
+    """Width-8 delta lanes whose group-wide running sum wraps inside a
+    section and at each boundary, around a raw or a delta section."""
+    hi, lo = (1 << 63) - 1, -(1 << 63)
+    lane = [(0x10, 8, [hi, hi, 1]), (middle, 8, [lo, hi, lo]),
+            (0x10, 8, [lo, -1, lo])]
+    sections = [
+        ([OP_READ] * 3, [lane[i], lane[(i + 1) % 3], lane[(i + 2) % 3]])
+        for i in range(3)
+    ]
+    _assert_group_decodes(version, sections, False)
+
+
+def _codec_damage_trace(damage, bad, compress, sections=6):
+    """A v4 trace of ``sections`` sections of :func:`_group_rows` whose
+    section ``bad`` fails only the lane codec: its CRC is valid, but
+    one lane tag is bad, its cost column truncated, or bytes trail it.
+    Returns ``(data, section_offsets)``."""
+    blobs = []
+    for i in range(sections):
+        rows = _group_rows(i)
+        flags, payload = encode_section_payload(
+            array("b", [r[0] for r in rows]).tobytes(),
+            array("q", [r[1] for r in rows]),
+            array("q", [r[2] for r in rows]),
+            array("q", [r[3] for r in rows]),
+            compress=False,
+        )
+        if i == bad:
+            # the tag offsets of the threads, args and costs lanes
+            tags = [len(rows)]
+            for _ in range(2):
+                tags.append(tags[-1] + 1 + len(rows) * (payload[tags[-1]] & 0x0F))
+            if damage == "args tag":
+                payload = (
+                    payload[: tags[1]] + b"\x13" + payload[tags[1] + 1 :]
+                )
+            elif damage == "costs tag":
+                payload = (
+                    payload[: tags[2]] + b"\x21" + payload[tags[2] + 1 :]
+                )
+            elif damage == "truncated":
+                payload = payload[:-1]
+            else:
+                payload += b"\x00"
+        if compress:
+            payload, flags = zlib.compress(payload), FLAG_ZLIB
+        blobs.append(
+            SECTION_HEADER.pack(len(rows), 34, flags, 1, 1, len(payload))
+            + payload
+            + struct.pack("<I", zlib.crc32(payload))
+        )
+    names = struct.pack("<I", 1) + struct.pack("<I", 1) + b"f"
+    head = (
+        b"RPRB\x04"
+        + struct.pack("<I", len(names))
+        + names
+        + struct.pack("<I", zlib.crc32(names))
+        + struct.pack("<Q", 34 * sections)
+    )
+    offsets, pos = [], len(head)
+    for blob in blobs:
+        offsets.append(pos)
+        pos += len(blob)
+    return head + b"".join(blobs), offsets
+
+
+@pytest.mark.parametrize("compress", [False, True])
+@pytest.mark.parametrize("bad", [0, 3, 5])
+@pytest.mark.parametrize(
+    "damage,message",
+    [
+        ("args tag", "bad args lane tag 0x13"),
+        ("costs tag", "bad costs lane tag 0x21"),
+        ("truncated", "costs lane truncated"),
+        ("trailing", "trailing bytes after cost lane"),
+    ],
+)
+def test_codec_damage_inside_a_group_stays_located(
+    damage, message, bad, compress
+):
+    """Lanes are checked section by section before the group decodes
+    them: damage the CRC cannot see still stops the decode at its own
+    section, after every section before it."""
+    data, offsets = _codec_damage_trace(damage, bad, compress)
+    intact, _offsets = _codec_damage_trace(None, None, compress)
+    with mock.patch.object(tracefile, "_GROUP_ROWS", 1):
+        expected = list(iter_section_batches(intact))
+    assert len(expected) == 6
+
+    sections, error = _decode_until_error(data)
+    assert str(error) == f"corrupt section encoding: {message}"
+    assert error.offset == offsets[bad]
+    assert _lanes(_concat(sections)) == _lanes(_concat(expected[:bad]))
+
+    scan = scan_batch_bytes(data)
+    assert scan.valid_bytes == offsets[bad]
+    assert scan.sections_valid == scan.error_section == bad
+    assert _lanes(scan.batch) == _lanes(_concat(expected[:bad]))
 
 
 # -- structured fuzz ----------------------------------------------------------
