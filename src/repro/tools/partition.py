@@ -139,7 +139,6 @@ class PartitionShard:
     #: 0 since decode runs inline, with no reader queue; kept because
     #: perfbench reads ``backpressure_s``
     backpressure_s: float = 0.0
-    queue_depth_hwm: int = 0
     #: planner carry the partition was seeded with: ``((thread, ((seq,
     #: routine, call_cost), ...)), ...)`` bottom-to-top per thread.
     carry_in: tuple = ()

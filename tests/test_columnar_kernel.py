@@ -7,14 +7,11 @@ Three contracts:
   superops, but ``iter_events`` expands them back to the identical
   logical stream, ``event_count`` still counts logical events, and the
   binary serialisation round-trips fused batches unchanged.
-* **The columnar engine is invisible.** On arbitrary traces —
-  including tiny counter limits that force renumbering mid-batch, and
-  fault-injected VM runs, and syscall-shaped traces whose kernel fills
-  cross leaves and renumbering points — ``consume_columnar`` over the
-  fused batch (and over the plain, unfused one) leaves exactly the same
-  profiler state as the scalar ``consume`` loop and the naive set-based
-  oracle: profiles, read-attribution splits, pending (partial) drms on
-  the shadow stacks and the full metrics snapshot.
+* **The columnar engine renumbers where the scalar loop does.** A fill
+  run that crosses the counter limit is stamped cell by cell, and every
+  tool sees the same stream under every engine.  (That the kernels
+  equal the scalar loop and the naive oracle on every row form is
+  ``test_exactness.py``'s.)
 * **Caches survive compaction.** Renumbering rewrites shadow leaves in
   place, so the ``(tag, chunk)`` pairs the kernels keep in locals stay
   valid — leaf identity is asserted across a forced mid-batch renumber;
@@ -22,19 +19,12 @@ Three contracts:
   engines pick up because they re-read them on every call.
 """
 
-import random
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import (
-    FULL_POLICY,
-    DrmsProfiler,
-    NaiveDrmsProfiler,
-    RmsProfiler,
-)
+from repro.core import FULL_POLICY, DrmsProfiler
 from repro.core.events import (
     OP_KFILL_RUN,
     OP_READ,
@@ -46,10 +36,6 @@ from repro.core.events import (
     KernelToUser,
     Read,
     Return,
-    ThreadExit,
-    ThreadStart,
-    TraceEncoder,
-    UserToKernel,
     Write,
     count_superops,
     decode_batch,
@@ -63,13 +49,7 @@ from repro.tools import DEFAULT_TOOLS, replay_tool
 from repro.tools.runner import _replay_worker
 from repro.tools.base import AnalysisTool
 
-from tests.test_batch_pipeline import (
-    ALL_POLICIES,
-    activation_sizes,
-    profile_state,
-    random_trace,
-    tool_state,
-)
+from tests.strategies import profile_state, random_trace, tool_state
 
 # -- fusion layer -------------------------------------------------------------
 
@@ -137,245 +117,7 @@ def test_fusion_skips_non_adjacent_and_cross_thread():
     assert list(fused.iter_events()) == events
 
 
-# -- engine equivalence -------------------------------------------------------
-
-
-@given(random_trace(), st.sampled_from(ALL_POLICIES))
-@settings(max_examples=150, deadline=None)
-def test_columnar_drms_equals_batched_scalar_and_oracle(events, policy):
-    """Fused and unfused (plain batch) kernel replays both equal the
-    scalar loop and the oracle."""
-    batch = encode_events(events)
-    fused = fuse_batch(batch)
-    columnar = DrmsProfiler(policy=policy)
-    unfused = DrmsProfiler(policy=policy)
-    scalar = DrmsProfiler(policy=policy)
-    oracle = NaiveDrmsProfiler(policy=policy)
-    columnar.consume_columnar(fused)
-    unfused.run_batch(batch)
-    scalar.run(events)
-    oracle.run(events)
-    assert profile_state(columnar.profiles) == profile_state(scalar.profiles)
-    assert profile_state(unfused.profiles) == profile_state(scalar.profiles)
-    assert activation_sizes(columnar.profiles) == activation_sizes(
-        oracle.profiles
-    )
-    columnar_counts = {
-        r: tuple(c) for r, c in columnar.read_counters.items() if any(c)
-    }
-    oracle_counts = {
-        r: tuple(c) for r, c in oracle.read_counters.items() if any(c)
-    }
-    assert columnar_counts == oracle_counts
-    assert columnar.space_cells() == scalar.space_cells()
-    assert unfused.space_cells() == scalar.space_cells()
-
-
-@given(random_trace(), st.sampled_from([None, 64, 7]))
-@settings(max_examples=100, deadline=None)
-def test_columnar_drms_metrics_snapshot_equals_batched(events, counter_limit):
-    """Snapshot equality under renumbering: the engines must agree on
-    every observable, including pending partial drms on the shadow
-    stacks and the renumbering statistics.  ``superops_consumed`` is
-    deliberately *not* part of the snapshot (it is engine telemetry,
-    not profiler state)."""
-    batch = encode_events(events)
-    fused = fuse_batch(batch)
-    columnar = DrmsProfiler(policy=FULL_POLICY, counter_limit=counter_limit)
-    unfused = DrmsProfiler(policy=FULL_POLICY, counter_limit=counter_limit)
-    scalar = DrmsProfiler(policy=FULL_POLICY, counter_limit=counter_limit)
-    columnar.consume_columnar(fused)
-    unfused.run_batch(batch)
-    scalar.run(events)
-    assert columnar.metrics_snapshot() == scalar.metrics_snapshot()
-    assert unfused.metrics_snapshot() == scalar.metrics_snapshot()
-
-    def pending(prof):
-        return {
-            t: [(e.rtn, e.ts, e.drms) for e in s.entries]
-            for t, s in prof.stacks.items()
-        }
-
-    assert pending(columnar) == pending(scalar)
-    assert pending(unfused) == pending(scalar)
-
-
-@given(random_trace())
-@settings(max_examples=100, deadline=None)
-def test_columnar_rms_equals_batched_and_scalar(events):
-    batch = encode_events(events)
-    fused = fuse_batch(batch)
-    columnar = RmsProfiler()
-    unfused = RmsProfiler()
-    scalar = RmsProfiler()
-    columnar.consume_columnar(fused)
-    unfused.run_batch(batch)
-    scalar.run(events)
-    assert profile_state(columnar.profiles) == profile_state(scalar.profiles)
-    assert profile_state(unfused.profiles) == profile_state(scalar.profiles)
-    assert columnar.metrics_snapshot() == scalar.metrics_snapshot()
-    assert unfused.metrics_snapshot() == scalar.metrics_snapshot()
-    assert columnar.space_cells() == scalar.space_cells()
-
-
-@given(random_trace(), st.integers(1, 13))
-@settings(max_examples=50, deadline=None)
-def test_columnar_split_batches_equal_single_batch(events, split):
-    """Feeding fused slices (as the streaming decode path does) is
-    equivalent to one monolithic fused batch and to the scalar loop."""
-    whole = DrmsProfiler(policy=FULL_POLICY)
-    whole.consume_columnar(fuse_batch(encode_events(events)))
-    scalar = DrmsProfiler(policy=FULL_POLICY)
-    scalar.run(events)
-    chunked = DrmsProfiler(policy=FULL_POLICY)
-    encoder = TraceEncoder(
-        consumer=lambda b: chunked.consume_columnar(fuse_batch(b)),
-        flush_events=split,
-    )
-    for event in events:
-        encoder.append_event(event)
-    encoder.flush()
-    assert profile_state(chunked.profiles) == profile_state(whole.profiles)
-    assert chunked.space_cells() == whole.space_cells()
-    assert chunked.metrics_snapshot() == scalar.metrics_snapshot()
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(5, 40))
-@settings(max_examples=25, deadline=None)
-def test_columnar_equivalence_under_fault_injection(seed, items):
-    """A fault-injected VM trace (a nonzero FaultPlan) replays
-    identically under every engine."""
-    from repro.vm.faults import FaultPlan
-    from repro.workloads.patterns import producer_consumer
-
-    machine = producer_consumer(items)
-    machine.set_fault_plan(FaultPlan(seed=seed))
-    machine.run()
-    events = machine.trace
-    batch = encode_events(events)
-    fused = fuse_batch(batch)
-    columnar = DrmsProfiler(policy=FULL_POLICY)
-    unfused = DrmsProfiler(policy=FULL_POLICY)
-    scalar = DrmsProfiler(policy=FULL_POLICY)
-    oracle = NaiveDrmsProfiler(policy=FULL_POLICY)
-    columnar.consume_columnar(fused)
-    unfused.run_batch(batch)
-    scalar.run(events)
-    oracle.run(events)
-    assert columnar.metrics_snapshot() == scalar.metrics_snapshot()
-    assert unfused.metrics_snapshot() == scalar.metrics_snapshot()
-    assert profile_state(columnar.profiles) == profile_state(scalar.profiles)
-    assert activation_sizes(columnar.profiles) == activation_sizes(
-        oracle.profiles
-    )
-
-
 # -- kernel fills -------------------------------------------------------------
-
-#: fill buffer bases: leaf-aligned, one short of a leaf end, mid-leaf
-_FILL_BASES = [0x40, 0x7F, 0x90, 0x13C, 0x1000]
-
-
-@st.composite
-def syscall_trace(draw, max_threads=3, max_syscalls=5):
-    """Syscall-shaped traces: each syscall fills a user buffer with a
-    ``kernelToUser`` event per cell (1-130 stride-1 cells, so fills
-    cross 64-cell leaves), then its routine reads part of the buffer.
-    Other threads write into the buffer between and in the middle of
-    fills, so fill runs are cut, and induced reads split between thread
-    and kernel sources.  Each thread keeps an outer ``session``
-    activation that may stay open, leaving partial drms pending."""
-    n_threads = draw(st.integers(1, max_threads))
-    n_syscalls = draw(st.integers(1, max_syscalls))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    events = [ThreadStart(t, 0 if t == 1 else 1) for t in range(1, n_threads + 1)]
-    events += [Call(t, "session") for t in range(1, n_threads + 1)]
-    for _ in range(n_syscalls):
-        t = rng.randint(1, n_threads)
-        base = rng.choice(_FILL_BASES)
-        length = rng.randint(1, 130)
-        events.append(Call(t, f"sys{rng.randint(0, 2)}"))
-        if rng.random() < 0.5:  # the buffer was touched before the fill
-            events.extend(Read(t, base + i) for i in range(0, length, 3))
-        cut = rng.randint(0, length)
-        events.extend(KernelToUser(t, base + i) for i in range(cut))
-        for u in range(1, n_threads + 1):
-            if u != t and rng.random() < 0.5:
-                lo = rng.randrange(length)
-                events.extend(
-                    Write(u, base + i)
-                    for i in range(lo, min(length, lo + rng.randint(1, 8)))
-                )
-        events.extend(KernelToUser(t, base + i) for i in range(cut, length))
-        if rng.random() < 0.3:
-            events.append(UserToKernel(t, base + rng.randrange(length)))
-        events.append(Call(t, "parse"))
-        lo = rng.randrange(length)
-        events.extend(
-            Read(t, base + i) for i in range(lo, rng.randint(lo + 1, length))
-        )
-        events.append(Return(t))
-        events.append(Return(t))
-    for t in range(1, n_threads + 1):
-        if rng.random() < 0.5:
-            events.append(Return(t))
-        events.append(ThreadExit(t))
-    return with_switches(events)
-
-
-def _pending(prof):
-    return {
-        t: [(e.rtn, e.ts, e.drms) for e in s.entries]
-        for t, s in prof.stacks.items()
-    }
-
-
-@given(
-    syscall_trace(),
-    st.sampled_from(ALL_POLICIES),
-    st.sampled_from([None, 7, 64]),
-)
-@settings(max_examples=120, deadline=None)
-def test_kernel_fill_runs_equal_unfused_scalar_and_oracle(
-    events, policy, counter_limit
-):
-    """Fill runs replay exactly: fused kernel = unfused kernel = scalar
-    loop = oracle, under every policy and with counter limits small
-    enough that renumbering lands inside a fill run."""
-    batch = encode_events(events)
-    fused = fuse_batch(batch)
-    columnar = DrmsProfiler(policy=policy, counter_limit=counter_limit)
-    unfused = DrmsProfiler(policy=policy, counter_limit=counter_limit)
-    scalar = DrmsProfiler(policy=policy, counter_limit=counter_limit)
-    oracle = NaiveDrmsProfiler(policy=policy)
-    columnar.consume_columnar(fused)
-    unfused.consume_columnar(batch)
-    scalar.run(events)
-    oracle.run(events)
-    assert columnar.metrics_snapshot() == scalar.metrics_snapshot()
-    assert unfused.metrics_snapshot() == scalar.metrics_snapshot()
-    assert _pending(columnar) == _pending(scalar)
-    assert _pending(unfused) == _pending(scalar)
-    assert profile_state(columnar.profiles) == profile_state(scalar.profiles)
-    assert activation_sizes(columnar.profiles) == activation_sizes(
-        oracle.profiles
-    )
-    columnar_counts = {
-        r: tuple(c) for r, c in columnar.read_counters.items() if any(c)
-    }
-    oracle_counts = {
-        r: tuple(c) for r, c in oracle.read_counters.items() if any(c)
-    }
-    assert columnar_counts == oracle_counts
-    assert columnar.space_cells() == scalar.space_cells()
-
-    rms_fused, rms_unfused, rms_scalar = RmsProfiler(), RmsProfiler(), RmsProfiler()
-    rms_fused.consume_columnar(fused)
-    rms_unfused.consume_columnar(batch)
-    rms_scalar.run(events)
-    assert rms_fused.metrics_snapshot() == rms_scalar.metrics_snapshot()
-    assert rms_unfused.metrics_snapshot() == rms_scalar.metrics_snapshot()
-    assert _pending(rms_fused) == _pending(rms_scalar)
 
 
 def test_kernel_fill_renumbers_at_the_exact_cell():
@@ -522,17 +264,6 @@ def test_partition_replay_reraises_decode_corruption():
         replay_partition(
             bytes(payload), plan.partitions[0], ("drms", "rms"), 1
         )
-
-
-def test_streaming_profile_matches_monolithic():
-    events = _long_trace()
-    payload = encode_events(events).to_bytes()
-    streamed = DrmsProfiler(policy=FULL_POLICY)
-    for section in iter_section_batches(payload):
-        streamed.consume_columnar(fuse_batch(section))
-    whole = DrmsProfiler(policy=FULL_POLICY)
-    whole.run(events)
-    assert streamed.metrics_snapshot() == whole.metrics_snapshot()
 
 
 # -- tool replay engines ------------------------------------------------------

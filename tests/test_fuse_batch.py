@@ -1,8 +1,8 @@
 """The vectorised ``fuse_batch`` returns exactly the rows of the
 row-at-a-time fusion loop it replaced.
 
-The loop is kept here as the reference (:func:`reference_fuse`): it is
-the readable statement of the fusion rule, one row and one tail state at
+The loop is kept in ``tests/strategies.py`` as the reference
+(:func:`reference_fuse`): it is the readable statement of the fusion rule, one row and one tail state at
 a time.  The property covers the cases where a pairwise, wrapping int64
 formulation could drift from it: already-fused rows mixed with plain
 ones, reads, writes and kernel fills side by side, runs crossing a
@@ -29,64 +29,10 @@ from repro.core.events import (
     EventBatch,
     fuse_batch,
 )
+from tests.strategies import reference_fuse
 
 INT64_MAX = (1 << 63) - 1
 INT64_MIN = -(1 << 63)
-
-#: plain opcode -> the run superop it fuses into
-RUN_OF = {
-    OP_READ: OP_READ_RUN,
-    OP_WRITE: OP_WRITE_RUN,
-    OP_KERNEL_TO_USER: OP_KFILL_RUN,
-}
-
-
-def reference_fuse(batch: EventBatch, leaf_bits: int = 6) -> EventBatch:
-    """The row-at-a-time fusion loop: one output row per run, tail
-    state carried from row to row in Python ints (no wrap)."""
-    ops, threads, args, costs = batch.ops, batch.threads, batch.args, batch.costs
-    f_ops, f_threads = array("b"), array("q")
-    f_args, f_costs = array("q"), array("q")
-    tail_op = -1
-    tail_thread = 0
-    tail_next = 0
-    tail_leaf = -1
-    for i in range(len(ops)):
-        op = ops[i]
-        if op in RUN_OF:
-            thread = threads[i]
-            addr = args[i]
-            run_op = RUN_OF[op]
-            if (
-                (tail_op == op or tail_op == run_op)
-                and thread == tail_thread
-                and addr == tail_next
-                and (addr >> leaf_bits) == tail_leaf
-            ):
-                if tail_op == op:
-                    f_ops[-1] = run_op
-                    f_costs[-1] = 2
-                    tail_op = run_op
-                else:
-                    f_costs[-1] += 1
-                tail_next = addr + 1
-                continue
-            tail_op = op
-            tail_thread = thread
-            tail_next = addr + 1
-            tail_leaf = addr >> leaf_bits
-        elif op in RUN_OF.values():
-            tail_op = op
-            tail_thread = threads[i]
-            tail_next = args[i] + costs[i]
-            tail_leaf = args[i] >> leaf_bits
-        else:
-            tail_op = -1
-        f_ops.append(op)
-        f_threads.append(threads[i])
-        f_args.append(args[i])
-        f_costs.append(costs[i])
-    return EventBatch(f_ops, f_threads, f_args, f_costs, names=batch.names)
 
 
 def make_batch(rows) -> EventBatch:

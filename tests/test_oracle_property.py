@@ -10,86 +10,18 @@ the standalone RmsProfiler, and invariance under timestamp renumbering
 with tiny counter limits.
 """
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    EXTERNAL_ONLY_POLICY,
     FULL_POLICY,
     RMS_POLICY,
     DrmsProfiler,
-    InputPolicy,
     NaiveDrmsProfiler,
     RmsProfiler,
 )
-from repro.core.events import (
-    Call,
-    KernelToUser,
-    Read,
-    Return,
-    SwitchThread,
-    UserToKernel,
-    Write,
-)
-from repro.core.tracing import with_switches
-
-ADDRESSES = [0x10, 0x11, 0x12, 0x13, 0x200, 0x7FFF0]
-THREAD_ONLY_POLICY = InputPolicy(thread_input=True, external_input=False)
-ALL_POLICIES = [FULL_POLICY, RMS_POLICY, EXTERNAL_ONLY_POLICY, THREAD_ONLY_POLICY]
-
-
-@st.composite
-def random_trace(draw, max_threads=3, max_ops=120):
-    """A random, well-formed, merged multi-threaded trace.
-
-    Every step picks a thread and a random valid operation; pending
-    activations are closed at the end so every activation completes and
-    produces a performance point.  ``switchThread`` markers are inserted
-    between operations of different threads, as the merged-trace format
-    requires.
-    """
-    n_threads = draw(st.integers(1, max_threads))
-    n_ops = draw(st.integers(0, max_ops))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = random.Random(seed)
-
-    depths = {t: 0 for t in range(1, n_threads + 1)}
-    next_id = {t: 0 for t in range(1, n_threads + 1)}
-    events = []
-    for _ in range(n_ops):
-        thread = rng.randint(1, n_threads)
-        choices = ["read", "write", "k2u", "u2k", "call"]
-        if depths[thread] > 0:
-            choices.append("return")
-            # bias toward memory traffic inside routines
-            choices += ["read", "write"]
-        op = rng.choice(choices)
-        addr = rng.choice(ADDRESSES)
-        if op == "call":
-            events.append(Call(thread, f"r{next_id[thread] % 5}"))
-            next_id[thread] += 1
-            depths[thread] += 1
-        elif op == "return":
-            events.append(Return(thread))
-            depths[thread] -= 1
-        elif op == "read":
-            events.append(Read(thread, addr))
-        elif op == "write":
-            events.append(Write(thread, addr))
-        elif op == "k2u":
-            events.append(KernelToUser(thread, addr))
-        else:
-            events.append(UserToKernel(thread, addr))
-    for thread, depth in depths.items():
-        for _ in range(depth):
-            events.append(Return(thread))
-    return with_switches(events)
-
-
-def activation_sizes(profiles):
-    return [(rtn, t, size) for rtn, t, size, _cost in profiles.activations]
+from repro.core.events import Call, KernelToUser, SwitchThread
+from tests.strategies import ALL_POLICIES, activation_sizes, random_trace
 
 
 @given(random_trace())

@@ -21,7 +21,6 @@ from repro.core.events import (
     EventBatch,
     Read,
     Return,
-    SwitchThread,
     Write,
     decode_batch,
     encode_events,
@@ -32,6 +31,7 @@ from repro.core.tracefile import (
     plan_partitions,
 )
 from repro.core.tracing import with_switches
+from tests.strategies import concat_runs
 
 
 def run_events(thread=1, rtn="work", ops=20, base=0x100):
@@ -45,18 +45,6 @@ def run_events(thread=1, rtn="work", ops=20, base=0x100):
             events.append(Read(thread, base + i))
     events.append(Return(thread))
     return events
-
-
-def concat_runs(runs):
-    """Concatenate complete runs; returns ``(events, boundaries)`` with
-    one boundary index per run start (the multi-run recording shape)."""
-    events, bounds = [], []
-    for raw in runs:
-        if events:
-            bounds.append(len(events))
-            events.append(SwitchThread())
-        events.extend(with_switches(raw))
-    return events, bounds
 
 
 def multi_run_payload(n_runs=4, section_events=8, ops=20):

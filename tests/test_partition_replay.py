@@ -1,37 +1,25 @@
-"""Partitioned replay equivalence and degradation (PR 6 tentpole).
+"""Partitioned replay: crafted cases, merge, supervision and telemetry.
 
-The load-bearing property: replaying a trace as independently-profiled
-partitions and folding the shards with the associative ``merge()`` (plus
-the cold-read reclassification pass) must be **byte-exact** against the
-serial replay and against the naive set-based oracle — profiles, read
-attribution, and (without renumbering) the full telemetry snapshot — on
-arbitrary multi-run traces, at every partition count, under both
-profilers, with tiny counter limits and with fault-injected recordings.
-Worker death mid-partition must degrade per the PR 2 supervision
-discipline (retry, then an inline fallback for that partition only) with
-the result still exact.
+Partitioned replay equals the serial replay and the naive oracle on
+every trace shape, engine, dispatch and counter limit
+(``test_exactness.py``).  This suite pins what a random trace does not
+reach: the cold-read reclassification cases one by one, the registry
+workloads, how shards merge (and refuse an incomplete set), how many
+decode passes and kernel calls a partition makes, and worker death
+mid-partition, which must degrade per the pool's supervision discipline
+(retry, then an inline fallback for that partition only) with the
+result still exact.
 """
 
-import functools
-from unittest import mock
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core import (
-    FULL_POLICY,
-    DrmsProfiler,
-    NaiveDrmsProfiler,
-    RmsProfiler,
-)
+from repro.core import DrmsProfiler, RmsProfiler
 from repro.core.events import (
     Call,
     KernelToUser,
     Read,
     Return,
     SwitchThread,
-    ThreadExit,
     UserToKernel,
     Write,
     encode_events,
@@ -48,109 +36,15 @@ from repro.tools.partition import (
 )
 from repro.tools.runner import measure_workload
 from repro.workloads.registry import REGISTRY, get_workload
-from tests.test_columnar_kernel import syscall_trace
-from tests.test_oracle_property import random_trace
+from tests.strategies import (
+    concat_runs,
+    profile_state,
+    read_counts,
+    serial_profilers,
+)
 
 
-def profile_state(profiles):
-    return {key: (p.calls, p.total_input, p.points) for key, p in profiles}
-
-
-def read_counts(profiler):
-    return {
-        r: tuple(c) for r, c in profiler.read_counters.items() if any(c)
-    }
-
-
-def concat_runs(runs):
-    """Concatenate complete runs into one multi-run trace; returns
-    ``(events, boundaries)`` with one boundary per interior run start."""
-    events, bounds = [], []
-    for raw in runs:
-        if events:
-            bounds.append(len(events))
-            events.append(SwitchThread())
-        events.extend(raw)
-    return events, bounds
-
-
-def serial_profilers(batch, counter_limit=None):
-    drms = DrmsProfiler(
-        policy=FULL_POLICY, counter_limit=counter_limit,
-        keep_activations=False,
-    )
-    rms = RmsProfiler(keep_activations=False)
-    for event in batch.iter_events():
-        drms.consume(event)
-        rms.consume(event)
-    drms.begin_trace()
-    rms.begin_trace()
-    return drms, rms
-
-
-@st.composite
-def multi_run_trace(draw):
-    n_runs = draw(st.integers(1, 4))
-    runs = [
-        draw(random_trace(max_threads=3, max_ops=60)) for _ in range(n_runs)
-    ]
-    return concat_runs(runs)
-
-
-# -- the equivalence property -------------------------------------------------
-
-
-@given(multi_run_trace(), st.integers(1, 8))
-@settings(max_examples=40, deadline=None)
-def test_partitioned_equals_serial_and_oracle(trace, n_parts):
-    events, bounds = trace
-    batch = encode_events(events)
-    payload = batch.to_bytes(section_events=16, boundaries=bounds)
-    rep = replay_partitioned(
-        payload, partitions=n_parts, kinds=("drms", "rms"), workers=1
-    )
-    assert not rep.degradations
-    assert 1 <= len(rep.plan.partitions) <= n_parts or not events
-
-    serial_drms, serial_rms = serial_profilers(batch)
-    merged_drms = rep.profilers["drms"]
-    merged_rms = rep.profilers["rms"]
-    assert merged_drms.metrics_snapshot() == serial_drms.metrics_snapshot()
-    assert merged_rms.metrics_snapshot() == serial_rms.metrics_snapshot()
-    assert profile_state(merged_drms.profiles) == profile_state(
-        serial_drms.profiles
-    )
-    assert read_counts(merged_drms) == read_counts(serial_drms)
-
-    oracle = NaiveDrmsProfiler(policy=FULL_POLICY)
-    oracle.run(events)
-    assert profile_state(merged_drms.profiles) == profile_state(
-        oracle.profiles
-    )
-    assert read_counts(merged_drms) == read_counts(oracle)
-
-
-@given(multi_run_trace(), st.integers(2, 6))
-@settings(max_examples=25, deadline=None)
-def test_partitioned_counter_limit_profiles_exact(trace, n_parts):
-    """Under a tiny renumbering counter limit the renumbering *pass
-    counts* legitimately differ between partitioned and serial replay
-    (per-partition counters restart from zero), but profiles and read
-    attribution must still be identical."""
-    events, bounds = trace
-    batch = encode_events(events)
-    payload = batch.to_bytes(section_events=16, boundaries=bounds)
-    rep = replay_partitioned(
-        payload, partitions=n_parts, kinds=("drms",), workers=1,
-        counter_limit=64,
-    )
-    serial = DrmsProfiler(
-        policy=FULL_POLICY, counter_limit=64, keep_activations=False
-    )
-    serial.run(batch.iter_events())
-    merged = rep.profilers["drms"]
-    assert profile_state(merged.profiles) == profile_state(serial.profiles)
-    assert read_counts(merged) == read_counts(serial)
+# -- crafted cases ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("engine", ["scalar", "columnar"])
@@ -235,35 +129,6 @@ def test_registry_workloads_partitioned_equals_serial():
     assert degraded > 0  # single-run traces really do degrade gracefully
 
 
-def test_faulted_multi_run_trace_partitioned_equals_serial():
-    """Fault-injected recordings partition exactly too (satellite 3):
-    three faulted runs concatenated at their begin_trace boundaries."""
-    from repro.vm.faults import FaultPlan
-
-    runs = []
-    for seed in (7, 8, 9):
-        machine = get_workload("producer_consumer").build(threads=2, scale=1)
-        machine.set_fault_plan(FaultPlan(seed=seed))
-        machine.run()
-        runs.append(with_switches(machine.trace))
-    events, bounds = concat_runs(runs)
-    batch = encode_events(events)
-    payload = batch.to_bytes(section_events=64, boundaries=bounds)
-    serial_drms, serial_rms = serial_profilers(batch)
-    for n in (2, 3):
-        rep = replay_partitioned(
-            payload, partitions=n, kinds=("drms", "rms"), workers=1
-        )
-        assert (
-            rep.profilers["drms"].metrics_snapshot()
-            == serial_drms.metrics_snapshot()
-        )
-        assert (
-            rep.profilers["rms"].metrics_snapshot()
-            == serial_rms.metrics_snapshot()
-        )
-
-
 # -- merge stage --------------------------------------------------------------
 
 
@@ -319,6 +184,32 @@ def test_merge_standalone_matches_replay_partitioned():
     assert merged["rms"].metrics_snapshot() == serial_rms.metrics_snapshot()
 
 
+def test_shard_pickled_with_a_retired_field_loads_from_a_store_and_merges(
+    tmp_path,
+):
+    """Shards a sweep store already holds keep loading after a field is
+    retired from ``PartitionShard``: unpickling restores the stored
+    ``__dict__``, so the stale ``queue_depth_hwm`` rides along unused
+    and the shards still merge to the serial profiles."""
+    from repro.sweep import TraceKey, TraceStore
+
+    batch, payload = _three_part_payload()
+    plan = plan_partitions(payload, 3)
+    store = TraceStore(str(tmp_path))
+    key = TraceKey("three_part", 1, 1)
+    for part in plan.partitions:
+        (shard,) = replay_partition(payload, part, ("drms",), 3)
+        shard.queue_depth_hwm = 0  # the field as shards carried it
+        store.put_shard(key, f"drms.p{part.index}of3", shard)
+    rows = [[store.get_shard(key, f"drms.p{i}of3")] for i in range(3)]
+    assert all(row[0].queue_depth_hwm == 0 for row in rows)
+    merged = merge_partition_shards(rows)
+    serial_drms, _serial_rms = serial_profilers(batch)
+    assert (
+        merged["drms"].metrics_snapshot() == serial_drms.metrics_snapshot()
+    )
+
+
 def test_replay_partition_decodes_each_section_once_and_never_fuses(
     monkeypatch,
 ):
@@ -356,7 +247,7 @@ def test_replay_partition_decodes_each_section_once_and_never_fuses(
     assert calls["fuse"] == 0
     assert [s.kind for s in shards] == ["drms", "rms"]
     assert shards[0].decode_stall_s == shards[1].decode_stall_s > 0.0
-    assert shards[0].backpressure_s == shards[0].queue_depth_hwm == 0
+    assert shards[0].backpressure_s == 0
     merged = merge_partition_shards([shards])
     serial_drms, serial_rms = serial_profilers(batch)
     assert (
@@ -366,118 +257,6 @@ def test_replay_partition_decodes_each_section_once_and_never_fuses(
 
 
 # -- coalesced replay batches -------------------------------------------------
-
-
-def closed_sessions(events):
-    """A syscall-shaped run with the activations each thread left open
-    returned just before its exit, so the run is complete."""
-    depth = {}
-    out = []
-    for event in events:
-        if isinstance(event, Call):
-            depth[event.thread] = depth.get(event.thread, 0) + 1
-        elif isinstance(event, Return):
-            depth[event.thread] -= 1
-        elif isinstance(event, ThreadExit):
-            open_calls = depth.pop(event.thread, 0)
-            out.extend(Return(event.thread) for _ in range(open_calls))
-        out.append(event)
-    return out
-
-
-@st.composite
-def read_loop_run(draw):
-    """One stream-read run: per stretch, an activation that lets the
-    kernel fill an ``n``-cell buffer inside one leaf and reads it back,
-    ``k >= 2`` times (stored as ``fillReadLoop`` rows), with a foreign
-    write to the buffer between some stretches."""
-    events = []
-    for s in range(draw(st.integers(1, 4))):
-        thread = draw(st.sampled_from([1, 2]))
-        n = draw(st.integers(1, 16))
-        base = draw(st.integers(0, 3)) * 64 + draw(st.integers(0, 64 - n))
-        events.append(Call(thread, f"r{s % 2}", s))
-        for _ in range(draw(st.integers(2, 6))):
-            events.extend(KernelToUser(thread, base + i) for i in range(n))
-            events.extend(Read(thread, base + i) for i in range(n))
-        if draw(st.booleans()):
-            events.append(Write(3 - thread, base))
-        events.append(Return(thread, s + 1))
-    return with_switches(events)
-
-
-@st.composite
-def coalescing_trace(draw):
-    """A multi-run trace to replay at several row budgets: random runs,
-    syscall-shaped runs (fill runs inside each thread's ``session``
-    activation, so cuts inside a run carry) or stream-read runs.  Any
-    of them either cuts at run starts or, wrapped in one outer
-    activation, only mid-activation.  Returns ``(events, boundaries,
-    section_rows)``."""
-    shape = draw(st.sampled_from([random_trace, syscall_trace, read_loop_run]))
-    if shape is random_trace:
-        shape = random_trace(max_threads=3, max_ops=60)
-    elif shape is syscall_trace:
-        shape = syscall_trace(max_syscalls=3).map(closed_sessions)
-    else:
-        shape = read_loop_run()
-    events, bounds = concat_runs(draw(st.lists(shape, min_size=1, max_size=3)))
-    if draw(st.booleans()):
-        raw = [e for e in events if not isinstance(e, SwitchThread)]
-        events = with_switches([Call(1, "outer", 3)] + raw + [Return(1, 6)])
-        bounds = []
-    return events, bounds, draw(st.integers(2, 16))
-
-
-@given(
-    coalescing_trace(),
-    st.integers(1, 4),
-    st.sampled_from([None, 7, 64]),
-    st.integers(2, 40),
-)
-@settings(max_examples=40, deadline=None)
-def test_any_replay_batch_size_equals_serial_and_oracle(
-    trace, n_parts, counter_limit, few_rows
-):
-    """How a partition's sections are joined into kernel batches is
-    invisible: one section per call (a 1-row budget), a few sections
-    per call, and the default budget all merge to the same profiles,
-    read attribution and telemetry snapshots as the serial scalar loop
-    and the naive oracle."""
-    import repro.core.tracefile as tracefile
-
-    events, bounds, section_rows = trace
-    batch = encode_events(events)
-    payload = batch.to_bytes(section_events=section_rows, boundaries=bounds)
-    plan = plan_partitions(payload, n_parts)
-    serial_drms, serial_rms = serial_profilers(batch, counter_limit)
-    oracle = NaiveDrmsProfiler(policy=FULL_POLICY)
-    oracle.run(events)
-    snapshots = set()
-    for budget in (1, few_rows, tracefile._GROUP_ROWS):
-        with mock.patch.object(tracefile, "_GROUP_ROWS", budget):
-            rep = replay_partitioned(
-                payload, plan=plan, kinds=("drms", "rms"), workers=1,
-                counter_limit=counter_limit,
-            )
-        assert not rep.degradations
-        drms, rms = rep.profilers["drms"], rep.profilers["rms"]
-        for state in (serial_drms, oracle):
-            assert profile_state(drms.profiles) == profile_state(
-                state.profiles
-            )
-            assert read_counts(drms) == read_counts(state)
-        assert profile_state(rms.profiles) == profile_state(
-            serial_rms.profiles
-        )
-        assert rms.metrics_snapshot() == serial_rms.metrics_snapshot()
-        snapshot = drms.metrics_snapshot()
-        # per-partition counters restart at zero, so renumbering pass
-        # counts match the serial replay's only without a limit or cut
-        if counter_limit is None or len(plan.partitions) == 1:
-            assert snapshot == serial_drms.metrics_snapshot()
-        snapshots.add(repr(sorted(snapshot.items())))
-    assert len(snapshots) == 1
 
 
 def test_fig4_partition_makes_one_kernel_call_per_kind(monkeypatch):
@@ -627,90 +406,6 @@ def test_killed_partition_worker_beside_the_parent_share_is_respawned_alone(
     assert profile_state(rep.profilers["drms"].profiles) == profile_state(
         serial.profiles
     )
-
-
-# -- pooled replay with the parent's share ------------------------------------
-
-
-@functools.lru_cache(maxsize=2)
-def _fig4_case(carried):
-    """Figure 4's ``mysql_select`` run: ×4 with run boundaries, or one
-    run alone cut mid-activation (``carried``); plus the naive oracle
-    and the serial replay per counter limit."""
-    machine = get_workload("mysql_select").build(threads=4, scale=1)
-    machine.run()
-    run = with_switches(machine.trace)
-    if carried:
-        events, batch = run, encode_events(run)
-        payload = batch.to_bytes(section_events=512)
-    else:
-        events, bounds = concat_runs([run] * 4)
-        batch = encode_events(events)
-        payload = batch.to_bytes(boundaries=bounds)
-    oracle = NaiveDrmsProfiler(policy=FULL_POLICY)
-    oracle.run(events)
-    serial = {limit: serial_profilers(batch, limit) for limit in (None, 7)}
-    return payload, oracle, serial
-
-
-@functools.lru_cache(maxsize=None)
-def _inline_snapshot(carried, n_parts, counter_limit):
-    """Renumbering passes count per partition, so the drms snapshot a
-    pooled replay must reproduce is that of the same plan replayed
-    inline."""
-    payload = _fig4_case(carried)[0]
-    rep = replay_partitioned(
-        payload, partitions=n_parts, kinds=("drms",), workers=1,
-        counter_limit=counter_limit,
-    )
-    return rep.profilers["drms"].metrics_snapshot()
-
-
-@pytest.mark.parametrize("counter_limit", [None, 7])
-@pytest.mark.parametrize("engine", ["scalar", "columnar"])
-@pytest.mark.parametrize("carried", [False, True], ids=["runs", "carried"])
-def test_pooled_replay_with_parent_share_equals_serial_and_oracle(
-    monkeypatch, carried, engine, counter_limit
-):
-    """Pool workers and the parent's own share merge to the serial
-    replay and the oracle, with one pool task fewer than partitions."""
-    from repro.tools.pool import pool_stats
-
-    monkeypatch.setenv("REPRO_PARTITION_FORCE_POOL", "1")
-    monkeypatch.delenv(_KILL_ENV, raising=False)
-    payload, oracle, serial = _fig4_case(carried)
-    serial_drms, serial_rms = serial[counter_limit]
-    for n_parts in (2, 3, 4):
-        plan = plan_partitions(payload, n_parts)
-        assert len(plan.partitions) == n_parts
-        assert (plan.carried > 0) == carried
-        for workers in (2, 3):
-            tasks = pool_stats()["tasks"]
-            rep = replay_partitioned(
-                payload, plan=plan, kinds=("drms", "rms"), engine=engine,
-                workers=workers, counter_limit=counter_limit, timeout=120.0,
-            )
-            assert rep.degradations == []
-            if n_parts <= workers:
-                assert pool_stats()["tasks"] == tasks + n_parts - 1
-            drms, rms = rep.profilers["drms"], rep.profilers["rms"]
-            for merged, want in ((drms, serial_drms), (rms, serial_rms)):
-                assert profile_state(merged.profiles) == profile_state(
-                    want.profiles
-                )
-            assert profile_state(drms.profiles) == profile_state(
-                oracle.profiles
-            )
-            assert read_counts(drms) == read_counts(serial_drms)
-            assert read_counts(drms) == read_counts(oracle)
-            assert rms.metrics_snapshot() == serial_rms.metrics_snapshot()
-            assert drms.metrics_snapshot() == _inline_snapshot(
-                carried, n_parts, counter_limit
-            )
-            if counter_limit is None:
-                assert drms.metrics_snapshot() == (
-                    serial_drms.metrics_snapshot()
-                )
 
 
 # -- runner wiring ------------------------------------------------------------

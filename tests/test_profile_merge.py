@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import FULL_POLICY, RMS_POLICY, DrmsProfiler, RmsProfiler
 from repro.core.events import Call, Read, Return, Write
-from tests.test_oracle_property import random_trace
+from tests.strategies import random_trace
 
 # several independent well-formed traces — the sweep's per-cell shards
 trace_shards = st.lists(
