@@ -4,14 +4,15 @@ The encode/decode layer must round-trip every event unchanged, a
 zero-rate ``FaultPlan`` must be telemetry-invisible, each tool of the
 Table 1 harness must leave the same state batch-fed as event-fed, and
 the machine's batch sink must record the same trace its scalar sink
-sees.  (Profiler exactness on every row form is
-``test_exactness.py``'s.)
+sees.  Whole-trace batches and batches flushed every few events
+replay as the scalar loop and the oracle do.  (Profiler exactness on
+every row form is ``test_exactness.py``'s.)
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DrmsProfiler
+from repro.core import FULL_POLICY, DrmsProfiler, NaiveDrmsProfiler, RmsProfiler
 from repro.core.events import (
     EventBatch,
     TraceEncoder,
@@ -20,7 +21,13 @@ from repro.core.events import (
 )
 from repro.tools import DEFAULT_TOOLS
 from repro.workloads.patterns import producer_consumer
-from tests.strategies import random_trace, tool_state
+from tests.strategies import (
+    ALL_POLICIES,
+    activation_sizes,
+    profile_state,
+    random_trace,
+    tool_state,
+)
 
 # -- encode/decode ------------------------------------------------------------
 
@@ -56,7 +63,78 @@ def test_encoder_flushing_preserves_order_and_interning(events, flush):
     assert reassembled == events
 
 
+# -- profiler equivalence -----------------------------------------------------
+
+
+@given(random_trace(), st.sampled_from(ALL_POLICIES))
+@settings(max_examples=200, deadline=None)
+def test_drms_batch_equals_scalar_and_oracle(events, policy):
+    batch = encode_events(events)
+    columnar = DrmsProfiler(policy=policy)
+    scalar = DrmsProfiler(policy=policy)
+    oracle = NaiveDrmsProfiler(policy=policy)
+    columnar.run_batch(batch)
+    scalar.run(events)
+    oracle.run(events)
+    assert activation_sizes(columnar.profiles) == activation_sizes(
+        oracle.profiles
+    )
+    assert activation_sizes(scalar.profiles) == activation_sizes(
+        oracle.profiles
+    )
+    assert profile_state(columnar.profiles) == profile_state(scalar.profiles)
+    columnar_counts = {
+        r: tuple(c) for r, c in columnar.read_counters.items() if any(c)
+    }
+    oracle_counts = {
+        r: tuple(c) for r, c in oracle.read_counters.items() if any(c)
+    }
+    assert columnar_counts == oracle_counts
+    assert columnar.space_cells() == scalar.space_cells()
+
+
+@given(random_trace())
+@settings(max_examples=150, deadline=None)
+def test_rms_batch_equals_scalar(events):
+    batch = encode_events(events)
+    columnar = RmsProfiler()
+    scalar = RmsProfiler()
+    columnar.run_batch(batch)
+    scalar.run(events)
+    assert profile_state(columnar.profiles) == profile_state(scalar.profiles)
+    assert columnar.space_cells() == scalar.space_cells()
+
+
+@given(random_trace(), st.integers(1, 17))
+@settings(max_examples=100, deadline=None)
+def test_split_batches_equal_single_batch(events, split):
+    """Feeding the trace as many small batches (as the machine's flushing
+    encoder does) is equivalent to the scalar loop over the whole trace."""
+    scalar = DrmsProfiler(policy=FULL_POLICY)
+    scalar.run(events)
+    chunked = DrmsProfiler(policy=FULL_POLICY)
+    encoder = TraceEncoder(
+        consumer=chunked.consume_columnar, flush_events=split
+    )
+    for event in events:
+        encoder.append_event(event)
+    encoder.flush()
+    assert profile_state(chunked.profiles) == profile_state(scalar.profiles)
+    assert chunked.metrics_snapshot() == scalar.metrics_snapshot()
+
+
 # -- telemetry equivalence ----------------------------------------------------
+
+
+@given(random_trace())
+@settings(max_examples=60, deadline=None)
+def test_rms_metrics_snapshot_batch_equals_scalar(events):
+    batch = encode_events(events)
+    columnar = RmsProfiler()
+    scalar = RmsProfiler()
+    columnar.run_batch(batch)
+    scalar.run(events)
+    assert columnar.metrics_snapshot() == scalar.metrics_snapshot()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(5, 40))

@@ -9,9 +9,10 @@ Three contracts:
   binary serialisation round-trips fused batches unchanged.
 * **The columnar engine renumbers where the scalar loop does.** A fill
   run that crosses the counter limit is stamped cell by cell, and every
-  tool sees the same stream under every engine.  (That the kernels
-  equal the scalar loop and the naive oracle on every row form is
-  ``test_exactness.py``'s.)
+  tool sees the same stream under every engine, and fused and unfused
+  kernel replays of one random trace equal the scalar loop and the
+  oracle.  (That the kernels equal the scalar loop and the naive
+  oracle on every row form is ``test_exactness.py``'s.)
 * **Caches survive compaction.** Renumbering rewrites shadow leaves in
   place, so the ``(tag, chunk)`` pairs the kernels keep in locals stay
   valid — leaf identity is asserted across a forced mid-batch renumber;
@@ -23,8 +24,9 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import FULL_POLICY, DrmsProfiler
+from repro.core import FULL_POLICY, DrmsProfiler, NaiveDrmsProfiler
 from repro.core.events import (
     OP_KFILL_RUN,
     OP_READ,
@@ -49,7 +51,13 @@ from repro.tools import DEFAULT_TOOLS, replay_tool
 from repro.tools.runner import _replay_worker
 from repro.tools.base import AnalysisTool
 
-from tests.strategies import profile_state, random_trace, tool_state
+from tests.strategies import (
+    ALL_POLICIES,
+    activation_sizes,
+    profile_state,
+    random_trace,
+    tool_state,
+)
 
 # -- fusion layer -------------------------------------------------------------
 
@@ -115,6 +123,40 @@ def test_fusion_skips_non_adjacent_and_cross_thread():
     assert fused.ops.count(OP_READ_RUN) == 1  # only 0x12,0x13 fuse
     assert fused.ops.count(OP_READ) == 2
     assert list(fused.iter_events()) == events
+
+
+# -- engine equivalence -------------------------------------------------------
+
+
+@given(random_trace(), st.sampled_from(ALL_POLICIES))
+@settings(max_examples=150, deadline=None)
+def test_columnar_drms_equals_batched_scalar_and_oracle(events, policy):
+    """Fused and unfused (plain batch) kernel replays both equal the
+    scalar loop and the oracle."""
+    batch = encode_events(events)
+    fused = fuse_batch(batch)
+    columnar = DrmsProfiler(policy=policy)
+    unfused = DrmsProfiler(policy=policy)
+    scalar = DrmsProfiler(policy=policy)
+    oracle = NaiveDrmsProfiler(policy=policy)
+    columnar.consume_columnar(fused)
+    unfused.run_batch(batch)
+    scalar.run(events)
+    oracle.run(events)
+    assert profile_state(columnar.profiles) == profile_state(scalar.profiles)
+    assert profile_state(unfused.profiles) == profile_state(scalar.profiles)
+    assert activation_sizes(columnar.profiles) == activation_sizes(
+        oracle.profiles
+    )
+    columnar_counts = {
+        r: tuple(c) for r, c in columnar.read_counters.items() if any(c)
+    }
+    oracle_counts = {
+        r: tuple(c) for r, c in oracle.read_counters.items() if any(c)
+    }
+    assert columnar_counts == oracle_counts
+    assert columnar.space_cells() == scalar.space_cells()
+    assert unfused.space_cells() == scalar.space_cells()
 
 
 # -- kernel fills -------------------------------------------------------------

@@ -8,12 +8,21 @@ workloads, how shards merge (and refuse an incomplete set), how many
 decode passes and kernel calls a partition makes, and worker death
 mid-partition, which must degrade per the pool's supervision discipline
 (retry, then an inline fallback for that partition only) with the
-result still exact.
+result still exact.  Figure 4's ``mysql_select`` run, cut at run
+boundaries or mid-activation, replays exactly with pool workers beside
+the parent's own share.
 """
+
+import functools
 
 import pytest
 
-from repro.core import DrmsProfiler, RmsProfiler
+from repro.core import (
+    FULL_POLICY,
+    DrmsProfiler,
+    NaiveDrmsProfiler,
+    RmsProfiler,
+)
 from repro.core.events import (
     Call,
     KernelToUser,
@@ -406,6 +415,90 @@ def test_killed_partition_worker_beside_the_parent_share_is_respawned_alone(
     assert profile_state(rep.profilers["drms"].profiles) == profile_state(
         serial.profiles
     )
+
+
+# -- pooled replay with the parent's share ------------------------------------
+
+
+@functools.lru_cache(maxsize=2)
+def _fig4_case(carried):
+    """Figure 4's ``mysql_select`` run: ×4 with run boundaries, or one
+    run alone cut mid-activation (``carried``); plus the naive oracle
+    and the serial replay per counter limit."""
+    machine = get_workload("mysql_select").build(threads=4, scale=1)
+    machine.run()
+    run = with_switches(machine.trace)
+    if carried:
+        events, batch = run, encode_events(run)
+        payload = batch.to_bytes(section_events=512)
+    else:
+        events, bounds = concat_runs([run] * 4)
+        batch = encode_events(events)
+        payload = batch.to_bytes(boundaries=bounds)
+    oracle = NaiveDrmsProfiler(policy=FULL_POLICY)
+    oracle.run(events)
+    serial = {limit: serial_profilers(batch, limit) for limit in (None, 7)}
+    return payload, oracle, serial
+
+
+@functools.lru_cache(maxsize=None)
+def _inline_snapshot(carried, n_parts, counter_limit):
+    """Renumbering passes count per partition, so the drms snapshot a
+    pooled replay must reproduce is that of the same plan replayed
+    inline."""
+    payload = _fig4_case(carried)[0]
+    rep = replay_partitioned(
+        payload, partitions=n_parts, kinds=("drms",), workers=1,
+        counter_limit=counter_limit,
+    )
+    return rep.profilers["drms"].metrics_snapshot()
+
+
+@pytest.mark.parametrize("counter_limit", [None, 7])
+@pytest.mark.parametrize("engine", ["scalar", "columnar"])
+@pytest.mark.parametrize("carried", [False, True], ids=["runs", "carried"])
+def test_pooled_replay_with_parent_share_equals_serial_and_oracle(
+    monkeypatch, carried, engine, counter_limit
+):
+    """Pool workers and the parent's own share merge to the serial
+    replay and the oracle, with one pool task fewer than partitions."""
+    from repro.tools.pool import pool_stats
+
+    monkeypatch.setenv("REPRO_PARTITION_FORCE_POOL", "1")
+    monkeypatch.delenv(_KILL_ENV, raising=False)
+    payload, oracle, serial = _fig4_case(carried)
+    serial_drms, serial_rms = serial[counter_limit]
+    for n_parts in (2, 3, 4):
+        plan = plan_partitions(payload, n_parts)
+        assert len(plan.partitions) == n_parts
+        assert (plan.carried > 0) == carried
+        for workers in (2, 3):
+            tasks = pool_stats()["tasks"]
+            rep = replay_partitioned(
+                payload, plan=plan, kinds=("drms", "rms"), engine=engine,
+                workers=workers, counter_limit=counter_limit, timeout=120.0,
+            )
+            assert rep.degradations == []
+            if n_parts <= workers:
+                assert pool_stats()["tasks"] == tasks + n_parts - 1
+            drms, rms = rep.profilers["drms"], rep.profilers["rms"]
+            for merged, want in ((drms, serial_drms), (rms, serial_rms)):
+                assert profile_state(merged.profiles) == profile_state(
+                    want.profiles
+                )
+            assert profile_state(drms.profiles) == profile_state(
+                oracle.profiles
+            )
+            assert read_counts(drms) == read_counts(serial_drms)
+            assert read_counts(drms) == read_counts(oracle)
+            assert rms.metrics_snapshot() == serial_rms.metrics_snapshot()
+            assert drms.metrics_snapshot() == _inline_snapshot(
+                carried, n_parts, counter_limit
+            )
+            if counter_limit is None:
+                assert drms.metrics_snapshot() == (
+                    serial_drms.metrics_snapshot()
+                )
 
 
 # -- runner wiring ------------------------------------------------------------

@@ -1,9 +1,7 @@
 """Zero-copy parallel replay (PR 10 tentpole).
 
-Two load-bearing properties (pooled exactness — partitioned replay
-with real pool workers equal to the serial replay and the naive oracle
-— is ``test_exactness.py``'s ``pooled`` cells, which run on every
-host):
+Three load-bearing properties (pooled exactness on every trace shape
+is ``test_exactness.py``'s ``pooled`` cells):
 
 * **wire equivalence** — the fused v4 sections the writer stores and
   the retired one-row-per-event v3/v2 layouts (still readable) are
@@ -11,12 +9,17 @@ host):
   scans agree, and a torn tail at *every* byte offset salvages a clean
   section prefix, never raises, and replays (at ``counter_limit=64``)
   identically to the same prefix of the original trace.
+* **pooled exactness** — partitioned replay with real pool workers
+  produces profiles byte-identical to the serial replay and the naive
+  oracle for both profiler kinds at 1-8 partitions, fill-heavy traces
+  included, and leaves zero live segments behind.
 * **crash cleanup** — a worker SIGKILLed mid-replay degrades cleanly
   and leaves ``/dev/shm`` exactly as it was found (as does a whole
   process SIGKILLed while owning a shared-memory segment): no leaked
   segments, no orphan files.
 """
 
+import functools
 import os
 import signal
 import struct
@@ -29,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FULL_POLICY, DrmsProfiler
+from repro.core import FULL_POLICY, DrmsProfiler, NaiveDrmsProfiler
 from repro.core.codec import SECTION_HEADER_V3, encode_section_payload
 from repro.core.events import EventBatch, encode_events, scan_batch_bytes
 from repro.core.tracefile import TRACE_FORMAT_VERSION, trace_section_stats
@@ -39,7 +42,13 @@ from repro.tools.pool import (
     reap_stale_segments,
     shm_available,
 )
-from tests.strategies import concat_runs, multi_run_trace, serial_profilers
+from tests.strategies import (
+    concat_runs,
+    multi_run_trace,
+    profile_state,
+    read_counts,
+    serial_profilers,
+)
 
 _SHM_DIR = "/dev/shm"
 
@@ -189,6 +198,112 @@ def test_v3_torn_tail_at_every_byte_offset(trace):
         )
         prof.consume_columnar(scan.batch)
         assert prof.metrics_snapshot() == snapshot(loaded)
+
+
+# -- pooled exactness ---------------------------------------------------------
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Pool workers even on a 1-CPU box (where the engine would
+    otherwise inline), so the pooled replay is actually exercised."""
+    monkeypatch.setenv("REPRO_PARTITION_FORCE_POOL", "1")
+
+
+@pytest.mark.parametrize("n_parts", [1, 2, 3, 5, 8])
+def test_partitioned_over_shm_equals_serial_and_oracle(
+    force_pool, n_parts
+):
+    # deterministic multi-run trace built from the shared workload
+    from repro.core.tracing import with_switches
+    from repro.workloads.registry import get_workload
+
+    machine = get_workload("producer_consumer").build(threads=3, scale=2)
+    machine.run()
+    run = with_switches(machine.trace)
+    events, bounds = concat_runs([run] * 6)
+    batch = encode_events(events)
+    payload = batch.to_bytes(section_events=64, boundaries=bounds)
+
+    before = shm_listing()
+    rep = replay_partitioned(
+        payload,
+        partitions=n_parts,
+        kinds=("drms", "rms"),
+        workers=2,
+        timeout=120.0,
+    )
+    assert not rep.degradations
+    serial_drms, serial_rms = serial_profilers(batch)
+    assert (
+        rep.profilers["drms"].metrics_snapshot()
+        == serial_drms.metrics_snapshot()
+    )
+    assert (
+        rep.profilers["rms"].metrics_snapshot()
+        == serial_rms.metrics_snapshot()
+    )
+    assert profile_state(rep.profilers["drms"].profiles) == profile_state(
+        serial_drms.profiles
+    )
+    assert read_counts(rep.profilers["drms"]) == read_counts(serial_drms)
+    oracle = NaiveDrmsProfiler(policy=FULL_POLICY)
+    oracle.run(events)
+    assert profile_state(rep.profilers["drms"].profiles) == profile_state(
+        oracle.profiles
+    )
+    assert read_counts(rep.profilers["drms"]) == read_counts(oracle)
+    # cleanup: no segment left mapped or on disk
+    assert active_segments() == 0
+    assert shm_listing() == before
+
+
+@functools.lru_cache(maxsize=1)
+def _mysql_select_x4():
+    """Figure 4's ``mysql_select`` run ×4 with run boundaries — about
+    half its events are kernel fills — plus its serial scalar profiles
+    and the oracle's."""
+    from repro.core.tracing import with_switches
+    from repro.workloads.registry import get_workload
+
+    machine = get_workload("mysql_select").build(threads=4, scale=1)
+    machine.run()
+    run = with_switches(machine.trace)
+    events, bounds = concat_runs([run] * 4)
+    batch = encode_events(events)
+    payload = batch.to_bytes(boundaries=bounds)
+    serial_drms, serial_rms = serial_profilers(batch)
+    oracle = NaiveDrmsProfiler(policy=FULL_POLICY)
+    oracle.run(events)
+    return payload, serial_drms, serial_rms, oracle
+
+
+@pytest.mark.parametrize("engine", ["scalar", "columnar"])
+@pytest.mark.parametrize("n_parts", [2, 3, 4])
+def test_fill_heavy_trace_partitioned_equals_serial_and_oracle(
+    force_pool, n_parts, engine
+):
+    payload, serial_drms, serial_rms, oracle = _mysql_select_x4()
+    before = shm_listing()
+    rep = replay_partitioned(
+        payload,
+        partitions=n_parts,
+        kinds=("drms", "rms"),
+        engine=engine,
+        workers=2,
+        timeout=120.0,
+    )
+    assert not rep.degradations
+    assert len(rep.plan.partitions) == n_parts
+    drms, rms = rep.profilers["drms"], rep.profilers["rms"]
+    assert drms.metrics_snapshot() == serial_drms.metrics_snapshot()
+    assert rms.metrics_snapshot() == serial_rms.metrics_snapshot()
+    assert profile_state(drms.profiles) == profile_state(serial_drms.profiles)
+    assert profile_state(drms.profiles) == profile_state(oracle.profiles)
+    assert read_counts(drms) == read_counts(oracle)
+    assert read_counts(oracle)["mysql_select"][2] > 0  # kernel-induced reads
+    assert active_segments() == 0
+    assert shm_listing() == before
 
 
 # -- crash cleanup ------------------------------------------------------------
