@@ -51,19 +51,24 @@ read: the fill just before it stamps ``wts`` with the ramp
 ``count``.  So the loop adds ``n*k`` to the top activation's drms and
 to its kernel-induced counter, leaves ``wts`` holding the last pair's
 ramp (source 0) and the thread's stamps at ``count + n*k``, and
-advances ``count`` by ``n*k``.  When ``count + n*k`` reaches the
-counter limit the kernel replays the loop pair by pair through the
-fill-run and read-run paths instead, so renumbering happens at the
-exact cell.  Where fills are invisible (rms, and drms with external
-input off) a loop is one read run of its buffer: the first read
-classifies it and the k-1 later reads are pure re-reads at the same
-timestamp.
+advances ``count`` by ``n*k``.  The row costs O(1) Python: the ramp
+is a slice of the kernel-fill ramp when that covers it, else one
+numpy-built int64 range, and the read stamp is built at length ``n``.
+When ``count + n*k`` reaches the counter limit the kernel replays the
+loop pair by pair through the fill-run and read-run paths instead, so
+renumbering happens at the exact cell.  Where fills are invisible
+(rms, and drms with external input off) a loop is one read run of its
+buffer: the first read classifies it and the k-1 later reads are pure
+re-reads at the same timestamp.
 
 Bulk fast paths
 ---------------
 For a read run the kernel slices the old timestamps out of the leaf and
-classifies the whole segment at once when it can (checked in observed
-frequency order):
+classifies the whole segment at once when it can.  A segment of at
+least ``_UNIFORM_TEST_MIN`` cells first compares its old stamps with a
+template of their first value, one C-level compare; only a mixed or a
+short segment scans them with ``min()``/``max()``.  The cases, checked
+in observed frequency order:
 
 * every cell foreign-written since its last local access
   (``min(wts) > max(old)``) → N induced first-reads, split
@@ -106,14 +111,21 @@ from repro.core.events import (
     OP_USER_TO_KERNEL,
     OP_WRITE,
     OP_WRITE_RUN,
+    _LOOP_N_BITS,
+    _LOOP_N_MASK,
     EventBatch,
     unfold_loops,
-    unpack_loop,
 )
 from repro.core.shadow import ShadowMemory
 from repro.core.shadow_stack import ShadowStack, StackEntry
 
 __all__ = ["consume_columnar_drms", "consume_columnar_rms"]
+
+#: Read-run segments at least this long test uniformity first: one
+#: C-level compare of the old stamps against a template of their first
+#: value.  On shorter segments a ``min()``/``max()`` pair is cheaper than
+#: a failed compare followed by the same pair.
+_UNIFORM_TEST_MIN = 8
 
 
 def consume_columnar_drms(prof, batch: EventBatch) -> None:
@@ -384,7 +396,7 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                     stamp_count = count
                 a = arg
                 end = arg + (
-                    cost if op == OP_READ_RUN else unpack_loop(cost)[0]
+                    cost if op == OP_READ_RUN else cost & _LOOP_N_MASK
                 )
                 while a < end:
                     tag = a >> leaf_bits
@@ -423,7 +435,13 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                     if top is not None:
                         top_ts = top.ts
                         old = ts_chunk[off:end_off]
-                        maxold = max(old)
+                        minold = maxold = old[0]
+                        if (
+                            m < _UNIFORM_TEST_MIN
+                            or old != array("q", [minold]) * m
+                        ):
+                            minold = min(old)
+                            maxold = max(old)
                         wslice = (
                             None if wchunk is None else wchunk[off:end_off]
                         )
@@ -442,14 +460,12 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                             c_thread += nz
                             c_kernel += m - nz
                         elif (
-                            (maxw := 0 if wslice is None else max(wslice))
-                            <= (minold := min(old))
-                            and minold >= top_ts
-                        ):
+                            maxw := 0 if wslice is None else max(wslice)
+                        ) <= minold and minold >= top_ts:
                             # Pure re-read: every cell already accessed
                             # by this activation (or a completed sibling
                             # at/after its timestamp) and not foreign-
-                            # written since.  (The walrus targets bind
+                            # written since.  (The walrus target binds
                             # for the remaining branches too.)
                             pass
                         elif maxw <= minold and minold == maxold:
@@ -598,8 +614,8 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                     a += m
             elif op == OP_FILL_READ_LOOP:
                 runs_consumed += 1
-                n, k = unpack_loop(cost)
-                total = n * k
+                n = cost & _LOOP_N_MASK  # unpack_loop, inlined
+                total = n * (cost >> _LOOP_N_BITS)
                 if count + total < limit_v:
                     # Every read of the loop is induced by the fill just
                     # before it (the fill stamps ``count+1...``, above
@@ -625,7 +641,14 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                         wts_tag = tag
                     last = count + total - n + 1  # the last fill's ramp
                     end_off = off + n
-                    wts_chunk[off:end_off] = array("q", range(last, last + n))
+                    lo = last - ramp_base
+                    if 0 <= lo and lo + n <= len(ramp):
+                        wts_chunk[off:end_off] = ramp[lo : lo + n]
+                    else:
+                        wts_chunk[off:end_off] = array(
+                            "q",
+                            _np.arange(last, last + n, dtype=_np.int64).tobytes(),
+                        )
                     src_chunk[off:end_off] = zero_leaf[:n]
                     count += total
                     if tag != ts_tag:
@@ -636,10 +659,9 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                         if ts_chunk is None:
                             ts_chunk = cur_mem.leaf_create(arg)
                         ts_tag = tag
-                    if stamp_count != count:
-                        stamp_leaf = array("q", [count]) * leaf_size
-                        stamp_count = count
-                    ts_chunk[off:end_off] = stamp_leaf[:n]
+                    # count just moved, so stamp at length n: a leaf-wide
+                    # template would serve this row only
+                    ts_chunk[off:end_off] = array("q", [count]) * n
                 else:
                     # Renumbering lands inside the loop: settle the
                     # pending sums and replay the loop's pairs through
@@ -945,7 +967,7 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
                     stamp_count = count
                 a = arg
                 end = arg + (
-                    cost if op == OP_READ_RUN else unpack_loop(cost)[0]
+                    cost if op == OP_READ_RUN else cost & _LOOP_N_MASK
                 )
                 while a < end:
                     tag = a >> leaf_bits
@@ -965,10 +987,16 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
                     if top is not None:
                         top_ts = top.ts
                         old = ts_chunk[off:end_off]
-                        minold = min(old)
+                        minold = maxold = old[0]
+                        if (
+                            m < _UNIFORM_TEST_MIN
+                            or old != array("q", [minold]) * m
+                        ):
+                            minold = min(old)
+                            maxold = max(old)
                         if minold >= top_ts:
                             pass  # pure re-read
-                        elif minold == max(old):
+                        elif minold == maxold:
                             # Uniform segment (fresh, or last touched by
                             # one older run): N first-reads repaid to a
                             # single shared ancestor via one search.

@@ -13,16 +13,27 @@ bulk consumers (the columnar kernel) can slice whole runs in C.  Unset
 cells read back as a configurable default (``0`` — the "never accessed"
 timestamp of the profiling algorithm).
 
+Beside the three levels, a flat ``{tag: leaf}`` index (``tag = addr >>
+leaf_bits``) lists the allocated leaves, so bulk passes — :meth:`items`,
+:meth:`map_values`, the profilers' boundary summaries, pickling — cost
+per allocated leaf, never per middle-table slot.  A memory pickles as
+its default, its geometry and its leaves' bytes; the middle tables,
+the leaf template and the cache are rebuilt on load.
+
 The class intentionally mirrors a ``dict`` with a default so the test
 suite can check it against a plain dictionary with Hypothesis.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["ShadowMemory"]
+
+#: pickled leaves are little-endian on every host
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class ShadowMemory:
@@ -50,6 +61,11 @@ class ShadowMemory:
     ) -> None:
         if min(top_bits, mid_bits, leaf_bits) < 1:
             raise ValueError("all level widths must be at least 1 bit")
+        self._setup(default, top_bits, mid_bits, leaf_bits)
+
+    def _setup(
+        self, default: int, top_bits: int, mid_bits: int, leaf_bits: int
+    ) -> None:
         self.default = default
         self._leaf_bits = leaf_bits
         self._mid_bits = mid_bits
@@ -61,7 +77,9 @@ class ShadowMemory:
         # Top level is a dict so arbitrarily large addresses are accepted;
         # middle levels are lists of (possibly None) leaf chunks.
         self._top: Dict[int, List[Optional[array]]] = {}
-        self._chunks_allocated = 0
+        # Leaf index: ``{addr >> leaf_bits: chunk}`` for every allocated
+        # leaf, the same chunk objects the middle tables hold.
+        self._leaves: Dict[int, array] = {}
         # Template leaf: new chunks are C-level copies of this array
         # rather than per-cell Python fills.
         self._leaf_proto = array("q", [default]) * self._leaf_size
@@ -72,6 +90,64 @@ class ShadowMemory:
         # path only).
         self._cache_tag = -1
         self._cache_chunk: Optional[array] = None
+
+    def _attach(self, tag: int, chunk: array) -> None:
+        """File ``chunk`` as the leaf for ``tag`` in the middle tables and
+        the index."""
+        table = self._top.get(tag >> self._mid_bits)
+        if table is None:
+            table = [None] * self._mid_size
+            self._top[tag >> self._mid_bits] = table
+        table[tag & self._mid_mask] = chunk
+        self._leaves[tag] = chunk
+
+    # -- pickling ---------------------------------------------------------
+
+    def __getstate__(self) -> tuple:
+        """``(default, top_bits, mid_bits, leaf_bits, tags, cells)``:
+        the allocated leaves' tags in address order and their cells
+        concatenated, as little-endian int64 bytes.  An empty memory
+        pickles to well under one 512-byte leaf."""
+        tags = array("q", sorted(self._leaves))
+        cells = array("q")
+        for tag in tags:
+            cells += self._leaves[tag]
+        if _BIG_ENDIAN:
+            tags.byteswap()
+            cells.byteswap()
+        return (
+            self.default,
+            self._top_bits,
+            self._mid_bits,
+            self._leaf_bits,
+            tags.tobytes(),
+            cells.tobytes(),
+        )
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, dict):
+            # The layout pickled before the leaf index: the instance
+            # ``__dict__`` with its middle tables.  Its leaves are
+            # re-filed (index rebuilt) once, here.
+            mid_bits = state["_mid_bits"]
+            self._setup(
+                state["default"], state["_top_bits"], mid_bits, state["_leaf_bits"]
+            )
+            for top, table in state["_top"].items():
+                for mid, chunk in enumerate(table):
+                    if chunk is not None:
+                        self._attach((top << mid_bits) | mid, chunk)
+            return
+        default, top_bits, mid_bits, leaf_bits, tags, cells = state
+        tags = array("q", tags)
+        cells = array("q", cells)
+        if _BIG_ENDIAN:
+            tags.byteswap()
+            cells.byteswap()
+        self._setup(default, top_bits, mid_bits, leaf_bits)
+        size = self._leaf_size
+        for i, tag in enumerate(tags):
+            self._attach(tag, cells[i * size : (i + 1) * size])
 
     # -- indexing -------------------------------------------------------
 
@@ -140,17 +216,14 @@ class ShadowMemory:
 
     def leaf_create(self, addr: int) -> array:
         """The leaf chunk covering ``addr``, materialising it if absent."""
-        top, mid, off = self._split(addr)
+        top, mid, _off = self._split(addr)
         table = self._top.get(top)
-        if table is None:
-            table = [None] * self._mid_size
-            self._top[top] = table
-        chunk = table[mid]
+        chunk = table[mid] if table is not None else None
+        tag = addr >> self._leaf_bits
         if chunk is None:
             chunk = self._leaf_proto[:]
-            table[mid] = chunk
-            self._chunks_allocated += 1
-        self._cache_tag = addr >> self._leaf_bits
+            self._attach(tag, chunk)
+        self._cache_tag = tag
         self._cache_chunk = chunk
         return chunk
 
@@ -208,19 +281,22 @@ class ShadowMemory:
     def items(self) -> Iterator[Tuple[int, int]]:
         """Yield ``(addr, value)`` for every shadowed cell holding a
         non-default value, in ascending address order."""
-        shift = self._leaf_bits + self._mid_bits
-        for top in sorted(self._top):
-            table = self._top[top]
-            for mid, chunk in enumerate(table):
-                if chunk is None:
-                    continue
-                base = (top << shift) | (mid << self._leaf_bits)
-                for off, value in enumerate(chunk):
-                    if value != self.default:
-                        yield base | off, value
+        default = self.default
+        for base, chunk in self.leaves():
+            for off, value in enumerate(chunk):
+                if value != default:
+                    yield base | off, value
+
+    def leaves(self) -> List[Tuple[int, array]]:
+        """``(base_addr, chunk)`` for every allocated leaf, in ascending
+        address order; ``chunk[off]`` shadows ``base_addr | off``."""
+        bits = self._leaf_bits
+        leaves = self._leaves
+        return [(tag << bits, leaves[tag]) for tag in sorted(leaves)]
 
     def map_values(self, fn) -> None:
-        """Apply ``fn`` to every allocated cell in place.
+        """Apply ``fn`` to every allocated cell in place, skipping cells
+        that hold the default value (they keep it).
 
         Used by the timestamp renumbering pass (Section 3.2, *Counter
         Overflows*): all live timestamps are rewritten while preserving
@@ -228,17 +304,15 @@ class ShadowMemory:
         place — chunk object identity is preserved, so (tag, chunk)
         caches held by batch consumers stay valid across a renumber.
         """
-        for table in self._top.values():
-            for chunk in table:
-                if chunk is None:
-                    continue
-                for off, value in enumerate(chunk):
-                    if value != self.default:
-                        chunk[off] = fn(value)
+        default = self.default
+        for chunk in self._leaves.values():
+            for off, value in enumerate(chunk):
+                if value != default:
+                    chunk[off] = fn(value)
 
     def clear(self) -> None:
         self._top.clear()
-        self._chunks_allocated = 0
+        self._leaves.clear()
         self._cache_tag = -1
         self._cache_chunk = None
 
@@ -247,22 +321,22 @@ class ShadowMemory:
     @property
     def chunks_allocated(self) -> int:
         """Number of leaf chunks materialised so far."""
-        return self._chunks_allocated
+        return len(self._leaves)
 
     def space_cells(self) -> int:
         """Total shadowed cells (allocated chunk cells), the paper's
         space-overhead driver for shadow memories."""
-        return self._chunks_allocated * self._leaf_size
+        return len(self._leaves) * self._leaf_size
 
     def space_bytes(self) -> int:
         """Shadowed cells priced at 8 bytes/cell — with ``array('q')``
         leaves this is the literal buffer footprint, not an estimate of
         boxed-int overhead.  Leaves are never freed short of
         :meth:`clear`, so the current figure is also the peak."""
-        return self._chunks_allocated * self._leaf_size * 8
+        return len(self._leaves) * self._leaf_size * 8
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ShadowMemory(chunks={self._chunks_allocated}, "
+            f"ShadowMemory(chunks={len(self._leaves)}, "
             f"leaf_size={self._leaf_size})"
         )

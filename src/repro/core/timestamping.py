@@ -481,9 +481,14 @@ class DrmsProfiler:
         be taken *before* :meth:`begin_trace` clears the shadow state.
         """
         wsrc = self.wsrc
-        last_write = {
-            addr: (stamp, wsrc[addr]) for addr, stamp in self.wts.items()
-        }
+        last_write = {}
+        for base, stamps in self.wts.leaves():
+            # every write stamps wts and wsrc together, so each wts leaf
+            # has its wsrc leaf under the same tag: read it whole
+            cells = zip(stamps, wsrc.leaf_peek(base))
+            last_write.update(
+                (base | off, cell) for off, cell in enumerate(cells) if cell[0]
+            )
         last_access = {
             thread: dict(mem.items()) for thread, mem in self.ts.items()
         }

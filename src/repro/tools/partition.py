@@ -115,12 +115,13 @@ def _make_profiler(kind: str, counter_limit: Optional[int] = None):
 class PartitionShard:
     """One profiler's state after replaying one partition.
 
-    The profiler inside is post-``begin_trace()`` (shadow-free, hence
-    cheap to pickle back from a worker); the shadow state it would have
-    carried across the cut is condensed into ``last_write`` /
-    ``last_access`` (drms only — the rms baseline needs no fix-up), and
-    its partition-local cold reads are parked in ``cold_reads`` for
-    :func:`merge_partition_shards`.
+    The profiler inside is post-``begin_trace()``: its shadow memories
+    are empty, and an empty memory pickles as its geometry alone, so a
+    shard is cheap to pickle back from a worker or into a store.  The
+    shadow state it would have carried across the cut is condensed into
+    ``last_write`` / ``last_access`` (drms only — the rms baseline
+    needs no fix-up), and its partition-local cold reads are parked in
+    ``cold_reads`` for :func:`merge_partition_shards`.
     """
 
     kind: str

@@ -5,6 +5,9 @@ and the projections every suite compares profiler state through live
 here, so no ``test_*`` module imports another.
 """
 
+import copyreg
+import io
+import pickle
 import random
 from array import array
 
@@ -41,6 +44,7 @@ from repro.core.events import (
     Write,
     pack_loop,
 )
+from repro.core.shadow import ShadowMemory
 from repro.core.tracing import with_switches
 
 ADDRESSES = [0x10, 0x11, 0x12, 0x13, 0x200, 0x7FFF0]
@@ -449,3 +453,50 @@ def tool_state(tool):
         summary = dict(summary)
         summary["profiles"] = profile_state(summary.pop("profiles"))
     return summary, tool.space_cells()
+
+
+# -- stored layouts -----------------------------------------------------------
+
+
+def pre_index_state(mem):
+    """``mem``'s instance ``__dict__`` in the layout pickled before the
+    shadow leaf index: middle tables, leaf template and leaf cache, in
+    the constructor's attribute order, with no ``{tag: leaf}`` index."""
+    leaf_size = mem.leaf_mask + 1
+    mid_bits = mem._mid_bits
+    top = {}
+    for base, chunk in mem.leaves():
+        tag = base >> mem.leaf_bits
+        table = top.setdefault(tag >> mid_bits, [None] * (1 << mid_bits))
+        table[tag & mem._mid_mask] = chunk
+    return {
+        "default": mem.default,
+        "_leaf_bits": mem.leaf_bits,
+        "_mid_bits": mid_bits,
+        "_top_bits": mem._top_bits,
+        "_leaf_size": leaf_size,
+        "_mid_size": 1 << mid_bits,
+        "_leaf_mask": mem.leaf_mask,
+        "_mid_mask": mem._mid_mask,
+        "_top": top,
+        "_chunks_allocated": mem.chunks_allocated,
+        "_leaf_proto": array("q", [mem.default]) * leaf_size,
+        "_cache_tag": -1,
+        "_cache_chunk": None,
+    }
+
+
+class _PreIndexPickler(pickle.Pickler):
+    def reducer_override(self, obj):
+        if type(obj) is ShadowMemory:
+            return copyreg.__newobj__, (ShadowMemory,), pre_index_state(obj)
+        return NotImplemented
+
+
+def dumps_pre_index(obj):
+    """Pickle ``obj`` with every shadow memory inside it in the
+    pre-index layout (:func:`pre_index_state`), as a store written
+    before the leaf index holds it."""
+    buf = io.BytesIO()
+    _PreIndexPickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return buf.getvalue()

@@ -26,8 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FULL_POLICY, DrmsProfiler, NaiveDrmsProfiler
+from repro.core import FULL_POLICY, DrmsProfiler, NaiveDrmsProfiler, RmsProfiler
 from repro.core.events import (
+    OP_FILL_READ_LOOP,
     OP_KFILL_RUN,
     OP_READ,
     OP_READ_RUN,
@@ -43,6 +44,7 @@ from repro.core.events import (
     decode_batch,
     encode_events,
     fuse_batch,
+    fuse_segments,
 )
 from repro.core import tracefile
 from repro.core.tracing import with_switches
@@ -182,6 +184,58 @@ def test_kernel_fill_renumbers_at_the_exact_cell():
         assert columnar.metrics_snapshot() == scalar.metrics_snapshot(), limit
         assert columnar.count == scalar.count, limit
         assert tuple(columnar.read_counters["f"]) == (0, 0, 64)
+
+
+def _fill_read(thread, base, n):
+    return [KernelToUser(thread, base + i) for i in range(n)] + [
+        Read(thread, base + i) for i in range(n)
+    ]
+
+
+def _shadow_state(prof):
+    mems = dict(prof.ts)
+    if isinstance(prof, DrmsProfiler):
+        mems.update(wts=prof.wts, wsrc=prof.wsrc)
+    return {name: list(mem.items()) for name, mem in mems.items()}
+
+
+@pytest.mark.parametrize("make", [DrmsProfiler, RmsProfiler])
+def test_run_and_loop_rows_stay_exact_above_2_pow_53(make):
+    """Counters above 2**53 (where a float ramp or template would round)
+    and above 2**31: write-run, read-run, kernel-fill-run and
+    ``fillReadLoop`` rows replay equal to the scalar loop, shadow cells
+    included.  The first loop's fill ramp is a slice of the kernel-fill
+    ramp; the second loop outruns it and builds its own."""
+    events = (
+        [Write(1, 0x40 + i) for i in range(40)]  # stamped before "outer"
+        + [Call(1, "outer"), Call(1, "inner")]
+        + [Read(1, 0x40 + i) for i in range(20)]  # a uniform segment
+        + _fill_read(1, 0x100, 48)
+        + _fill_read(1, 0x200, 32) * 5
+        + _fill_read(1, 0x280, 32) * 40
+        + [Return(1)]
+        + [Call(2, "other")]
+        + [Write(2, 0x140 + i) for i in range(8)]
+        + [Return(2)]
+        + [Call(1, "again")]
+        # stamps on both sides of "outer"'s call: a mixed segment
+        + [Read(1, 0x40 + i) for i in range(40)]
+        # half written by thread 2, half never written
+        + [Read(1, 0x140 + i) for i in range(16)]
+        + [Return(1), Return(1)]
+    )
+    events = with_switches(events)
+    rows, _ = fuse_segments(encode_events(events))
+    for op in (OP_WRITE_RUN, OP_READ_RUN, OP_KFILL_RUN, OP_FILL_READ_LOOP):
+        assert op in rows.ops, op
+    kernel, scalar = make(), make()
+    kernel.count = scalar.count = 2**53 + 11
+    kernel.consume_columnar(rows)
+    scalar.run(events)
+    assert kernel.count == scalar.count > 2**53
+    assert kernel.metrics_snapshot() == scalar.metrics_snapshot()
+    assert profile_state(kernel.profiles) == profile_state(scalar.profiles)
+    assert _shadow_state(kernel) == _shadow_state(scalar)
 
 
 def test_mysql_select_fuses_to_at_most_five_percent_of_rows():

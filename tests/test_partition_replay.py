@@ -47,6 +47,7 @@ from repro.tools.runner import measure_workload
 from repro.workloads.registry import REGISTRY, get_workload
 from tests.strategies import (
     concat_runs,
+    dumps_pre_index,
     profile_state,
     read_counts,
     serial_profilers,
@@ -217,6 +218,44 @@ def test_shard_pickled_with_a_retired_field_loads_from_a_store_and_merges(
     assert (
         merged["drms"].metrics_snapshot() == serial_drms.metrics_snapshot()
     )
+
+
+def test_shards_pickled_before_the_leaf_index_load_from_a_store_and_merge(
+    tmp_path,
+):
+    """A drms+rms shard set a store holds from before the shadow leaf
+    index — every shadow memory pickled as its instance ``__dict__``,
+    middle tables and leaf template included — still loads through
+    ``get_shard`` (the index is rebuilt on load) and merges to the
+    serial profiles, under the same ``SHARD_VERSION``."""
+    import os
+
+    from repro.sweep import SHARD_VERSION, TraceKey, TraceStore
+
+    batch, payload = _three_part_payload()
+    plan = plan_partitions(payload, 3)
+    store = TraceStore(str(tmp_path))
+    key = TraceKey("three_part", 1, 1)
+    for part in plan.partitions:
+        for shard in replay_partition(payload, part, ("drms", "rms"), 3):
+            kind = f"{shard.kind}.p{part.index}of3"
+            stored = dumps_pre_index(("repro-shard", SHARD_VERSION, kind, shard))
+            assert b"_leaf_proto" in stored or shard.kind == "rms"
+            path = store.shard_path(key, kind)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as handle:
+                handle.write(stored)
+    rows = [
+        [store.get_shard(key, f"{kind}.p{i}of3") for kind in ("drms", "rms")]
+        for i in range(3)
+    ]
+    assert all(shard is not None for row in rows for shard in row)
+    merged = merge_partition_shards(rows)
+    serial_drms, serial_rms = serial_profilers(batch)
+    assert (
+        merged["drms"].metrics_snapshot() == serial_drms.metrics_snapshot()
+    )
+    assert merged["rms"].metrics_snapshot() == serial_rms.metrics_snapshot()
 
 
 def test_replay_partition_decodes_each_section_once_and_never_fuses(

@@ -1,10 +1,13 @@
 """Unit and property tests for the three-level shadow memory."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.shadow import ShadowMemory
+from tests.strategies import dumps_pre_index
 
 
 class TestBasics:
@@ -245,3 +248,109 @@ class TestFastPath:
                 assert mem[addr] == model.get(addr, 0)
         for addr in {a for a, _ in ops}:
             assert mem[addr] == model.get(addr, 0)
+
+
+# -- leaf index and pickling --------------------------------------------------
+
+_ADDRS = st.integers(0, 3000)
+_STEPS = st.one_of(
+    st.tuples(st.just("set"), _ADDRS, st.integers(0, 1000)),
+    st.tuples(st.just("chunk"), _ADDRS, st.integers(0, 1000)),
+    st.tuples(st.just("map")),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("pickle")),
+    st.tuples(st.just("pickle_pre_index")),
+)
+
+
+class TestLeafIndexAndPickle:
+    @given(st.lists(_STEPS, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_index_matches_a_dict_model_through_bulk_ops_and_pickles(
+        self, steps
+    ):
+        """Item writes, kernel-style writes through ``leaf_create``
+        chunks, ``map_values``, ``clear`` and pickle round trips (the
+        lean layout and the pre-index ``__dict__`` one) keep ``items()``
+        equal to a dict model in address order and ``chunks_allocated``
+        equal to the number of distinct leaves written."""
+        # mid_bits=2: four-slot middle tables, so leaves spread over
+        # several top-level tables
+        mem = ShadowMemory(leaf_bits=3, mid_bits=2)
+        model, leaves = {}, set()
+        for step in steps:
+            kind = step[0]
+            if kind == "set":
+                _, addr, value = step
+                mem[addr] = value
+            elif kind == "chunk":
+                _, addr, value = step
+                mem.leaf_create(addr)[addr & mem.leaf_mask] = value
+            elif kind == "map":
+                mem.map_values(lambda v: 2 * v + 1)
+                model = {a: 2 * v + 1 if v else 0 for a, v in model.items()}
+            elif kind == "clear":
+                mem.clear()
+                model, leaves = {}, set()
+            elif kind == "pickle":
+                mem = pickle.loads(pickle.dumps(mem))
+            else:
+                mem = pickle.loads(dumps_pre_index(mem))
+            if kind in ("set", "chunk"):
+                model[addr] = value
+                leaves.add(addr >> mem.leaf_bits)
+            assert list(mem.items()) == sorted(
+                (a, v) for a, v in model.items() if v
+            )
+            assert mem.chunks_allocated == len(leaves)
+            assert [base >> mem.leaf_bits for base, _ in mem.leaves()] == (
+                sorted(leaves)
+            )
+        # the middle tables and the index hold the same leaves
+        for addr, value in model.items():
+            assert mem[addr] == value
+            assert mem.leaf_peek(addr) is mem.leaf_create(addr)
+        assert mem.chunks_allocated == len(leaves)
+
+    @pytest.mark.parametrize("layout", ["lean", "pre_index"])
+    def test_round_trip_keeps_geometry_default_and_leaves(self, layout):
+        mem = ShadowMemory(default=-1, top_bits=5, mid_bits=3, leaf_bits=4)
+        for addr in (0, 17, 1000, 2**30 + 5):
+            mem[addr] = addr + 1
+        dumps = pickle.dumps if layout == "lean" else dumps_pre_index
+        back = pickle.loads(dumps(mem))
+        assert back.default == -1
+        assert (back.leaf_bits, back.leaf_mask) == (4, 15)
+        assert list(back.items()) == list(mem.items())
+        assert back.chunks_allocated == mem.chunks_allocated == 4
+        assert back[18] == -1  # an allocated leaf's unwritten cell
+        assert back[5000] == -1  # a never-allocated leaf
+        back[18] = 3  # writes land in the restored leaf
+        assert back.chunks_allocated == 4
+        assert (18, 3) in list(back.items())
+
+    def test_pickled_leaves_are_little_endian_int64(self):
+        mem = ShadowMemory(leaf_bits=1)
+        mem[7] = -2
+        *_geometry, tags, cells = mem.__getstate__()
+        assert tags == (3).to_bytes(8, "little")
+        assert cells == (0).to_bytes(8, "little") + (-2).to_bytes(
+            8, "little", signed=True
+        )
+
+    def test_empty_memory_pickles_to_less_than_one_leaf(self):
+        leaf_bytes = 64 * 8  # one default 64-cell leaf
+        mem = ShadowMemory()
+        assert len(pickle.dumps(mem, pickle.HIGHEST_PROTOCOL)) < leaf_bytes
+        mem[5] = 1
+        assert len(pickle.dumps(mem, pickle.HIGHEST_PROTOCOL)) > leaf_bytes
+        mem.clear()
+        assert len(pickle.dumps(mem, pickle.HIGHEST_PROTOCOL)) < leaf_bytes
+
+    def test_map_values_skips_cells_holding_the_default(self):
+        mem = ShadowMemory(default=7)
+        mem[1] = 3
+        seen = []
+        mem.map_values(lambda v: seen.append(v) or v * 10)
+        assert seen == [3]
+        assert mem[1] == 30 and mem[2] == 7
