@@ -4,8 +4,8 @@ The point of the content-addressed trace store: rerunning the demo
 workload × tool × scale matrix against a populated store must be at
 least **3x** faster than the recording run, with a 100% cache hit rate.
 Cold runs pay VM execution, trace encoding and replay measurement per
-cell; warm runs scan the cached crash-safe trace, unpickle the profiler
-shards and reuse the stored per-tool measurements.
+cell; warm runs scan the cached crash-safe trace, decode the stored
+profiler shards and reuse the stored per-tool measurements.
 
 Results are written to ``BENCH_sweep.json`` at the repo root so the
 README performance table and CI can track the ratio.  Also runnable

@@ -84,9 +84,9 @@ in observed frequency order:
 
 Mixed segments fall back to a per-cell loop that still amortises
 dispatch, thread-state switching and leaf resolution over the run.
-Leaf resolution itself is inlined: with the leaf tag in hand the
-three-level walk is one dict probe plus one list index
-(``top[tag >> mid_bits][tag & mid_mask]``), and ``leaf_create`` is only
+Leaf resolution itself is inlined: with the leaf tag in hand it is
+one probe of the memory's leaf index (``_leaves.get(tag)``, the same
+chunk objects the three levels hold), and ``leaf_create`` is only
 called to materialise a missing leaf.
 """
 
@@ -168,16 +168,13 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
     leaf_bits = wts.leaf_bits
     leaf_mask = wts.leaf_mask
     leaf_size = leaf_mask + 1
-    # Inlined three-level walk: with the leaf tag in hand, the top key
-    # is ``tag >> mid_bits`` and the middle index ``tag & mid_mask``.
-    # Every shadow of one profiler shares this geometry (they are all
-    # built with the same defaults), so the hot loop resolves leaves
-    # with one dict probe and one list index, falling back to
-    # ``leaf_create`` only when the leaf does not exist yet.
-    mid_bits = wts._mid_bits
-    mid_mask = wts._mid_mask
-    wts_top_get = wts._top.get
-    wsrc_top_get = wsrc._top.get
+    # Inlined leaf resolution: every shadow of one profiler shares the
+    # leaf geometry (they are all built with the same defaults), so
+    # with the leaf tag in hand the hot loop resolves a leaf with one
+    # probe of the memory's leaf index, falling back to ``leaf_create``
+    # only when the leaf does not exist yet.
+    wts_leaf_get = wts._leaves.get
+    wsrc_leaf_get = wsrc._leaves.get
 
     # Per-thread cached state: [ts_mem, stack_entries, ts_tag, ts_chunk,
     # top_entry, top_counters, wts_tag, wts_chunk, src_chunk].  The
@@ -194,7 +191,7 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
     cur = None
     cur_state = None
     cur_mem = None
-    ts_top_get = None
+    ts_leaf_get = None
     ts_tag = None
     ts_chunk = None
     stack_entries: list = []
@@ -278,7 +275,7 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                     cur_state[8] = src_chunk
                 cur_state = state
                 cur_mem = state[0]
-                ts_top_get = cur_mem._top.get
+                ts_leaf_get = cur_mem._leaves.get
                 stack_entries = state[1]
                 ts_tag = state[2]
                 ts_chunk = state[3]
@@ -293,10 +290,7 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                 tag = arg >> leaf_bits
                 off = arg & leaf_mask
                 if tag != ts_tag:
-                    table = ts_top_get(tag >> mid_bits)
-                    ts_chunk = (
-                        table[tag & mid_mask] if table is not None else None
-                    )
+                    ts_chunk = ts_leaf_get(tag)
                     if ts_chunk is None:
                         ts_chunk = cur_mem.leaf_create(arg)
                     ts_tag = tag
@@ -304,17 +298,13 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                 if tag == wts_tag:
                     written = wts_chunk[off]
                 else:
-                    table = wts_top_get(tag >> mid_bits)
-                    chunk = table[tag & mid_mask] if table is not None else None
+                    chunk = wts_leaf_get(tag)
                     if chunk is None:
                         written = 0
                     else:
                         written = chunk[off]
                         wts_chunk = chunk
-                        table = wsrc_top_get(tag >> mid_bits)
-                        src_chunk = (
-                            table[tag & mid_mask] if table is not None else None
-                        )
+                        src_chunk = wsrc_leaf_get(tag)
                         wts_tag = tag
                 if local < written:
                     if top is not None:
@@ -360,26 +350,17 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                 tag = arg >> leaf_bits
                 off = arg & leaf_mask
                 if tag != ts_tag:
-                    table = ts_top_get(tag >> mid_bits)
-                    ts_chunk = (
-                        table[tag & mid_mask] if table is not None else None
-                    )
+                    ts_chunk = ts_leaf_get(tag)
                     if ts_chunk is None:
                         ts_chunk = cur_mem.leaf_create(arg)
                     ts_tag = tag
                 ts_chunk[off] = count
                 if thread_input:
                     if tag != wts_tag:
-                        table = wts_top_get(tag >> mid_bits)
-                        wts_chunk = (
-                            table[tag & mid_mask] if table is not None else None
-                        )
+                        wts_chunk = wts_leaf_get(tag)
                         if wts_chunk is None:
                             wts_chunk = wts.leaf_create(arg)
-                        table = wsrc_top_get(tag >> mid_bits)
-                        src_chunk = (
-                            table[tag & mid_mask] if table is not None else None
-                        )
+                        src_chunk = wsrc_leaf_get(tag)
                         if src_chunk is None:
                             src_chunk = wsrc.leaf_create(arg)
                         wts_tag = tag
@@ -406,10 +387,7 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                         m = end - a
                     end_off = off + m
                     if tag != ts_tag:
-                        table = ts_top_get(tag >> mid_bits)
-                        ts_chunk = (
-                            table[tag & mid_mask] if table is not None else None
-                        )
+                        ts_chunk = ts_leaf_get(tag)
                         if ts_chunk is None:
                             ts_chunk = cur_mem.leaf_create(a)
                         ts_tag = tag
@@ -417,20 +395,12 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                         wchunk = wts_chunk
                         schunk = src_chunk
                     else:
-                        table = wts_top_get(tag >> mid_bits)
-                        wchunk = (
-                            table[tag & mid_mask] if table is not None else None
-                        )
+                        wchunk = wts_leaf_get(tag)
                         if wchunk is None:
                             schunk = None
                         else:
                             wts_chunk = wchunk
-                            table = wsrc_top_get(tag >> mid_bits)
-                            src_chunk = schunk = (
-                                table[tag & mid_mask]
-                                if table is not None
-                                else None
-                            )
+                            src_chunk = schunk = wsrc_leaf_get(tag)
                             wts_tag = tag
                     if top is not None:
                         top_ts = top.ts
@@ -579,10 +549,7 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                         m = end - a
                     end_off = off + m
                     if tag != ts_tag:
-                        table = ts_top_get(tag >> mid_bits)
-                        ts_chunk = (
-                            table[tag & mid_mask] if table is not None else None
-                        )
+                        ts_chunk = ts_leaf_get(tag)
                         if ts_chunk is None:
                             ts_chunk = cur_mem.leaf_create(a)
                         ts_tag = tag
@@ -590,20 +557,10 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                     ts_chunk[off:end_off] = stamp
                     if thread_input:
                         if tag != wts_tag:
-                            table = wts_top_get(tag >> mid_bits)
-                            wts_chunk = (
-                                table[tag & mid_mask]
-                                if table is not None
-                                else None
-                            )
+                            wts_chunk = wts_leaf_get(tag)
                             if wts_chunk is None:
                                 wts_chunk = wts.leaf_create(a)
-                            table = wsrc_top_get(tag >> mid_bits)
-                            src_chunk = (
-                                table[tag & mid_mask]
-                                if table is not None
-                                else None
-                            )
+                            src_chunk = wsrc_leaf_get(tag)
                             if src_chunk is None:
                                 src_chunk = wsrc.leaf_create(a)
                             wts_tag = tag
@@ -652,10 +609,7 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                     src_chunk[off:end_off] = zero_leaf[:n]
                     count += total
                     if tag != ts_tag:
-                        table = ts_top_get(tag >> mid_bits)
-                        ts_chunk = (
-                            table[tag & mid_mask] if table is not None else None
-                        )
+                        ts_chunk = ts_leaf_get(tag)
                         if ts_chunk is None:
                             ts_chunk = cur_mem.leaf_create(arg)
                         ts_tag = tag
@@ -849,13 +803,11 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
     leaf_bits = 0
     leaf_mask = 0
     leaf_size = 0
-    mid_bits = 0
-    mid_mask = 0
     states: Dict[int, list] = {}
     cur = None
     cur_state = None
     cur_mem = None
-    ts_top_get = None
+    ts_leaf_get = None
     ts_tag = None
     ts_chunk = None
     stack_entries: list = []
@@ -905,7 +857,7 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
                     cur_state[4] = top
                 cur_state = state
                 cur_mem = state[0]
-                ts_top_get = cur_mem._top.get
+                ts_leaf_get = cur_mem._leaves.get
                 stack_entries = state[1]
                 ts_tag = state[2]
                 ts_chunk = state[3]
@@ -913,18 +865,13 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
                 leaf_bits = cur_mem.leaf_bits
                 leaf_mask = cur_mem.leaf_mask
                 leaf_size = leaf_mask + 1
-                mid_bits = cur_mem._mid_bits
-                mid_mask = cur_mem._mid_mask
                 carried = carried_get(tid, 0)
                 cur = tid
             if op == OP_READ:
                 tag = arg >> leaf_bits
                 off = arg & leaf_mask
                 if tag != ts_tag:
-                    table = ts_top_get(tag >> mid_bits)
-                    ts_chunk = (
-                        table[tag & mid_mask] if table is not None else None
-                    )
+                    ts_chunk = ts_leaf_get(tag)
                     if ts_chunk is None:
                         ts_chunk = cur_mem.leaf_create(arg)
                     ts_tag = tag
@@ -950,10 +897,7 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
             elif op == OP_WRITE:
                 tag = arg >> leaf_bits
                 if tag != ts_tag:
-                    table = ts_top_get(tag >> mid_bits)
-                    ts_chunk = (
-                        table[tag & mid_mask] if table is not None else None
-                    )
+                    ts_chunk = ts_leaf_get(tag)
                     if ts_chunk is None:
                         ts_chunk = cur_mem.leaf_create(arg)
                     ts_tag = tag
@@ -977,10 +921,7 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
                         m = end - a
                     end_off = off + m
                     if tag != ts_tag:
-                        table = ts_top_get(tag >> mid_bits)
-                        ts_chunk = (
-                            table[tag & mid_mask] if table is not None else None
-                        )
+                        ts_chunk = ts_leaf_get(tag)
                         if ts_chunk is None:
                             ts_chunk = cur_mem.leaf_create(a)
                         ts_tag = tag
@@ -1070,10 +1011,7 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
                     if m > end - a:
                         m = end - a
                     if tag != ts_tag:
-                        table = ts_top_get(tag >> mid_bits)
-                        ts_chunk = (
-                            table[tag & mid_mask] if table is not None else None
-                        )
+                        ts_chunk = ts_leaf_get(tag)
                         if ts_chunk is None:
                             ts_chunk = cur_mem.leaf_create(a)
                         ts_tag = tag

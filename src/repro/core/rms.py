@@ -271,17 +271,6 @@ class RmsProfiler:
         self.begin_trace()
         return self
 
-    def pending_rms(self, thread: int) -> List[Tuple[str, int]]:
-        """``(routine, rms-so-far)`` per pending activation, bottom to top."""
-        stack = self._stack(thread)
-        out: List[Tuple[str, int]] = []
-        suffix = 0
-        for entry in reversed(stack.entries):
-            suffix += entry.drms
-            out.append((entry.rtn, suffix))
-        out.reverse()
-        return out
-
     def live_activations(self) -> int:
         """Pending shadow-stack entries across threads (0 after a
         well-formed trace, fault-unwound or not)."""

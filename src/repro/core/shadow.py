@@ -16,7 +16,8 @@ timestamp of the profiling algorithm).
 Beside the three levels, a flat ``{tag: leaf}`` index (``tag = addr >>
 leaf_bits``) lists the allocated leaves, so bulk passes — :meth:`items`,
 :meth:`map_values`, the profilers' boundary summaries, pickling — cost
-per allocated leaf, never per middle-table slot.  A memory pickles as
+per allocated leaf, never per middle-table slot, and the columnar
+kernels resolve a leaf with one probe of it.  A memory pickles as
 its default, its geometry and its leaves' bytes; the middle tables,
 the leaf template and the cache are rebuilt on load.
 

@@ -417,19 +417,6 @@ class Coordinator:
                 )
             return True
 
-    def note_shard(self, lease_id: str, worker: str, kind: str) -> None:
-        """Record that a worker streamed a shard into the store (pure
-        provenance — the store write itself is the atomic commit)."""
-        with self._lock:
-            self._record(
-                "shard_committed",
-                lease=lease_id,
-                worker=worker,
-                kind=kind,
-                t=self.clock(),
-                durable=False,
-            )
-
     def complete(
         self,
         lease_id: str,
@@ -703,8 +690,6 @@ class Coordinator:
             lease = self.leases.get(record.get("lease", ""))
             if lease is not None and lease.state == "live":
                 lease.last_heartbeat = record.get("t", lease.last_heartbeat)
-        elif rtype == "shard_committed":
-            pass  # provenance only
         elif rtype == "cell_done":
             cell = self._cell_for(record)
             lease = self.leases.get(record.get("lease", ""))

@@ -16,7 +16,7 @@ On-disk layout::
 The payload is one UTF-8 JSON object with at least ``"type"`` and
 ``"seq"`` keys; everything else is record-specific.  Record types are
 the coordinator's state transitions (``job_submitted``,
-``cell_leased``, ``heartbeat``, ``shard_committed``, ``cell_done``,
+``cell_leased``, ``heartbeat``, ``cell_done``,
 ``cell_failed``, ``lease_expired``, ``worker_dead``, ``job_done``).
 
 Durability policy: state-changing appends ``flush`` + ``fsync``;

@@ -221,12 +221,6 @@ class HTTPCoordinatorClient:
     def health(self) -> Dict[str, Any]:
         return self._get("/healthz")
 
-    def metrics_text(self) -> str:
-        with urllib.request.urlopen(
-            self.base_url + "/metrics", timeout=self.timeout
-        ) as resp:
-            return resp.read().decode("utf-8")
-
     def idle(self) -> bool:
         jobs = self.jobs()
         return bool(jobs) and all(

@@ -21,12 +21,20 @@ Alongside each trace the store keeps two kinds of sidecars, all under
 the same digest:
 
 * ``.meta.json`` — recording metadata plus (optionally) per-tool replay
-  measurements, so a fully-warm sweep can reuse measured numbers;
-* ``.<kind>.shard.pkl`` — pickled profiler shards (a
-  :class:`~repro.core.timestamping.DrmsProfiler` or
-  :class:`~repro.core.rms.RmsProfiler` after
-  ``begin_trace()``, i.e. shadow-free), version-tagged; an unreadable
-  or version-mismatched shard is recomputed, not trusted.
+  measurements, so a fully-warm sweep can reuse measured numbers,
+  as compact JSON;
+* ``.<kind>.shard.pkl`` — profiler shards (a
+  :class:`~repro.core.timestamping.DrmsProfiler`,
+  :class:`~repro.core.rms.RmsProfiler` or partition shard after
+  ``begin_trace()``, i.e. shadow-free) stored as data: the
+  CRC-checked, version-tagged envelope of
+  :mod:`repro.sweep.shard_codec` around zlib-compressed JSON, whose
+  objects come only from a fixed list of classes.  Reading one never
+  unpickles.  Shards a store holds from before that codec are pickles
+  (first byte ``0x80``, the pickle PROTO opcode) and still load through
+  a read-only branch; the ``.pkl`` suffix is kept for them and for
+  the tools that match on it.  An unreadable or version-mismatched
+  shard is recomputed, not trusted.
 
 Layout: ``root/<digest[:2]>/<digest>.trace`` (git-object-style fan-out
 so a big sweep does not pile thousands of files into one directory).
@@ -48,14 +56,50 @@ from repro.core.tracefile import (
     save_trace_binary,
     scan_trace,
 )
+from repro.sweep.shard_codec import (
+    ShardFormatError,
+    decode_body,
+    encode_shard,
+    read_envelope,
+)
 
 __all__ = ["StoreAudit", "TraceKey", "TraceStore", "SHARD_VERSION"]
 
-#: version tag baked into pickled profiler shards; bump when profiler
+#: version tag baked into stored profiler shards; bump when profiler
 #: state layout changes so stale shards are recomputed instead of
-#: unpickled into the wrong shape (3: per-thread partition cuts —
+#: decoded into the wrong shape (3: per-thread partition cuts —
 #: shards carry carry-in/carry-out summaries and six-field cold logs)
 SHARD_VERSION = 3
+
+#: first byte of every pickle the pre-codec shard writer produced
+#: (protocol >= 2 opens with the PROTO opcode)
+_PICKLE_PROTO = 0x80
+
+
+class _StaleShard(Exception):
+    """An intact shard written under another ``SHARD_VERSION``."""
+
+
+def _load_shard(data: bytes, kind: Optional[str] = None):
+    """The shard stored in ``data``: :class:`_StaleShard` for an intact
+    shard of another version, any other exception for a corrupt one (or
+    one stored under a kind other than ``kind``, when given).
+
+    A codec envelope is decoded without ``pickle``; only a file that
+    opens with the pickle PROTO opcode takes the read-only branch for
+    shards written before the codec."""
+    if data[:1] == bytes([_PICKLE_PROTO]):
+        tag, version, stored_kind, shard = pickle.loads(data)
+        if tag != "repro-shard":
+            raise ShardFormatError(f"pickled shard tagged {tag!r}")
+        body = None
+    else:
+        version, stored_kind, body = read_envelope(data)
+    if kind is not None and stored_kind != kind:
+        raise ShardFormatError(f"shard stored as {stored_kind!r}")
+    if version != SHARD_VERSION:
+        raise _StaleShard(version)
+    return shard if body is None else decode_body(body)
 
 
 @dataclass(frozen=True)
@@ -153,7 +197,7 @@ class TraceStore:
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
-        #: sidecar reads (meta JSON / pickled shards) that failed for
+        #: sidecar reads (meta JSON / stored shards) that failed for
         #: any reason other than the file being absent — counted, never
         #: raised: a truncated sidecar must cost a recompute, not a
         #: sweep abort
@@ -299,49 +343,46 @@ class TraceStore:
     def put_meta(self, key: TraceKey, meta: Dict[str, Any]) -> None:
         digest = key.digest()
         os.makedirs(self._entry_dir(digest), exist_ok=True)
-        payload = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)
+        payload = json.dumps(
+            meta, separators=(",", ":"), sort_keys=True, allow_nan=False
+        )
         _atomic_write(self.meta_path(key), payload.encode("utf-8"))
 
     # -- profiler shards ----------------------------------------------------
 
     def get_shard(self, key: TraceKey, kind: str):
-        """Unpickle the ``kind`` profiler shard for ``key``, or ``None``.
+        """Decode the ``kind`` profiler shard for ``key``, or ``None``.
 
-        Any failure — missing file, unpickling error, version-tag
-        mismatch — yields ``None`` so the caller recomputes the shard
-        from the trace; a cache can be deleted at any time without
-        changing results.  Truncated/unparseable shards count as
-        ``sidecar_corrupt``; well-formed shards with the wrong
-        version/tag count as ``sidecar_stale``.
+        A codec envelope (:mod:`repro.sweep.shard_codec`) is decoded
+        as data — no ``pickle`` call, objects only from the codec's
+        class list; a pickle written before the codec still loads.
+        Any failure — missing file, bad CRC, damaged zlib or JSON, an
+        unknown tag or class, a kind or version mismatch — yields
+        ``None`` so the caller recomputes the shard from the trace; a
+        cache can be deleted at any time without changing results.
+        Damaged shards count as ``sidecar_corrupt``; intact shards of
+        another ``SHARD_VERSION`` count as ``sidecar_stale``.
         """
         try:
             with open(self.shard_path(key, kind), "rb") as handle:
-                payload = pickle.load(handle)
+                return _load_shard(handle.read(), kind)
         except FileNotFoundError:
             return None
+        except _StaleShard:
+            self._note_sidecar("shard", stale=True)
         except Exception:
             self._note_sidecar("shard")
-            return None
-        try:
-            tag, version, stored_kind, shard = payload
-        except (TypeError, ValueError):
-            self._note_sidecar("shard")
-            return None
-        if tag != "repro-shard" or stored_kind != kind:
-            self._note_sidecar("shard")
-            return None
-        if version != SHARD_VERSION:
-            self._note_sidecar("shard", stale=True)
-            return None
-        return shard
+        return None
 
     def put_shard(self, key: TraceKey, kind: str, shard) -> None:
+        """Store ``shard`` as ``kind`` for ``key`` (atomic), encoded by
+        :func:`~repro.sweep.shard_codec.encode_shard` at
+        ``SHARD_VERSION``.  Raises before writing anything when the
+        shard holds a type outside the codec's tree or a non-empty
+        shadow memory."""
         digest = key.digest()
         os.makedirs(self._entry_dir(digest), exist_ok=True)
-        payload = pickle.dumps(
-            ("repro-shard", SHARD_VERSION, kind, shard),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        payload = encode_shard(kind, SHARD_VERSION, shard)
         _atomic_write(self.shard_path(key, kind), payload)
 
     # -- reporting ----------------------------------------------------------
@@ -372,7 +413,7 @@ class TraceStore:
 
         Used by ``repro doctor --store``: each trace is re-scanned with
         the crash-safe decoder, each meta sidecar is re-parsed, each
-        shard is re-unpickled and version-checked, and sidecars whose
+        shard is re-decoded and version-checked, and sidecars whose
         trace entry is gone are flagged as orphans.  Leftover
         ``.tmp`` files (from writers killed before ``os.replace``) are
         reported too — they are harmless but worth sweeping.  The
@@ -441,16 +482,15 @@ class TraceStore:
 
     @staticmethod
     def _shard_verdict(path: str) -> str:
+        """``ok``, ``stale`` or ``corrupt``, by the rules of
+        :meth:`get_shard` for either on-disk form."""
         try:
             with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            tag, version, _kind, _shard = payload
+                _load_shard(handle.read())
+        except _StaleShard:
+            return "stale"
         except Exception:
             return "corrupt"
-        if tag != "repro-shard":
-            return "corrupt"
-        if version != SHARD_VERSION:
-            return "stale"
         return "ok"
 
     def quarantine(self, audit: "StoreAudit") -> List[str]:

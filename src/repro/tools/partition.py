@@ -116,8 +116,9 @@ class PartitionShard:
     """One profiler's state after replaying one partition.
 
     The profiler inside is post-``begin_trace()``: its shadow memories
-    are empty, and an empty memory pickles as its geometry alone, so a
-    shard is cheap to pickle back from a worker or into a store.  The
+    are empty, and an empty memory is stored as its geometry alone, so
+    a shard is cheap to pickle back from a worker and to encode into a
+    store (:mod:`repro.sweep.shard_codec`).  The
     shadow state it would have carried across the cut is condensed into
     ``last_write`` / ``last_access`` (drms only — the rms baseline
     needs no fix-up), and its partition-local cold reads are parked in
