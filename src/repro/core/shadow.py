@@ -256,27 +256,6 @@ class ShadowMemory:
         chunk[off] = value
         return old
 
-    def get_set_batch(self, addrs, value: int) -> List[int]:
-        """Bulk :meth:`get_set`: stamp every address in ``addrs`` with
-        ``value`` and return the previous values, exploiting leaf
-        locality across the run (one walk per distinct leaf, not per
-        access)."""
-        leaf_bits = self._leaf_bits
-        leaf_mask = self._leaf_mask
-        tag = -1
-        chunk: Optional[array] = None
-        out: List[int] = []
-        append = out.append
-        for addr in addrs:
-            t = addr >> leaf_bits
-            if t != tag or chunk is None:
-                chunk = self.leaf_create(addr)
-                tag = t
-            off = addr & leaf_mask
-            append(chunk[off])
-            chunk[off] = value
-        return out
-
     # -- bulk operations -------------------------------------------------
 
     def items(self) -> Iterator[Tuple[int, int]]:

@@ -27,11 +27,17 @@ Section 4.1 workload-characterization metrics.
 Counter overflow (Section 3.2, *Counter Overflows*) is handled by
 periodic global renumbering — see :mod:`repro.core.renumber` — triggered
 when ``count`` crosses ``counter_limit``.
+
+The per-thread state and its shard contract (execution boundaries,
+merging, partition cuts, boundary summaries, the shared gauges) live in
+:class:`repro.core.shadow_profiler.ShadowProfiler`, shared with the rms
+baseline; this module adds the global memories and extends the contract
+over them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.events import (
     AUXILIARY_EVENTS,
@@ -47,10 +53,9 @@ from repro.core.events import (
 )
 from repro.core.kernel import consume_columnar_drms
 from repro.core.policy import FULL_POLICY, InputPolicy
-from repro.core.profiles import ProfileSet
 from repro.core.renumber import renumber_state
 from repro.core.shadow import ShadowMemory
-from repro.core.shadow_stack import ShadowStack
+from repro.core.shadow_profiler import ShadowProfiler
 
 __all__ = ["KERNEL_WRITER", "DrmsProfiler"]
 
@@ -60,7 +65,7 @@ __all__ = ["KERNEL_WRITER", "DrmsProfiler"]
 KERNEL_WRITER = -1
 
 
-class DrmsProfiler:
+class DrmsProfiler(ShadowProfiler):
     """Online drms profiler over a merged, totally-ordered event trace.
 
     Parameters
@@ -96,12 +101,9 @@ class DrmsProfiler:
     ) -> None:
         if counter_limit is not None and counter_limit < 4:
             raise ValueError("counter_limit must be at least 4")
+        super().__init__(keep_activations)
         self.policy = policy
         self.counter_limit = counter_limit
-        # The counter starts at 1: timestamp 0 is reserved as the "never
-        # accessed" value, so operations occurring before the first
-        # routine activation or thread switch must not stamp cells with 0.
-        self.count = 1
         self.wts = ShadowMemory()
         # Last-writer map, same leaf geometry as wts so the columnar
         # kernel can resolve both chunks with one tag check.  Cells hold
@@ -110,66 +112,18 @@ class DrmsProfiler:
         # cell can only reach the induced-read classification via a
         # kernel fill, which the dict-based encoding also defaulted to).
         self.wsrc = ShadowMemory()
-        self.ts: Dict[int, ShadowMemory] = {}
-        self.stacks: Dict[int, ShadowStack] = {}
-        self.profiles = ProfileSet()
-        self.profiles.keep_activations = keep_activations
         #: per-routine event counters:
         #: [plain first-reads, thread-induced, kernel-induced]
         self.read_counters: Dict[str, List[int]] = {}
         self.renumber_passes = 0
-        #: run superops consumed by the columnar kernel (observability
-        #: only — deliberately *not* part of ``metrics_snapshot``, which
-        #: must be identical across consumption engines)
-        self.superops_consumed = 0
         #: live registry for rare events; ``None`` unless an *enabled*
         #: registry was passed, so hot paths never consult it
         self.metrics = metrics if metrics is not None and metrics.enabled else None
-        #: deepest shadow stack seen across all threads (both paths
-        #: maintain it, so columnar ≡ scalar includes the high-water mark)
-        self.stack_depth_hwm = 0
         #: summed pre-/post-renumbering counter values (compaction ratio)
         self.renumber_before_total = 0
         self.renumber_after_total = 0
-        #: partitioned-replay support: when a list, every *cold* plain
-        #: first-read — a plain-counted read of a cell this profiler has
-        #: never seen written or accessed (``local == 0`` and
-        #: ``wts == 0``) — is appended as ``(thread, addr, run, routine)``
-        #: with ``run`` consecutive addresses.  Serially such reads are
-        #: unambiguous, but a partition replaying a mid-trace byte range
-        #: cannot see prefix writes, so the merge stage reclassifies cold
-        #: reads against the preceding partitions' boundary summaries
-        #: (see ``tools/partition.py``).  ``None`` (the default) keeps
-        #: every hot path on its zero-cost branch.
-        self.cold_reads: Optional[List[tuple]] = None
-        #: per-thread partition-cut support (DESIGN.md §15): a worker
-        #: whose byte range starts mid-activation seeds each thread's
-        #: shadow stack with placeholder frames for the carried-in
-        #: activations (:meth:`seed_partition`).  ``carried_live[t]``
-        #: is how many of thread ``t``'s bottom frames are still seeds,
-        #: ``carried_returns`` records ``(thread, partial, raw_cost)``
-        #: when a seed pops inside this partition, and ``count_base``
-        #: is where the timestamp counter started (above every seed
-        #: stamp) so :meth:`merge` can rebase counts exactly.
-        self.count_base = 1
-        self.carried_live: Dict[int, int] = {}
-        self.carried_returns: List[tuple] = []
 
     # -- state access -------------------------------------------------------
-
-    def _thread_ts(self, thread: int) -> ShadowMemory:
-        mem = self.ts.get(thread)
-        if mem is None:
-            mem = ShadowMemory()
-            self.ts[thread] = mem
-        return mem
-
-    def _stack(self, thread: int) -> ShadowStack:
-        stack = self.stacks.get(thread)
-        if stack is None:
-            stack = ShadowStack()
-            self.stacks[thread] = stack
-        return stack
 
     def _counters(self, routine: str) -> List[int]:
         return self.read_counters.setdefault(routine, [0, 0, 0])
@@ -321,11 +275,6 @@ class DrmsProfiler:
         else:
             raise TypeError(f"unknown event: {event!r}")
 
-    def run(self, events: Iterable[Event]) -> ProfileSet:
-        for event in events:
-            self.consume(event)
-        return self.profiles
-
     # -- columnar fast path ------------------------------------------------------
 
     def consume_columnar(self, batch: EventBatch) -> None:
@@ -340,146 +289,49 @@ class DrmsProfiler:
         """
         consume_columnar_drms(self, batch)
 
-    def run_batch(self, batch: EventBatch) -> ProfileSet:
-        self.consume_columnar(batch)
-        return self.profiles
-
     # -- execution boundaries & shard merging ------------------------------------
 
-    def seed_partition(self, carry_in) -> None:
-        """Seed the shadow stacks for a partition whose byte range
-        starts mid-activation (DESIGN.md §15).
-
-        ``carry_in`` is the planner's per-thread carry: ``(thread,
-        ((seq, routine, call_cost), ...))`` bottom-to-top.  Each carried
-        activation becomes a placeholder frame with the real routine
-        name (so reads counted to it attribute correctly), cost 0 (the
-        real call cost is reapplied at merge time) and timestamps
-        ``1..depth`` per thread; ``count`` then starts above every seed
-        stamp, so every in-partition ordering decision is exactly the
-        serial one.  Must be called on a fresh profiler."""
-        if self.count != 1 or self.stacks or self.ts:
-            raise ValueError("seed_partition() requires a fresh profiler")
-        max_depth = 0
-        for thread, stack in carry_in:
-            if not stack:
-                continue
-            entries = self._stack(thread)
-            self._thread_ts(thread)
-            for k, (_seq, rtn, _call_cost) in enumerate(stack):
-                entries.push(rtn, ts=k + 1, cost=0)
-            self.carried_live[thread] = len(stack)
-            if len(stack) > max_depth:
-                max_depth = len(stack)
-        self.count = self.count_base = max_depth + 1
-
-    def take_partition_state(self) -> Tuple[dict, list]:
-        """Extract the partition-cut bookkeeping once a worker's byte
-        range is fully consumed: per-thread live stacks as ``(partial,
-        ts)`` tuples bottom-to-top (the activations still carried out
-        of this partition) and the recorded seed returns.  Clears the
-        stacks afterwards so the complete-trace checks of
-        :meth:`merge`/:meth:`begin_trace` pass on the shard."""
-        live: Dict[int, tuple] = {}
-        for thread, stack in self.stacks.items():
-            if len(stack):
-                live[thread] = tuple((e.drms, e.ts) for e in stack.entries)
-                stack.entries.clear()
-        returns = list(self.carried_returns)
-        self.carried_returns = []
-        self.carried_live = {}
-        return live, returns
-
     def begin_trace(self) -> None:
-        """Mark an execution boundary: the next events belong to an
-        *independent* trace (a separate VM execution with an unrelated
-        address space).
-
-        Clears the per-execution shadow state — ``wts``/``wsrc``, every
-        per-thread ``ts`` and the (empty) shadow stacks — while keeping
-        everything cumulative: profiles, read counters, the timestamp
-        counter and the renumbering statistics.  Requires the previous
-        trace to be complete (no live activations); timestamps of the
-        new trace simply continue from ``count``, which is
-        order-preserving, so profiling decisions inside the new trace
-        are unaffected by the base offset.
-        """
-        if self.live_activations():
-            raise ValueError(
-                "begin_trace() with live activations: the previous trace "
-                "is incomplete"
-            )
+        """:meth:`ShadowProfiler.begin_trace
+        <repro.core.shadow_profiler.ShadowProfiler.begin_trace>`, which
+        also clears the global ``wts``/``wsrc`` memories; read counters
+        and renumbering statistics are cumulative and kept."""
+        super().begin_trace()
         self.wts = ShadowMemory()
         self.wsrc = ShadowMemory()
-        self.ts = {}
-        self.stacks = {}
 
     def merge(self, other: "DrmsProfiler") -> "DrmsProfiler":
-        """Fold another shard's results into this profiler, in place.
-
-        Both profilers must have consumed complete traces of *separate*
-        executions (the :meth:`begin_trace` semantics); the merge is
-        then exact — profiles, activation records and the
-        first/thread/kernel read split equal those of a single profiler
-        that consumed both traces with an execution boundary between
-        them — and associative, so shards reduce in any grouping.
-
-        Timestamps are rebased implicitly: a shard's timestamps only
-        ever feed *ordering* comparisons within its own trace, so the
-        merged counter just advances by the shard's span
-        (``other.count - 1``) to keep Invariant 2's monotonicity for
-        events consumed after the merge.  Renumbering statistics are
-        summed (they depend on where each shard's counter started, so
-        they are bookkeeping, not part of the exactness claim).  The
-        merged profiler keeps ``self``'s policy, counter limit and
-        registry; returns ``self``.
+        """:meth:`ShadowProfiler.merge
+        <repro.core.shadow_profiler.ShadowProfiler.merge>` for shards of
+        the same policy, also summing the read counters and the
+        renumbering statistics (they depend on where each shard's
+        counter started, so they are bookkeeping, not part of the
+        exactness claim).  Renumbering (if enabled) may compact the
+        merged counter on the next bump — the shadow state is cleared,
+        so that pass is trivially cheap.  The merged profiler keeps
+        ``self``'s policy, counter limit and registry; returns ``self``.
         """
-        if other is self:
-            raise ValueError("cannot merge a profiler shard with itself")
-        if other.policy != self.policy:
+        if other is not self and other.policy != self.policy:
             raise ValueError(
                 f"cannot merge shards with different policies: "
                 f"{self.policy} vs {other.policy}"
             )
-        if self.live_activations() or other.live_activations():
-            raise ValueError(
-                "merge() with live activations: both shards must hold "
-                "complete traces"
-            )
-        self.profiles.merge_from(other.profiles)
+        super().merge(other)
         for routine, counts in other.read_counters.items():
             mine = self._counters(routine)
             mine[0] += counts[0]
             mine[1] += counts[1]
             mine[2] += counts[2]
-        # The merged counter spans both traces' bumps: the shard's
-        # counter advanced ``other.count - other.count_base`` times
-        # (``count_base`` is 1 unless the shard was seeded for a
-        # mid-activation partition cut).  Renumbering (if enabled) may
-        # compact it on the next bump — the shadow state below is
-        # cleared, so that pass is trivially cheap.
-        self.count += other.count - other.count_base
-        if self.stack_depth_hwm < other.stack_depth_hwm:
-            self.stack_depth_hwm = other.stack_depth_hwm
         self.renumber_passes += other.renumber_passes
         self.renumber_before_total += other.renumber_before_total
         self.renumber_after_total += other.renumber_after_total
-        self.superops_consumed += other.superops_consumed
-        # A merge is an execution boundary: residual shadow state from
-        # either shard must not leak induced-read classifications into
-        # whatever trace is consumed next.
-        self.begin_trace()
         return self
 
     def boundary_summary(self) -> Tuple[dict, dict]:
-        """Condense the live shadow state into the two maps a later
-        partition needs to reclassify its cold reads (see
-        ``tools/partition.py``): ``last_write[addr] -> (count, src)``
-        from the global write-timestamp/source memories, and
-        ``last_access[thread][addr] -> count`` from the per-thread
-        timestamp memories (which stamp reads and writes alike).  Must
-        be taken *before* :meth:`begin_trace` clears the shadow state.
-        """
+        """:meth:`ShadowProfiler.boundary_summary
+        <repro.core.shadow_profiler.ShadowProfiler.boundary_summary>`
+        with ``last_write[addr] -> (count, src)`` read from the global
+        write-timestamp/source memories."""
         wsrc = self.wsrc
         last_write = {}
         for base, stamps in self.wts.leaves():
@@ -489,10 +341,7 @@ class DrmsProfiler:
             last_write.update(
                 (base | off, cell) for off, cell in enumerate(cells) if cell[0]
             )
-        last_access = {
-            thread: dict(mem.items()) for thread, mem in self.ts.items()
-        }
-        return last_write, last_access
+        return last_write, super().boundary_summary()[1]
 
     # -- introspection -----------------------------------------------------------
 
@@ -509,45 +358,30 @@ class DrmsProfiler:
         out.reverse()
         return out
 
-    def live_activations(self) -> int:
-        """Shadow-stack entries still pending across all threads.  After a
-        well-formed trace — including one where the VM fault-aborted
-        threads via synthetic returns — this is 0; anything else means a
-        leaked activation."""
-        return sum(len(stack) for stack in self.stacks.values())
-
     def space_cells(self) -> int:
-        """Shadowed cells across all shadow memories plus stack entries —
-        the space-overhead figure used by the Table 1 harness."""
-        cells = self.wts.space_cells()
-        for mem in self.ts.values():
-            cells += mem.space_cells()
-        for stack in self.stacks.values():
-            cells += 4 * len(stack)
-        return cells
+        """Shadowed cells across all shadow memories plus stack entries:
+        the per-thread figure plus the global write memory."""
+        return self.wts.space_cells() + super().space_cells()
 
     # -- telemetry ---------------------------------------------------------------
 
     _metric_prefix = "drms"
 
     def publish_metrics(self, registry) -> None:
-        """Publish the profiler's aggregate statistics into ``registry``.
+        """Publish the profiler's aggregate statistics into ``registry``:
+        the shared gauges plus the global shadow memory, renumbering and
+        read-split series.
 
-        Everything is derived from always-on plain state (set-style
-        updates, so republishing is idempotent); the only live series —
-        the renumbering counter — is *set* to its authoritative value
-        here, which makes the published numbers identical whether or not
-        the profiler ran with a live registry attached.
+        The only live series — the renumbering counter — is *set* to its
+        authoritative value here, which makes the published numbers
+        identical whether or not the profiler ran with a live registry
+        attached.
         """
         if registry is None or not registry.enabled:
             return
+        super().publish_metrics(registry)
         p = self._metric_prefix
         registry.counter(p + ".renumber.passes").value = self.renumber_passes
-        registry.gauge(p + ".count").set(self.count)
-        registry.gauge(p + ".stack.depth_hwm").set(self.stack_depth_hwm)
-        registry.gauge(p + ".stacks").set(len(self.stacks))
-        registry.gauge(p + ".live_activations").set(self.live_activations())
-        registry.gauge(p + ".space.cells").set(self.space_cells())
         if self.renumber_before_total:
             registry.gauge(p + ".renumber.before_total").set(
                 self.renumber_before_total
@@ -590,14 +424,3 @@ class DrmsProfiler:
                     ).set(counts[slot])
         for slot, kind in enumerate(("first", "thread", "kernel")):
             registry.gauge(p + ".reads", {"kind": kind}).set(totals[slot])
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """The aggregate statistics as a flat plain dict (a fresh
-        registry is populated and flattened).  A pure function of
-        profiler state, so the scalar and columnar paths must agree on it
-        — the equivalence suite compares snapshots directly."""
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        self.publish_metrics(registry)
-        return registry.as_dict()

@@ -51,14 +51,18 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.obs.spans import NULL_TRACER, SpanTracer
+
 __all__ = [
     "TraceContext",
     "SpanSidecar",
     "SidecarReplay",
     "read_sidecar",
     "sidecar_path",
+    "open_span_sidecar",
     "FlightRecorder",
     "flight_dump",
+    "flight_dump_degradations",
     "merge_job_trace",
     "validate_chrome_trace",
 ]
@@ -223,6 +227,34 @@ class SpanSidecar:
         return False
 
 
+def open_span_sidecar(
+    trace: Optional[Mapping[str, object]], process: str
+) -> Tuple[object, Optional[SpanSidecar]]:
+    """Open one process's ``(tracer, sidecar)`` pair for a job's trace.
+
+    ``trace`` is a :meth:`TraceContext.to_dict` form (a lease's or a
+    pool task's).  Returns ``(NULL_TRACER, None)`` unless it names a
+    spans directory; otherwise a :class:`SpanTracer` named ``process``
+    streams into a sidecar file named after the job and ``process``,
+    whose header carries the trace context (its ``worker`` too), with a
+    :class:`FlightRecorder` attached.  The caller closes the sidecar.
+    """
+    ctx = TraceContext.from_dict(trace)
+    if ctx is None or not ctx.spans_dir:
+        return NULL_TRACER, None
+    tracer = SpanTracer(process_name=process)
+    name = f"{ctx.job}__{process}" if ctx.job else process
+    sidecar = SpanSidecar(
+        sidecar_path(ctx.spans_dir, name),
+        process=process,
+        trace=ctx,
+        anchor_epoch_us=tracer.anchor_epoch_us,
+    )
+    tracer.sink = sidecar
+    FlightRecorder().attach(tracer)
+    return tracer, sidecar
+
+
 @dataclass
 class SidecarReplay:
     """Result of reading one sidecar file."""
@@ -383,6 +415,22 @@ def flight_dump(tracer, reason: str, **extra) -> Optional[Dict[str, object]]:
     if flight is None:
         return None
     return flight.dump(tracer, reason, **extra)
+
+
+def flight_dump_degradations(
+    tracer, degradations, reason: str, /, **extra
+) -> Optional[Dict[str, object]]:
+    """Note every :class:`~repro.tools.pool.Degradation` in the flight
+    ring, then :func:`flight_dump` it — the hook of the replay paths
+    whose supervisor fell back.  A no-op without degradations or on a
+    disabled tracer."""
+    if not degradations or not getattr(tracer, "enabled", False):
+        return None
+    flight = getattr(tracer, "flight", None)
+    if flight is not None:
+        for deg in degradations:
+            flight.note("degradation", **deg.as_dict())
+    return flight_dump(tracer, reason, **extra)
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, Optional
 
-from repro.obs.distributed import (
-    FlightRecorder,
-    SpanSidecar,
-    TraceContext,
-    flight_dump,
-    sidecar_path,
-)
+from repro.obs.distributed import flight_dump, open_span_sidecar
 from repro.sweep.engine import CellTask, run_cell
 
 __all__ = [
@@ -55,38 +49,6 @@ _WORKER_ENV = "REPRO_SERVICE_WORKER"
 def _lease_trace_id(lease: Dict[str, Any]) -> str:
     trace = lease.get("trace") or {}
     return str(trace.get("trace_id", "")) if isinstance(trace, dict) else ""
-
-
-def _open_lease_trace(lease: Dict[str, Any], worker_id: str):
-    """Open this worker's span sidecar for a lease's job, if traced.
-
-    Returns ``(tracer, sidecar)`` — ``(NULL_TRACER, None)`` when the
-    lease carries no trace context or no spans directory.  The sidecar
-    records the lease-time clock handshake: our epoch-anchored "now"
-    minus the coordinator's ``coordinator_time_us`` sample, which the
-    merger later subtracts to put every track on the coordinator's
-    clock.
-    """
-    from repro.obs import NULL_TRACER, SpanTracer
-
-    ctx = TraceContext.from_dict(lease.get("trace"))
-    if ctx is None or not ctx.spans_dir:
-        return NULL_TRACER, None
-    tracer = SpanTracer(process_name=worker_id)
-    name = f"{ctx.job}__{worker_id}" if ctx.job else worker_id
-    sidecar = SpanSidecar(
-        sidecar_path(ctx.spans_dir, name),
-        process=worker_id,
-        trace=ctx,
-        anchor_epoch_us=tracer.anchor_epoch_us,
-        worker=worker_id,
-    )
-    tracer.sink = sidecar
-    FlightRecorder().attach(tracer)
-    coord_us = lease.get("coordinator_time_us")
-    if isinstance(coord_us, (int, float)) and coord_us > 0:
-        sidecar.clock_sync(tracer.now_us() - int(coord_us))
-    return tracer, sidecar
 
 
 def _maybe_kill(stage: str, worker: str) -> None:
@@ -293,7 +255,13 @@ def run_worker(
         # the lease-stage kill hook: a SIGKILLed worker must still leave
         # a mergeable sidecar prefix, so its track (and nothing but the
         # truth about how far it got) appears in the job's trace.
-        tracer, sidecar = _open_lease_trace(lease, worker_id)
+        tracer, sidecar = open_span_sidecar(lease.get("trace"), worker_id)
+        coord_us = lease.get("coordinator_time_us")
+        if sidecar is not None and isinstance(coord_us, (int, float)) and coord_us > 0:
+            # The lease-time clock handshake: our epoch-anchored "now"
+            # minus the coordinator's sample, which the merger later
+            # subtracts to put every track on the coordinator's clock.
+            sidecar.clock_sync(tracer.now_us() - int(coord_us))
         tracer.instant(
             "lease-granted",
             track="lease",

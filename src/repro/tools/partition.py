@@ -4,7 +4,7 @@ After PR 5 the slowest cell of a sweep is a *single serial replay* of
 one large trace.  This module turns that replay into an embarrassingly
 parallel job:
 
-1. :func:`repro.core.tracefile.plan_partitions` cuts the v2 trace at
+1. :func:`repro.core.tracefile.plan_partitions` cuts the v4 trace at
    section boundaries — depth-zero ones for free, mid-activation ones
    with per-thread carry-in summaries — into byte ranges with balanced
    event counts;
@@ -60,11 +60,10 @@ from repro.core.tracefile import (
     plan_partitions,
 )
 from repro.obs.distributed import (
-    FlightRecorder,
     SpanSidecar,
     TraceContext,
-    flight_dump,
-    sidecar_path,
+    flight_dump_degradations,
+    open_span_sidecar,
 )
 from repro.tools.pool import KILL_ENV as _KILL_ENV
 from repro.tools.pool import (
@@ -313,34 +312,6 @@ def _subrange_payload(
     return sub, rebased
 
 
-def _open_partition_trace(
-    trace: Optional[dict], process: str
-) -> Tuple[object, Optional[SpanSidecar]]:
-    """Build a (tracer, sidecar) pair for one partition process.
-
-    Returns ``(NULL_TRACER, None)`` unless the trace context names a
-    spans directory; otherwise the sidecar carries the job's trace
-    context so the merger picks up every event in this file.
-    """
-    from repro.obs import NULL_TRACER, SpanTracer
-
-    ctx = TraceContext.from_dict(trace)
-    if ctx is None or not ctx.spans_dir:
-        return NULL_TRACER, None
-    tracer = SpanTracer(process_name=process)
-    name = f"{ctx.job}__{process}" if ctx.job else process
-    sidecar = SpanSidecar(
-        sidecar_path(ctx.spans_dir, name),
-        process=process,
-        trace=ctx,
-        anchor_epoch_us=tracer.anchor_epoch_us,
-        worker=ctx.worker,
-    )
-    tracer.sink = sidecar
-    FlightRecorder().attach(tracer)
-    return tracer, sidecar
-
-
 def _emit_shard_counters(tracer, shards: List[PartitionShard]) -> None:
     """One counter-track sample (a Perfetto "C" event) of one
     partition's inline decode time.  Every shard of a partition carries
@@ -367,7 +338,7 @@ def _partition_worker(
     ctx = TraceContext.from_dict(trace)
     if ctx is not None:
         worker_label = ctx.worker or "pool"
-    tracer, sidecar = _open_partition_trace(
+    tracer, sidecar = open_span_sidecar(
         trace, f"{worker_label or 'pool'}.part{part.index}"
     )
     try:
@@ -713,7 +684,7 @@ def replay_partitioned(
         # No tracer was handed down (the service path): open this
         # process's own sidecar so inline replays and pool supervision
         # are visible in the job's merged trace.
-        tracer, own_sidecar = _open_partition_trace(
+        tracer, own_sidecar = open_span_sidecar(
             trace, f"{trace_ctx.worker or label}.partitions"
         )
     if plan is None:
@@ -816,18 +787,14 @@ def replay_partitioned(
     for part in unfinished:
         results[part.index] = inline(part)
 
-    if degradations and getattr(tracer, "enabled", False):
-        flight = getattr(tracer, "flight", None)
-        if flight is not None:
-            for deg in degradations:
-                flight.note("degradation", **deg.as_dict())
-        flight_dump(
-            tracer,
-            f"partition-degradation: {label}",
-            degradations=len(degradations),
-            trace_id=trace_ctx.trace_id if trace_ctx else "",
-            job=trace_ctx.job if trace_ctx else "",
-        )
+    flight_dump_degradations(
+        tracer,
+        degradations,
+        f"partition-degradation: {label}",
+        degradations=len(degradations),
+        trace_id=trace_ctx.trace_id if trace_ctx else "",
+        job=trace_ctx.job if trace_ctx else "",
+    )
 
     rows = [results[i] for i in sorted(results)]
     reclassified = 0

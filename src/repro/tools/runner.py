@@ -62,6 +62,7 @@ from repro.core.events import (
 # unused here since workers decode with ``EventBatch.from_bytes``; kept
 # so perfbench's layer hook on ``runner.iter_section_batches`` resolves
 from repro.core.tracefile import iter_section_batches  # noqa: F401
+from repro.obs.distributed import flight_dump_degradations
 from repro.tools.pool import Degradation, supervise
 from repro.tools.aprof import AprofTool
 from repro.tools.aprof_drms import AprofDrmsTool
@@ -454,20 +455,14 @@ def measure_workload(
                     tool_factory, rows, repeats, engine
                 )
 
-    if degradations and getattr(tracer, "enabled", False):
-        # Self-healing fired: preserve the last-moments ring so the
-        # span timeline shows what led up to each fallback.
-        from repro.obs.distributed import flight_dump
-
-        flight = getattr(tracer, "flight", None)
-        if flight is not None:
-            for deg in degradations:
-                flight.note("degradation", **deg.as_dict())
-        flight_dump(
-            tracer,
-            f"replay degraded: {len(degradations)} action(s)",
-            workload=name,
-        )
+    # If self-healing fired, preserve the last-moments ring so the span
+    # timeline shows what led up to each fallback.
+    flight_dump_degradations(
+        tracer,
+        degradations,
+        f"replay degraded: {len(degradations)} action(s)",
+        workload=name,
+    )
 
     result = WorkloadMeasurement(
         name,

@@ -197,3 +197,59 @@ class TestMergeContracts:
         count_a, count_b = a.count, b.count
         a.merge(b)
         assert a.count == count_a + count_b - 1
+
+
+class TestRmsMergeContracts:
+    """The shard contract of the rms baseline, which shares its state
+    and contract code with the drms profiler."""
+
+    def _open_activation(self):
+        profiler = RmsProfiler()
+        profiler.run([Call(1, "f"), Read(1, 0x10)])
+        return profiler
+
+    def test_rms_merge_rejects_self(self):
+        profiler = RmsProfiler()
+        profiler.run([Call(1, "f"), Return(1)])
+        with pytest.raises(ValueError, match="itself"):
+            profiler.merge(profiler)
+
+    def test_rms_merge_rejects_live_activations_either_side(self):
+        open_side = self._open_activation()
+        closed = RmsProfiler()
+        closed.run([Call(1, "f"), Return(1)])
+        with pytest.raises(ValueError, match="live activations"):
+            closed.merge(open_side)
+        with pytest.raises(ValueError, match="live activations"):
+            open_side.merge(closed)
+
+    def test_rms_begin_trace_rejects_live_activations(self):
+        profiler = self._open_activation()
+        with pytest.raises(ValueError, match="incomplete"):
+            profiler.begin_trace()
+
+    def test_rms_seed_partition_requires_fresh_profiler(self):
+        carry = [(1, ((0, "f", 0),))]
+        counted = RmsProfiler()
+        counted.run([Call(1, "f"), Return(1)])
+        touched = RmsProfiler()
+        touched.run([Write(1, 0x10)])
+        for profiler in (counted, touched):
+            with pytest.raises(ValueError, match="fresh"):
+                profiler.seed_partition(carry)
+
+    def test_rms_merged_count_advances_by_seeded_span(self):
+        seeded = RmsProfiler()
+        seeded.seed_partition([(1, ((0, "f", 0), (1, "g", 0)))])
+        assert seeded.count == seeded.count_base == 3
+        # g and f are carried seeds; h runs wholly inside this shard
+        seeded.run([Read(1, 0x10), Return(1), Call(1, "h"), Return(1), Return(1)])
+        live, returns = seeded.take_partition_state()
+        assert live == {} and len(returns) == 2
+        merged = RmsProfiler()
+        merged.run([Call(1, "f"), Return(1)])
+        count = merged.count
+        merged.merge(seeded)
+        assert merged.count == count + seeded.count - seeded.count_base
+        assert merged.count == count + 1
+        assert {key[0] for key, _ in merged.profiles} == {"f", "h"}

@@ -207,15 +207,6 @@ class TestFastPath:
         assert mem.get_set(10, 7) == 3
         assert mem[10] == 7
 
-    def test_get_set_batch_matches_scalar(self):
-        scalar = ShadowMemory(leaf_bits=3)
-        bulk = ShadowMemory(leaf_bits=3)
-        addrs = [1, 2, 9, 1, 300, 301, 2]
-        expected = [scalar.get_set(a, 42) for a in addrs]
-        assert bulk.get_set_batch(addrs, 42) == expected
-        assert list(bulk.items()) == list(scalar.items())
-        assert bulk.chunks_allocated == scalar.chunks_allocated
-
     def test_clear_resets_leaf_cache(self):
         mem = ShadowMemory()
         mem[5] = 3
