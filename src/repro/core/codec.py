@@ -198,6 +198,23 @@ def split_section_payload(
             raise SectionCodecError(f"zlib damage: {exc}") from exc
     view = memoryview(payload)
     size = len(view)
+    # The common case first: three valid tags whose columns end at the
+    # payload's end.  Anything else takes the checked walk below, which
+    # names the damage.
+    try:
+        mode0, width0 = _LANE_TAGS[view[n]]
+        lo1 = n + 1 + n * width0
+        mode1, width1 = _LANE_TAGS[view[lo1]]
+        lo2 = lo1 + 1 + n * width1
+        mode2, width2 = _LANE_TAGS[view[lo2]]
+        if lo2 + 1 + n * width2 == size:
+            return view[:n], (
+                (mode0, width0, view[n + 1 : lo1]),
+                (mode1, width1, view[lo1 + 1 : lo2]),
+                (mode2, width2, view[lo2 + 1 :]),
+            )
+    except (KeyError, IndexError):
+        pass
     if size < n:
         raise SectionCodecError("opcode lane truncated")
     pos = n
@@ -232,16 +249,21 @@ def decode_group_lanes(
     :func:`split_section_payload`, or raw width-8 lanes for v2) and
     ``rows`` each section's row count.  Per lane, the group's columns
     are read with one ``frombuffer`` per distinct width and summed with
-    one ``cumsum``; each delta section then drops the running sum
+    one running sum; each delta section then drops the running sum
     before its first row, so its chain still starts from 0.  int64
     arithmetic wraps, which is exactly the encoder's wraparound.  A
     one-section group takes the short path: no join, base or repeat.
+    The numpy calls per group do not grow with its sections, and they
+    are the cheap entry points (``np.add.accumulate``, ``take``, the
+    ``repeat`` method): on a group of a few hundred rows their per-call
+    overhead is the whole cost.
     """
     single = len(rows) == 1
     if not single:
         counts = _np.array(rows)
+        tail = counts[1:]
         # the last row of every section but the group's last
-        last_rows = counts[:-1].cumsum() - 1
+        last_rows = _np.add.accumulate(counts[:-1]) - 1
     lanes = []
     for modes, widths, columns in (zip(*lane) for lane in zip(*sections)):
         width = widths[0]
@@ -251,8 +273,8 @@ def decode_group_lanes(
                 dtype=_LANE_DTYPES[width],
             )
         else:
-            col = _np.empty(counts.sum(), dtype=_np.int64)
-            row_widths = _np.repeat(_np.array(widths, dtype=_np.int8), counts)
+            col = _np.empty(sum(rows), dtype=_np.int64)
+            row_widths = _np.array(widths, dtype=_np.int8).repeat(counts)
             for width in set(widths):
                 col[row_widths == width] = _np.frombuffer(
                     b"".join(
@@ -262,12 +284,12 @@ def decode_group_lanes(
                 )
         deltas = modes.count(_MODE_DELTA)
         if deltas:
-            sums = col.cumsum(dtype=_np.int64)
+            sums = _np.add.accumulate(col, dtype=_np.int64)
             if not single:
-                sums[rows[0] :] -= _np.repeat(sums[last_rows], counts[1:])
+                sums[rows[0] :] -= sums.take(last_rows).repeat(tail)
             if deltas < len(modes):
                 is_delta = _np.array(modes, dtype=_np.int8) == _MODE_DELTA
-                sums = _np.where(_np.repeat(is_delta, counts), sums, col)
+                sums = _np.where(is_delta.repeat(counts), sums, col)
             col = sums
         elif col.dtype != _np.int64:
             col = col.astype(_np.int64)

@@ -54,19 +54,16 @@ class PointStats:
         return self.total_cost / self.calls
 
     def merged_with(self, other: "PointStats") -> "PointStats":
-        out = PointStats(
-            calls=self.calls + other.calls,
-            max_cost=max(self.max_cost, other.max_cost),
-            min_cost=min(self.min_cost, other.min_cost),
-            total_cost=self.total_cost + other.total_cost,
-        )
         if self.calls == 0:
-            out.min_cost = other.min_cost
-            out.max_cost = other.max_cost
+            hi, lo = other.max_cost, other.min_cost
         elif other.calls == 0:
-            out.min_cost = self.min_cost
-            out.max_cost = self.max_cost
-        return out
+            hi, lo = self.max_cost, self.min_cost
+        else:
+            hi = self.max_cost if self.max_cost >= other.max_cost else other.max_cost
+            lo = self.min_cost if self.min_cost <= other.min_cost else other.min_cost
+        return PointStats(
+            self.calls + other.calls, hi, lo, self.total_cost + other.total_cost
+        )
 
 
 @dataclass
@@ -151,6 +148,30 @@ class ProfileSet:
         if self.keep_activations:
             self.activations.append((routine, thread, input_size, cost))
 
+    def __reduce__(self):
+        """Pickle as tuples of plain values rather than a tree of
+        dataclass instances: per profile ``(key routine, thread,
+        routine, calls, total_input, points)`` with ``points`` the flat
+        ``size, calls, max_cost, min_cost, total_cost`` of each point.
+        A shard reply from a pool worker holds a few profiles of a few
+        points each, so per-object pickle overhead was most of its
+        cost.  Pickles of the ``__dict__`` layout still load (they never
+        call this)."""
+        rows = []
+        for (key_rtn, thread), prof in self._profiles.items():
+            points = []
+            for size, s in prof.points.items():
+                points += (size, s.calls, s.max_cost, s.min_cost, s.total_cost)
+            rows.append(
+                (key_rtn, thread, prof.routine, prof.calls, prof.total_input,
+                 tuple(points))
+            )
+        return _load_profile_set, (
+            tuple(rows),
+            self.activations,
+            self.keep_activations,
+        )
+
     def __len__(self) -> int:
         return len(self._profiles)
 
@@ -192,10 +213,7 @@ class ProfileSet:
                 slot = mine.points.get(size)
                 if slot is None:
                     mine.points[size] = PointStats(
-                        calls=stats.calls,
-                        max_cost=stats.max_cost,
-                        min_cost=stats.min_cost,
-                        total_cost=stats.total_cost,
+                        stats.calls, stats.max_cost, stats.min_cost, stats.total_cost
                     )
                 else:
                     mine.points[size] = slot.merged_with(stats)
@@ -211,6 +229,28 @@ class ProfileSet:
         """Sum of input sizes over *all* routine activations — the
         denominator/numerator of the dynamic-input-volume metric."""
         return sum(p.total_input for p in self._profiles.values())
+
+
+def _load_profile_set(
+    rows: tuple, activations: list, keep_activations: bool
+) -> ProfileSet:
+    """Rebuild a :class:`ProfileSet` from its :meth:`ProfileSet.__reduce__`
+    form."""
+    out = ProfileSet.__new__(ProfileSet)
+    profiles: Dict[Tuple[str, int], RoutineProfile] = {}
+    for key_rtn, thread, routine, calls, total_input, flat in rows:
+        fields = iter(flat)
+        points = {
+            size: PointStats(n, hi, lo, total)
+            for size, n, hi, lo, total in zip(*(fields,) * 5)
+        }
+        profiles[(key_rtn, thread)] = RoutineProfile(
+            routine, points, calls, total_input
+        )
+    out._profiles = profiles
+    out.activations = activations
+    out.keep_activations = keep_activations
+    return out
 
 
 def merge_thread_profiles(profiles: ProfileSet) -> Dict[str, RoutineProfile]:

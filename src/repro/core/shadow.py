@@ -19,7 +19,9 @@ leaf_bits``) lists the allocated leaves, so bulk passes — :meth:`items`,
 per allocated leaf, never per middle-table slot, and the columnar
 kernels resolve a leaf with one probe of it.  A memory pickles as
 its default, its geometry and its leaves' bytes; the middle tables,
-the leaf template and the cache are rebuilt on load.
+the leaf template and the cache are rebuilt on load.  An empty one (a
+profiler shard holds them so) pickles as a constructor call on its
+default and geometry.
 
 The class intentionally mirrors a ``dict`` with a default so the test
 suite can check it against a plain dictionary with Hypothesis.
@@ -123,6 +125,19 @@ class ShadowMemory:
             self._leaf_bits,
             tags.tobytes(),
             cells.tobytes(),
+        )
+
+    def __reduce_ex__(self, protocol):
+        """An empty memory pickles as a constructor call on its geometry
+        (a profiler shard holds its memories empty); any other takes the
+        :meth:`__getstate__` layout."""
+        if self._leaves:
+            return super().__reduce_ex__(protocol)
+        return ShadowMemory, (
+            self.default,
+            self._top_bits,
+            self._mid_bits,
+            self._leaf_bits,
         )
 
     def __setstate__(self, state) -> None:

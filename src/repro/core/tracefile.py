@@ -315,6 +315,9 @@ def _parse_batch_header(data) -> Tuple[int, List[str], int, int]:
     return version, names, declared, pos
 
 
+#: the CRC-32 after each section payload
+_CRC = struct.Struct("<I")
+
 #: section header bytes per format version
 _SECTION_HEADER_SIZE = {
     2: 8,
@@ -399,22 +402,28 @@ def _check_rows(ops, args, costs, events, pos: int, starts=None) -> None:
     (so two miscounts cannot cancel out).  The error then names ``pos``
     only; :func:`_decode_groups` re-checks section by section to find
     the exact one."""
+    # Reductions are ``count_nonzero``: on arrays this small a check's
+    # cost is its numpy calls, and the ``.any()``/``.max()`` methods
+    # cost three times as much per call.
+    nonzero = _np.count_nonzero
     op_u8 = _np.frombuffer(ops, dtype=_np.uint8)
-    if op_u8.max() > _LAST_OPCODE:
-        raise TraceFormatError("unknown opcode in section", pos)
     superops = op_u8 >= _FIRST_RUN_OPCODE
+    super_ops = op_u8[superops]
     weights = None
-    if superops.any():
+    if len(super_ops):
+        # an unknown opcode sorts above every superop
+        if nonzero(super_ops > _LAST_OPCODE):
+            raise TraceFormatError("unknown opcode in section", pos)
         # per superop: the cells it covers from ``base``, and how many
         # times (1 for a run, ``2 * k`` for a loop)
         cells = _np.frombuffer(costs, dtype=_np.int64)[superops]
         bases = _np.frombuffer(args, dtype=_np.int64)[superops]
-        loops = _IS_LOOP.take(op_u8[superops])
+        loops = _IS_LOOP.take(super_ops)
         times = 1
-        if loops.any():
+        if nonzero(loops):
             n, k = unpack_loop(cells)
             # ``k`` is bounded before it multiplies, so no weight wraps
-            if (loops & ((k < 2) | (k > _LOOP_MAX_WEIGHT // 2))).any():
+            if nonzero(loops & ((k < 2) | (k > _LOOP_MAX_WEIGHT // 2))):
                 raise TraceFormatError(_LOOP_ERROR, pos)
             cells = _np.where(loops, n, cells)
             times = _np.where(loops, 2 * k, 1)
@@ -423,29 +432,30 @@ def _check_rows(ops, args, costs, events, pos: int, starts=None) -> None:
         # bit, so the leaf test still fails
         spans = cells - 1
         outside = (spans | (bases ^ (bases + spans))) >> _LEAF_BITS
-        if outside.any():
+        if nonzero(outside):
             raise TraceFormatError(
                 _LOOP_ERROR
-                if (outside.astype(bool) & loops).any()
+                if nonzero(outside.astype(bool) & loops)
                 else "run superop shorter than one cell or crossing a "
                 "shadow leaf",
                 pos,
             )
         weights = cells * times
-        if (weights > _LOOP_MAX_WEIGHT).any():
+        if nonzero(weights > _LOOP_MAX_WEIGHT):
             raise TraceFormatError(_LOOP_ERROR, pos)
     if starts is not None:
-        row_weights = _np.ones(len(op_u8), dtype=_np.int64)
+        row_weights = _np.empty(len(op_u8), dtype=_np.int64)
+        row_weights.fill(1)
         if weights is not None:
             row_weights[superops] = weights
-        if (_np.add.reduceat(row_weights, starts) != events).any():
+        if _np.add.reduceat(row_weights, starts).tolist() != events:
             raise TraceFormatError(
                 "section rows weigh other than their headers say", pos
             )
         return
     weight = len(op_u8)
     if weights is not None:
-        weight += int(weights.sum()) - len(weights)
+        weight += int(_np.add.reduce(weights)) - len(weights)
     if weight != events:
         raise TraceFormatError(
             f"section rows weigh {weight} events, header says {events}", pos
@@ -475,12 +485,11 @@ def _decode_section(
     rows, events, flags, _calls, _rets, payload_size, header_size = (
         _read_section_header(data, pos, version, remaining)
     )
-    view = memoryview(data)
-    payload = view[pos + header_size : pos + header_size + payload_size]
-    if verify:
-        (crc,) = struct.unpack_from("<I", data, pos + header_size + payload_size)
-        if zlib.crc32(payload) != crc:
-            raise TraceFormatError("section CRC mismatch", pos)
+    start = pos + header_size
+    end = start + payload_size
+    payload = memoryview(data)[start:end]
+    if verify and zlib.crc32(payload) != _CRC.unpack_from(data, end)[0]:
+        raise TraceFormatError("section CRC mismatch", pos)
     if version == 2:
         ops = payload[:rows]
         lanes = tuple(
@@ -494,8 +503,7 @@ def _decode_section(
             raise TraceFormatError(
                 f"corrupt section encoding: {exc}", pos
             ) from exc
-    next_pos = pos + header_size + payload_size + 4
-    return events, ops, lanes, next_pos
+    return events, ops, lanes, end + 4
 
 
 def _decode_groups(
@@ -865,20 +873,33 @@ def plan_partitions(data: bytes, partitions: int) -> PartitionPlan:
     events = 0
     depth = 0
     torn: Optional[str] = None
+    # A v4 header is read inline under the checks of
+    # ``_read_section_header``, which reads any other header and names
+    # the damage when a check fails.
+    unpack = SECTION_HEADER.unpack_from if version == 4 else None
+    header_size = SECTION_HEADER.size
     while pos < total:
-        try:
-            _rows, n, _flags, calls, rets, payload_size, header_size = (
-                _read_section_header(data, pos, version, declared - events)
-            )
-        except TraceFormatError as exc:
-            torn = str(exc)
-            break
+        if unpack is not None and total - pos >= header_size:
+            rows, n, _flags, calls, rets, payload_size = unpack(data, pos)
+            end = pos + header_size + payload_size + 4
+            ok = 0 < rows <= n <= declared - events and end <= total
+        else:
+            ok = False
+        if not ok:
+            try:
+                _rows, n, _flags, calls, rets, payload_size, size = (
+                    _read_section_header(data, pos, version, declared - events)
+                )
+            except TraceFormatError as exc:
+                torn = str(exc)
+                break
+            end = pos + size + payload_size + 4
         depth += calls - rets
         starts.append(pos)
         events += n
         cum_events.append(events)
         safe_after.append(depth == 0)
-        pos += header_size + payload_size + 4
+        pos = end
     if torn is None and events < declared:
         torn = f"trace truncated: {events} of {declared} events recovered"
     n_sections = len(starts)

@@ -370,6 +370,10 @@ def _run_cell(
         seconds, space = replay_tool(
             DEFAULT_TOOLS[name], rows, repeats, engine=engine
         )
+        # Four significant digits, taken here so that a measured row and
+        # the cached one read back later agree, and the store's meta
+        # holds no timing noise beyond them.
+        seconds = float(f"{seconds:.4g}")
         replays[name] = {
             "seconds": seconds,
             "space_cells": space,

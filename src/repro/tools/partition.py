@@ -120,8 +120,13 @@ class PartitionShard:
     store (:mod:`repro.sweep.shard_codec`).  The
     shadow state it would have carried across the cut is condensed into
     ``last_write`` / ``last_access`` (drms only — the rms baseline
-    needs no fix-up), and its partition-local cold reads are parked in
-    ``cold_reads`` for :func:`merge_partition_shards`.
+    needs no fix-up — unless the plan carries activations), and its
+    partition-local cold reads are parked in ``cold_reads`` for
+    :func:`merge_partition_shards`.  Only the partitions before the
+    last ship those summaries: the merge reads a summary only to fix
+    the cold reads of a *later* partition, so the last partition's are
+    left empty (it still ships its cold reads), and the merge skips any
+    a stored last shard still carries.
     """
 
     kind: str
@@ -184,7 +189,9 @@ def replay_partition(
     ``carry_aware`` marks a partition that is itself cut at depth zero
     but belongs to a plan with mid-activation cuts elsewhere — its
     boundary summaries must still ship (for both kinds) because a later
-    partition's fix-up may look up prefix accesses from it.
+    partition's fix-up may look up prefix accesses from it.  The last
+    partition of the plan (``part.index == total - 1``) has no later
+    partition, so it builds and ships no summaries at all.
     """
     check_engine(engine)
     carried = bool(carry_aware or part.carry_in or part.carry_out_ids)
@@ -215,11 +222,15 @@ def replay_partition(
             else:
                 prof.consume_columnar(batch)
     elapsed = now() - start
+    # no partition after the last one reads its boundary summaries
+    summarise = part.index < total - 1
     shards: List[PartitionShard] = []
     for kind, prof in zip(kinds, profs):
         space = prof.space_cells()
         if kind == "drms" or carried:
-            last_write, last_access = prof.boundary_summary()
+            last_write, last_access = (
+                prof.boundary_summary() if summarise else ({}, {})
+            )
             cold = prof.cold_reads if prof.cold_reads is not None else []
             prof.cold_reads = None
         else:
@@ -408,10 +419,11 @@ class _CarryState:
         self.kind = kind
         self.drms = kind == "drms"
         self.next_index = 0
-        #: addr -> (partition, stamp, src) from drms write memories
-        self.last_write: Dict[int, Tuple[int, int, int]] = {}
-        #: (thread, addr) -> (partition, stamp)
-        self.last_access: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        #: ``(partition, last_write)`` per folded shard that shipped one,
+        #: newest first; ``last_write`` maps addr -> (stamp, src)
+        self.writes: List[Tuple[int, dict]] = []
+        #: ``(partition, last_access)`` likewise; thread -> addr -> stamp
+        self.accesses: List[Tuple[int, dict]] = []
         #: (thread, seq) -> (partition, stamp) of the real push
         self.push_ts: Dict[Tuple[int, int], Tuple[int, int]] = {}
         #: (thread, seq) -> summed partials + fix-up corrections
@@ -434,37 +446,52 @@ class _CarryState:
         self._fix_cold_reads(shard)
         self._fold_returns(shard)
         self._fold_carry_out(shard)
-        p = shard.index
-        for addr, (stamp, src) in shard.last_write.items():
-            self.last_write[addr] = (p, stamp, src)
-        for thread, mem in shard.last_access.items():
-            for addr, stamp in mem.items():
-                self.last_access[(thread, addr)] = (p, stamp)
+        # The summaries are kept by reference and only looked up, per
+        # cold-read address, by later shards; the last shard has none
+        # to serve (and ships none; an older store's still may).
+        if shard.index < shard.partitions - 1:
+            if shard.last_write:
+                self.writes.insert(0, (shard.index, shard.last_write))
+            if shard.last_access:
+                self.accesses.insert(0, (shard.index, shard.last_access))
 
     def _fix_cold_reads(self, shard: PartitionShard) -> None:
+        if not (shard.cold_reads and (self.writes or self.accesses)):
+            # nothing to fix, or no prefix access or write to fix it by
+            return
         drms = self.drms
         counters = shard.profiler.read_counters if drms else None
         carry_map = dict(shard.carry_in)
-        lw, la, push, ledger = (
-            self.last_write,
-            self.last_access,
-            self.push_ts,
-            self.ledger,
-        )
+        writes, push, ledger = self.writes, self.push_ts, self.ledger
         for thread, base, run, rtn, carried, stack_len in shard.cold_reads:
             top_is_seed = carried > 0 and stack_len == carried
             live_seeds = carry_map.get(thread, ())[:carried] if carried else ()
             top_key = (thread, live_seeds[-1][0]) if top_is_seed else None
+            # the thread's prefix access memories, newest first
+            accessed = [
+                (p, mem[thread]) for p, mem in self.accesses if thread in mem
+            ]
             for addr in range(base, base + run):
-                s = la.get((thread, addr))
+                # the latest prefix access of ``addr`` as ``(partition,
+                # stamp)``: from the newest summary holding it
+                s = None
+                for p, mem in accessed:
+                    stamp = mem.get(addr)
+                    if stamp is not None:
+                        s = (p, stamp)
+                        break
                 if drms:
-                    w = lw.get(addr)
-                    if w is not None and (s is None or s < (w[0], w[1])):
+                    w = None
+                    for p, mem in writes:
+                        w = mem.get(addr)  # (stamp, src)
+                        if w is not None:
+                            break
+                    if w is not None and (s is None or s < (p, w[0])):
                         # Serially induced: counted either way, never
                         # refunded — the slot move is the whole fix-up.
                         row = counters[rtn]
                         row[0] -= 1
-                        row[1 if w[2] else 2] += 1
+                        row[1 if w[1] else 2] += 1
                         self.fixups += 1
                         continue
                 if s is None or not carried:
@@ -692,11 +719,11 @@ def replay_partitioned(
             payload, resolve_partitions(partitions if partitions is not None else 0)
         )
     all_parts = plan.partitions
-    parts = (
-        all_parts
-        if only is None
-        else tuple(p for p in all_parts if p.index in set(only))
-    )
+    if only is None:
+        parts = all_parts
+    else:
+        wanted = set(only)
+        parts = tuple(p for p in all_parts if p.index in wanted)
     total = len(all_parts)
     carry_aware = plan.carried > 0
     degradations: List[Degradation] = []

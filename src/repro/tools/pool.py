@@ -287,7 +287,9 @@ def _worker_main(conn, inherited) -> None:
         except Exception as exc:
             reply = (False, exc)
         try:
-            conn.send(reply)
+            # plain C pickling, as for tasks (``conn.send`` would run
+            # the slower ``ForkingPickler`` on every reply)
+            conn.send_bytes(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
         except OSError:  # the parent closed its end mid-task
             return
         except Exception as exc:  # the value or exception would not pickle
