@@ -5,6 +5,8 @@ threads, *slowdown grows with the thread count for every tool* (an
 infrastructure property, not a tool property), while space overhead
 grows only modestly — and aprof-drms stays below helgrind throughout.
 Our VM serialises threads the same way, so the same trends emerge.
+As in Table 1, every tool replays on ``engine="scalar"``, one
+per-event substrate for all of them (DESIGN §2).
 """
 
 from _support import print_banner
@@ -27,6 +29,7 @@ def measure_at(threads):
             name,
             lambda w=workload, t=threads: w.build(threads=t, scale=3),
             repeats=3,
+            engine="scalar",
         )
         for tool in TOOLS:
             per_tool_slowdown[tool].append(measurement.tools[tool].slowdown)

@@ -13,6 +13,13 @@ shape is the paper's ordering:
   faster);
 * helgrind is the slowest tool and uses the most memory;
 * aprof uses less space than aprof-drms (no global shadow memory).
+
+All six tools replay on ``engine="scalar"``: each consumes the same
+per-event stream, as Valgrind's tools share one instrumentation
+substrate (DESIGN §2).  On the default engine aprof and aprof-drms
+replay fused rows through the columnar kernels while the other four
+replay expanded events, so the table would compare replay engines as
+much as tools.
 """
 
 from _support import print_banner
@@ -48,6 +55,7 @@ def measure_suite(names):
                 name,
                 lambda w=workload: w.build(threads=4, scale=3),
                 repeats=3,
+                engine="scalar",
             )
         )
     return suite_summary(measurements)

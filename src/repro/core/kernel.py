@@ -64,11 +64,11 @@ re-reads at the same timestamp.
 Bulk fast paths
 ---------------
 For a read run the kernel slices the old timestamps out of the leaf and
-classifies the whole segment at once when it can.  A segment of at
-least ``_UNIFORM_TEST_MIN`` cells first compares its old stamps with a
-template of their first value, one C-level compare; only a mixed or a
-short segment scans them with ``min()``/``max()``.  The cases, checked
-in observed frequency order:
+classifies the whole segment at once when it can.  One C-level
+``old.count(old[0])`` tells a uniform segment from a mixed one, at any
+length; only a mixed segment is scanned with ``min()``/``max()``.  The
+drms kernel tests the segment's global write stamps the same way.  The
+cases, checked in observed frequency order:
 
 * every cell foreign-written since its last local access
   (``min(wts) > max(old)``) → N induced first-reads, split
@@ -88,6 +88,23 @@ Leaf resolution itself is inlined: with the leaf tag in hand it is
 one probe of the memory's leaf index (``_leaves.get(tag)``, the same
 chunk objects the three levels hold), and ``leaf_create`` is only
 called to materialise a missing leaf.
+
+Calls and returns
+-----------------
+Inside the per-thread block the kernel tests ``OP_CALL`` and
+``OP_RETURN`` before the memory opcodes, so a call or return row does
+not fail five memory-opcode tests first.  A call sets the four fields
+of its ``StackEntry`` on a bare instance instead of calling the
+dataclass's generated ``__init__``.  A return does not call
+``ProfileSet.collect``.  It folds its point into a per-call dict,
+``{(routine, thread, size): [calls, max, min, total]}``, and appends its
+activation record to a local list.  One
+:meth:`~repro.core.profiles.ProfileSet.fold_points` per kernel call
+folds both, in first-seen order, so profiles, points and
+``activations`` come out as per-return ``collect`` calls leave them.
+The pending points are also folded before the kernel raises, and
+before a loop row recurses into the kernel (renumbering inside the
+loop), so the profile set is never behind the rows already replayed.
 """
 
 from __future__ import annotations
@@ -105,6 +122,7 @@ from repro.core.events import (
     OP_LOCK_ACQUIRE,
     OP_READ,
     OP_READ_RUN,
+    OP_RETURN,
     OP_SWITCH_THREAD,
     OP_THREAD_EXIT,
     OP_THREAD_START,
@@ -120,12 +138,6 @@ from repro.core.shadow import ShadowMemory
 from repro.core.shadow_stack import ShadowStack, StackEntry
 
 __all__ = ["consume_columnar_drms", "consume_columnar_rms"]
-
-#: Read-run segments at least this long test uniformity first: one
-#: C-level compare of the old stamps against a template of their first
-#: value.  On shorter segments a ``min()``/``max()`` pair is cheaper than
-#: a failed compare followed by the same pair.
-_UNIFORM_TEST_MIN = 8
 
 
 def consume_columnar_drms(prof, batch: EventBatch) -> None:
@@ -149,8 +161,15 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
     ts_map = prof.ts
     stacks = prof.stacks
     read_counters = prof.read_counters
-    collect = prof.profiles.collect
     rc_get = read_counters.get
+    # Returns gather their performance points here, folded into the
+    # profile set once per call (see ``ProfileSet.fold_points``).
+    points: Dict[tuple, list] = {}
+    points_get = points.get
+    new_entry = StackEntry.__new__
+    keep = prof.profiles.keep_activations
+    activations: list = []
+    activations_append = activations.append
     cold = prof.cold_reads
     cold_append = cold.append if cold is not None else None
     carried_map = prof.carried_live
@@ -211,7 +230,10 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
     # Bulk-stamp template: a full leaf of the current timestamp,
     # rebuilt lazily whenever the counter moves (calls, switches,
     # kernel fills, renumbering).  Stamping a segment is then one
-    # C-level slice assignment.
+    # C-level slice assignment.  Templates are repeats of the one-cell
+    # ``cell``: setting it and repeating it costs a third of building
+    # an array from a list.
+    cell = array("q", [0])
     stamp_count = -1
     stamp_leaf = None
     # Write-source template, keyed by the stored value (writer+1).
@@ -286,7 +308,80 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                 src_chunk = state[8]
                 carried = carried_get(tid, 0)
                 cur = tid
-            if op == OP_READ:
+            if op == OP_CALL:
+                count += 1
+                if count >= limit_v:
+                    prof.count = count
+                    prof._renumber()
+                    count = prof.count
+                if top_drms:
+                    top.drms += top_drms
+                    top_drms = 0
+                if c_plain or c_thread or c_kernel:
+                    top_counters[0] += c_plain
+                    top_counters[1] += c_thread
+                    top_counters[2] += c_kernel
+                    c_plain = c_thread = c_kernel = 0
+                # StackEntry(names[arg], count, 0, cost), its fields set
+                # without a call to the generated __init__ (half the
+                # entry's cost)
+                top = new_entry(StackEntry)
+                top.rtn = names[arg]
+                top.ts = count
+                top.drms = 0
+                top.cost = cost
+                top_counters = None
+                stack_entries.append(top)
+                if len(stack_entries) > hwm:
+                    hwm = len(stack_entries)
+            elif op == OP_RETURN:
+                if top is None:
+                    prof.count = count
+                    prof.profiles.fold_points(points, activations)
+                    raise ValueError(
+                        f"return with empty stack on thread {tid}"
+                    )
+                if c_plain or c_thread or c_kernel:
+                    top_counters[0] += c_plain
+                    top_counters[1] += c_thread
+                    top_counters[2] += c_kernel
+                    c_plain = c_thread = c_kernel = 0
+                done = stack_entries.pop()
+                done_drms = done.drms + top_drms
+                if len(stack_entries) < carried:
+                    # A carried seed popped (see DrmsProfiler.on_return):
+                    # record the partial for the merge stage, suppress
+                    # collect and parent inheritance.
+                    carried = len(stack_entries)
+                    carried_map[tid] = carried
+                    carried_rets_append((tid, done_drms, cost))
+                    top = stack_entries[-1] if stack_entries else None
+                    top_drms = 0
+                else:
+                    # ProfileSet.collect, deferred: fold this point
+                    # into the call's pending [calls, max, min, total].
+                    c = cost - done.cost
+                    key = (done.rtn, tid, done_drms)
+                    point = points_get(key)
+                    if point is None:
+                        points[key] = [1, c, c, c]
+                    else:
+                        point[0] += 1
+                        if c > point[1]:
+                            point[1] = c
+                        elif c < point[2]:
+                            point[2] = c
+                        point[3] += c
+                    if keep:
+                        activations_append((done.rtn, tid, done_drms, c))
+                    if stack_entries:
+                        top = stack_entries[-1]
+                        top_drms = done_drms
+                    else:
+                        top = None
+                        top_drms = 0
+                top_counters = None
+            elif op == OP_READ:
                 tag = arg >> leaf_bits
                 off = arg & leaf_mask
                 if tag != ts_tag:
@@ -373,7 +468,8 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                 # its buffer: see the module docstring.)
                 runs_consumed += 1
                 if stamp_count != count:
-                    stamp_leaf = array("q", [count]) * leaf_size
+                    cell[0] = count
+                    stamp_leaf = cell * leaf_size
                     stamp_count = count
                 a = arg
                 end = arg + (
@@ -406,16 +502,18 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                         top_ts = top.ts
                         old = ts_chunk[off:end_off]
                         minold = maxold = old[0]
-                        if (
-                            m < _UNIFORM_TEST_MIN
-                            or old != array("q", [minold]) * m
-                        ):
+                        if old.count(minold) != m:
                             minold = min(old)
                             maxold = max(old)
-                        wslice = (
-                            None if wchunk is None else wchunk[off:end_off]
-                        )
-                        if wslice is not None and min(wslice) > maxold:
+                        if wchunk is None:
+                            minw = maxw = 0
+                        else:
+                            wslice = wchunk[off:end_off]
+                            minw = maxw = wslice[0]
+                            if wslice.count(minw) != m:
+                                minw = min(wslice)
+                                maxw = max(wslice)
+                        if minw > maxold:
                             # Every cell foreign-written after its last
                             # local access: N induced first-reads, split
                             # by write source, no ancestors to repay.
@@ -429,14 +527,11 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                             nz = m - schunk[off:end_off].count(0)
                             c_thread += nz
                             c_kernel += m - nz
-                        elif (
-                            maxw := 0 if wslice is None else max(wslice)
-                        ) <= minold and minold >= top_ts:
+                        elif maxw <= minold and minold >= top_ts:
                             # Pure re-read: every cell already accessed
                             # by this activation (or a completed sibling
                             # at/after its timestamp) and not foreign-
-                            # written since.  (The walrus target binds
-                            # for the remaining branches too.)
+                            # written since.
                             pass
                         elif maxw <= minold and minold == maxold:
                             # Uniform segment last touched at one older
@@ -534,10 +629,12 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
             elif op == OP_WRITE_RUN:
                 runs_consumed += 1
                 if stamp_count != count:
-                    stamp_leaf = array("q", [count]) * leaf_size
+                    cell[0] = count
+                    stamp_leaf = cell * leaf_size
                     stamp_count = count
                 if thread_input and src_val != tid + 1:
-                    src_leaf = array("q", [tid + 1]) * leaf_size
+                    cell[0] = tid + 1
+                    src_leaf = cell * leaf_size
                     src_val = tid + 1
                 a = arg
                 end = arg + cost
@@ -569,7 +666,7 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                             src_leaf if m == leaf_size else src_leaf[:m]
                         )
                     a += m
-            elif op == OP_FILL_READ_LOOP:
+            else:  # OP_FILL_READ_LOOP, fills visible
                 runs_consumed += 1
                 n = cost & _LOOP_N_MASK  # unpack_loop, inlined
                 total = n * (cost >> _LOOP_N_BITS)
@@ -615,7 +712,8 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                         ts_tag = tag
                     # count just moved, so stamp at length n: a leaf-wide
                     # template would serve this row only
-                    ts_chunk[off:end_off] = array("q", [count]) * n
+                    cell[0] = count
+                    ts_chunk[off:end_off] = cell * n
                 else:
                     # Renumbering lands inside the loop: settle the
                     # pending sums and replay the loop's pairs through
@@ -630,6 +728,9 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                         top_counters[2] += c_kernel
                         c_plain = c_thread = c_kernel = 0
                     prof.count = count
+                    prof.profiles.fold_points(points, activations)
+                    points.clear()
+                    activations.clear()
                     consume_columnar_drms(
                         prof,
                         unfold_loops(
@@ -643,56 +744,6 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                         ),
                     )
                     count = prof.count
-            elif op == OP_CALL:
-                count += 1
-                if count >= limit_v:
-                    prof.count = count
-                    prof._renumber()
-                    count = prof.count
-                if top_drms:
-                    top.drms += top_drms
-                    top_drms = 0
-                if c_plain or c_thread or c_kernel:
-                    top_counters[0] += c_plain
-                    top_counters[1] += c_thread
-                    top_counters[2] += c_kernel
-                    c_plain = c_thread = c_kernel = 0
-                top = StackEntry(names[arg], count, 0, cost)
-                top_counters = None
-                stack_entries.append(top)
-                if len(stack_entries) > hwm:
-                    hwm = len(stack_entries)
-            else:  # OP_RETURN
-                if top is None:
-                    prof.count = count
-                    raise ValueError(
-                        f"return with empty stack on thread {tid}"
-                    )
-                if c_plain or c_thread or c_kernel:
-                    top_counters[0] += c_plain
-                    top_counters[1] += c_thread
-                    top_counters[2] += c_kernel
-                    c_plain = c_thread = c_kernel = 0
-                done = stack_entries.pop()
-                done_drms = done.drms + top_drms
-                if len(stack_entries) < carried:
-                    # A carried seed popped (see DrmsProfiler.on_return):
-                    # record the partial for the merge stage, suppress
-                    # collect and parent inheritance.
-                    carried = len(stack_entries)
-                    carried_map[tid] = carried
-                    carried_rets_append((tid, done_drms, cost))
-                    top = stack_entries[-1] if stack_entries else None
-                    top_drms = 0
-                else:
-                    collect(done.rtn, tid, done_drms, cost - done.cost)
-                    if stack_entries:
-                        top = stack_entries[-1]
-                        top_drms = done_drms
-                    else:
-                        top = None
-                        top_drms = 0
-                top_counters = None
         elif op == OP_SWITCH_THREAD:
             count += 1
             if count >= limit_v:
@@ -767,6 +818,7 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
                     src_chunk[a & leaf_mask] = 0
         elif not OP_LOCK_ACQUIRE <= op <= OP_THREAD_EXIT:
             prof.count = count
+            prof.profiles.fold_points(points, activations)
             raise TypeError(f"unknown opcode {op}")
     if top_drms:
         top.drms += top_drms
@@ -774,6 +826,7 @@ def consume_columnar_drms(prof, batch: EventBatch) -> None:
         top_counters[0] += c_plain
         top_counters[1] += c_thread
         top_counters[2] += c_kernel
+    prof.profiles.fold_points(points, activations)
     prof.count = count
     prof.stack_depth_hwm = hwm
     prof.superops_consumed += runs_consumed
@@ -792,7 +845,12 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
     names = batch.names
     ts_map = prof.ts
     stacks = prof.stacks
-    collect = prof.profiles.collect
+    points: Dict[tuple, list] = {}
+    points_get = points.get
+    new_entry = StackEntry.__new__
+    keep = prof.profiles.keep_activations
+    activations: list = []
+    activations_append = activations.append
     cold = prof.cold_reads
     cold_append = cold.append if cold is not None else None
     carried_map = prof.carried_live
@@ -816,6 +874,7 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
     top_drms = 0
     hwm = prof.stack_depth_hwm
     runs_consumed = 0
+    cell = array("q", [0])
     stamp_count = -1
     stamp_leaf = None
 
@@ -867,7 +926,63 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
                 leaf_size = leaf_mask + 1
                 carried = carried_get(tid, 0)
                 cur = tid
-            if op == OP_READ:
+            if op == OP_CALL:
+                count += 1
+                if top_drms:
+                    top.drms += top_drms
+                    top_drms = 0
+                # StackEntry(names[arg], count, 0, cost), its fields set
+                # without a call to the generated __init__ (half the
+                # entry's cost)
+                top = new_entry(StackEntry)
+                top.rtn = names[arg]
+                top.ts = count
+                top.drms = 0
+                top.cost = cost
+                stack_entries.append(top)
+                if len(stack_entries) > hwm:
+                    hwm = len(stack_entries)
+            elif op == OP_RETURN:
+                if top is None:
+                    prof.count = count
+                    prof.profiles.fold_points(points, activations)
+                    raise ValueError(
+                        f"return with empty stack on thread {tid}"
+                    )
+                done = stack_entries.pop()
+                done_drms = done.drms + top_drms
+                if len(stack_entries) < carried:
+                    # A carried seed popped (see RmsProfiler.on_return):
+                    # record the partial, suppress collect/inheritance.
+                    carried = len(stack_entries)
+                    carried_map[tid] = carried
+                    carried_rets_append((tid, done_drms, cost))
+                    top = stack_entries[-1] if stack_entries else None
+                    top_drms = 0
+                else:
+                    # ProfileSet.collect, deferred: fold this point
+                    # into the call's pending [calls, max, min, total].
+                    c = cost - done.cost
+                    key = (done.rtn, tid, done_drms)
+                    point = points_get(key)
+                    if point is None:
+                        points[key] = [1, c, c, c]
+                    else:
+                        point[0] += 1
+                        if c > point[1]:
+                            point[1] = c
+                        elif c < point[2]:
+                            point[2] = c
+                        point[3] += c
+                    if keep:
+                        activations_append((done.rtn, tid, done_drms, c))
+                    if stack_entries:
+                        top = stack_entries[-1]
+                        top_drms = done_drms
+                    else:
+                        top = None
+                        top_drms = 0
+            elif op == OP_READ:
                 tag = arg >> leaf_bits
                 off = arg & leaf_mask
                 if tag != ts_tag:
@@ -907,7 +1022,8 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
                 # of its buffer: see the module docstring.)
                 runs_consumed += 1
                 if stamp_count != count:
-                    stamp_leaf = array("q", [count]) * leaf_size
+                    cell[0] = count
+                    stamp_leaf = cell * leaf_size
                     stamp_count = count
                 a = arg
                 end = arg + (
@@ -929,10 +1045,7 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
                         top_ts = top.ts
                         old = ts_chunk[off:end_off]
                         minold = maxold = old[0]
-                        if (
-                            m < _UNIFORM_TEST_MIN
-                            or old != array("q", [minold]) * m
-                        ):
+                        if old.count(minold) != m:
                             minold = min(old)
                             maxold = max(old)
                         if minold >= top_ts:
@@ -997,10 +1110,11 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
                         stamp_leaf if m == leaf_size else stamp_leaf[:m]
                     )
                     a += m
-            elif op == OP_WRITE_RUN:
+            else:  # OP_WRITE_RUN
                 runs_consumed += 1
                 if stamp_count != count:
-                    stamp_leaf = array("q", [count]) * leaf_size
+                    cell[0] = count
+                    stamp_leaf = cell * leaf_size
                     stamp_count = count
                 a = arg
                 end = arg + cost
@@ -1019,48 +1133,17 @@ def consume_columnar_rms(prof, batch: EventBatch) -> None:
                         stamp_leaf if m == leaf_size else stamp_leaf[:m]
                     )
                     a += m
-            elif op == OP_CALL:
-                count += 1
-                if top_drms:
-                    top.drms += top_drms
-                    top_drms = 0
-                top = StackEntry(names[arg], count, 0, cost)
-                stack_entries.append(top)
-                if len(stack_entries) > hwm:
-                    hwm = len(stack_entries)
-            else:  # OP_RETURN
-                if top is None:
-                    prof.count = count
-                    raise ValueError(
-                        f"return with empty stack on thread {tid}"
-                    )
-                done = stack_entries.pop()
-                done_drms = done.drms + top_drms
-                if len(stack_entries) < carried:
-                    # A carried seed popped (see RmsProfiler.on_return):
-                    # record the partial, suppress collect/inheritance.
-                    carried = len(stack_entries)
-                    carried_map[tid] = carried
-                    carried_rets_append((tid, done_drms, cost))
-                    top = stack_entries[-1] if stack_entries else None
-                    top_drms = 0
-                else:
-                    collect(done.rtn, tid, done_drms, cost - done.cost)
-                    if stack_entries:
-                        top = stack_entries[-1]
-                        top_drms = done_drms
-                    else:
-                        top = None
-                        top_drms = 0
         elif op == OP_SWITCH_THREAD:
             count += 1
         elif op == OP_KFILL_RUN:
             runs_consumed += 1  # kernel fills are invisible to rms
         elif not OP_CALL <= op <= OP_THREAD_EXIT:
             prof.count = count
+            prof.profiles.fold_points(points, activations)
             raise TypeError(f"unknown opcode {op}")
     if top_drms:
         top.drms += top_drms
+    prof.profiles.fold_points(points, activations)
     prof.count = count
     prof.stack_depth_hwm = hwm
     prof.superops_consumed += runs_consumed

@@ -30,11 +30,12 @@ the same digest:
   CRC-checked, version-tagged envelope of
   :mod:`repro.sweep.shard_codec` around zlib-compressed JSON, whose
   objects come only from a fixed list of classes.  Reading one never
-  unpickles.  Shards a store holds from before that codec are pickles
-  (first byte ``0x80``, the pickle PROTO opcode) and still load through
-  a read-only branch; the ``.pkl`` suffix is kept for them and for
-  the tools that match on it.  An unreadable or version-mismatched
-  shard is recomputed, not trusted.
+  unpickles.  A shard a store holds from before that codec is a pickle
+  (first byte ``0x80``, the pickle PROTO opcode); it is counted stale
+  without being decoded, and recomputed like a shard of another
+  version.  The ``.pkl`` suffix is kept for the tools that match on
+  it.  An unreadable or version-mismatched shard is recomputed, not
+  trusted.
 
 Layout: ``root/<digest[:2]>/<digest>.trace`` (git-object-style fan-out
 so a big sweep does not pile thousands of files into one directory).
@@ -45,7 +46,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -85,21 +85,18 @@ def _load_shard(data: bytes, kind: Optional[str] = None):
     shard of another version, any other exception for a corrupt one (or
     one stored under a kind other than ``kind``, when given).
 
-    A codec envelope is decoded without ``pickle``; only a file that
-    opens with the pickle PROTO opcode takes the read-only branch for
-    shards written before the codec."""
+    A codec envelope is decoded without ``pickle``.  A file that opens
+    with the pickle PROTO opcode was written before the codec: it is
+    stale, and nothing past that byte is read, since unpickling a
+    crafted file would run its code."""
     if data[:1] == bytes([_PICKLE_PROTO]):
-        tag, version, stored_kind, shard = pickle.loads(data)
-        if tag != "repro-shard":
-            raise ShardFormatError(f"pickled shard tagged {tag!r}")
-        body = None
-    else:
-        version, stored_kind, body = read_envelope(data)
+        raise _StaleShard("pickle")
+    version, stored_kind, body = read_envelope(data)
     if kind is not None and stored_kind != kind:
         raise ShardFormatError(f"shard stored as {stored_kind!r}")
     if version != SHARD_VERSION:
         raise _StaleShard(version)
-    return shard if body is None else decode_body(body)
+    return decode_body(body)
 
 
 @dataclass(frozen=True)
@@ -355,13 +352,14 @@ class TraceStore:
 
         A codec envelope (:mod:`repro.sweep.shard_codec`) is decoded
         as data — no ``pickle`` call, objects only from the codec's
-        class list; a pickle written before the codec still loads.
-        Any failure — missing file, bad CRC, damaged zlib or JSON, an
-        unknown tag or class, a kind or version mismatch — yields
-        ``None`` so the caller recomputes the shard from the trace; a
-        cache can be deleted at any time without changing results.
-        Damaged shards count as ``sidecar_corrupt``; intact shards of
-        another ``SHARD_VERSION`` count as ``sidecar_stale``.
+        class list.  Any failure — missing file, bad CRC, damaged zlib
+        or JSON, an unknown tag or class, a kind or version mismatch, a
+        pickle written before the codec — yields ``None`` so the caller
+        recomputes the shard from the trace; a cache can be deleted at
+        any time without changing results.  Damaged shards count as
+        ``sidecar_corrupt``; intact shards of another ``SHARD_VERSION``
+        and pickled shards, which are never unpickled, count as
+        ``sidecar_stale``.
         """
         try:
             with open(self.shard_path(key, kind), "rb") as handle:
@@ -483,7 +481,7 @@ class TraceStore:
     @staticmethod
     def _shard_verdict(path: str) -> str:
         """``ok``, ``stale`` or ``corrupt``, by the rules of
-        :meth:`get_shard` for either on-disk form."""
+        :meth:`get_shard` (a pickled shard is ``stale``)."""
         try:
             with open(path, "rb") as handle:
                 _load_shard(handle.read())

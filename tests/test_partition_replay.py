@@ -198,9 +198,9 @@ def test_shard_pickled_with_a_retired_field_loads_from_a_store_and_merges(
     tmp_path,
 ):
     """Shards a sweep store already holds keep loading after a field is
-    retired from ``PartitionShard``: unpickling restores the stored
-    ``__dict__``, so the stale ``queue_depth_hwm`` rides along unused
-    and the shards still merge to the serial profiles."""
+    retired from ``PartitionShard``: the shard codec restores every
+    stored attribute, so the stale ``queue_depth_hwm`` rides along
+    unused and the shards still merge to the serial profiles."""
     from repro.sweep import TraceKey, TraceStore
 
     batch, payload = _three_part_payload()
@@ -220,15 +220,16 @@ def test_shard_pickled_with_a_retired_field_loads_from_a_store_and_merges(
     )
 
 
-def test_shards_pickled_before_the_leaf_index_load_from_a_store_and_merge(
-    tmp_path,
+def test_shards_pickled_before_the_codec_are_stale_in_a_store_and_recomputed(
+    tmp_path, monkeypatch
 ):
-    """A drms+rms shard set a store holds from before the shadow leaf
-    index — every shadow memory pickled as its instance ``__dict__``,
-    middle tables and leaf template included — still loads through
-    ``get_shard`` (the index is rebuilt on load) and merges to the
-    serial profiles, under the same ``SHARD_VERSION``."""
+    """A drms+rms shard set a store holds from before the shard codec —
+    pickles, here with every shadow memory in the pre-index layout — is
+    never unpickled: ``get_shard`` counts each file stale and returns
+    ``None``, and the shards replayed again in their place load and
+    merge to the serial profiles."""
     import os
+    import pickle
 
     from repro.sweep import SHARD_VERSION, TraceKey, TraceStore
 
@@ -236,21 +237,36 @@ def test_shards_pickled_before_the_leaf_index_load_from_a_store_and_merge(
     plan = plan_partitions(payload, 3)
     store = TraceStore(str(tmp_path))
     key = TraceKey("three_part", 1, 1)
-    for part in plan.partitions:
-        for shard in replay_partition(payload, part, ("drms", "rms"), 3):
-            kind = f"{shard.kind}.p{part.index}of3"
-            stored = dumps_pre_index(("repro-shard", SHARD_VERSION, kind, shard))
-            assert b"_leaf_proto" in stored or shard.kind == "rms"
+    replayed = [
+        replay_partition(payload, part, ("drms", "rms"), 3)
+        for part in plan.partitions
+    ]
+    for index, row in enumerate(replayed):
+        for shard in row:
+            kind = f"{shard.kind}.p{index}of3"
             path = store.shard_path(key, kind)
             os.makedirs(os.path.dirname(path), exist_ok=True)
+            stored = dumps_pre_index(("repro-shard", SHARD_VERSION, kind, shard))
             with open(path, "wb") as handle:
                 handle.write(stored)
-    rows = [
-        [store.get_shard(key, f"{kind}.p{i}of3") for kind in ("drms", "rms")]
-        for i in range(3)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a stored shard was unpickled")
+
+    monkeypatch.setattr(pickle, "loads", refuse)
+    kinds = [
+        [f"{kind}.p{i}of3" for kind in ("drms", "rms")] for i in range(3)
     ]
-    assert all(shard is not None for row in rows for shard in row)
-    merged = merge_partition_shards(rows)
+    assert all(
+        store.get_shard(key, kind) is None for row in kinds for kind in row
+    )
+    assert store.sidecar_stats() == {"sidecar_corrupt": 0, "sidecar_stale": 6}
+    for row, shards in zip(kinds, replayed):
+        for kind, shard in zip(row, shards):
+            store.put_shard(key, kind, shard)
+    merged = merge_partition_shards(
+        [[store.get_shard(key, kind) for kind in row] for row in kinds]
+    )
     serial_drms, serial_rms = serial_profilers(batch)
     assert (
         merged["drms"].metrics_snapshot() == serial_drms.metrics_snapshot()

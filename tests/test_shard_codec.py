@@ -20,9 +20,8 @@ of a tagged tree whose objects come from a fixed class list), and
 * encoding refuses a type outside the tree and a non-empty shadow
   memory.
 
-Shards pickled before the codec keep loading: see the retired-field
-and pre-leaf-index tests in ``test_partition_replay.py`` and the
-pickled-version tests in ``test_sweep_store.py``.
+A shard pickled before the codec is *stale* and is never unpickled,
+even when unpickling it would run code.
 """
 
 import json
@@ -224,6 +223,37 @@ def test_reading_a_shard_never_unpickles(store, monkeypatch):
     assert store.get_shard(KEY, "drms") is not None
     assert store.audit().clean
     assert store.sidecar_stats() == {"sidecar_corrupt": 0, "sidecar_stale": 0}
+
+
+def _unpickled(*_args):
+    raise AssertionError("a crafted shard pickle ran code")
+
+
+class _Crafted:
+    def __reduce__(self):
+        return _unpickled, ()
+
+
+def test_a_pickled_shard_is_stale_and_never_unpickled(
+    store, monkeypatch, capsys
+):
+    import repro.sweep.store as store_module
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a stored shard was unpickled")
+
+    monkeypatch.setattr(pickle, "load", refuse)
+    monkeypatch.setattr(pickle, "loads", refuse)
+    assert not hasattr(store_module, "pickle")
+    crafted = ("repro-shard", SHARD_VERSION, "drms", _Crafted())
+    path = write(store, "drms", pickle.dumps(crafted))
+    assert store.get_shard(KEY, "drms") is None
+    assert store.sidecar_stats() == {"sidecar_corrupt": 0, "sidecar_stale": 1}
+    audit = store.audit()
+    assert audit.stale_shards == [path]
+    assert audit.corrupt_shards == []
+    assert main(["doctor", "--store", store.root]) == 1
+    assert "stale shard" in capsys.readouterr().out
 
 
 def test_written_shards_open_with_the_magic_not_a_pickle_proto(store):

@@ -191,11 +191,20 @@ class TestSidecarHardening:
         }
 
     def test_truncated_pickled_shard_is_counted_not_raised(self, tmp_path):
+        # a pickle is stale by its first byte, whole or torn: the store
+        # never reads further
         store = TraceStore(str(tmp_path))
-        store.put_shard(KEY, "drms", self.make_shard())
+        with open(self._shard_file(store), "wb") as handle:
+            pickle.dump(
+                ("repro-shard", SHARD_VERSION, "drms", self.make_shard()),
+                handle,
+            )
         self.truncate(store.shard_path(KEY, "drms"))
         assert store.get_shard(KEY, "drms") is None
-        assert store.sidecar_stats()["sidecar_corrupt"] == 1
+        assert store.sidecar_stats() == {
+            "sidecar_corrupt": 0,
+            "sidecar_stale": 1,
+        }
 
     def test_stale_shard_version_counted_separately(self, tmp_path):
         store = TraceStore(str(tmp_path))
